@@ -185,24 +185,8 @@ def shift_to_type(datum: RootDatum, lam: Weight, odd_index: int) -> Weight:
 # -- shared machinery -------------------------------------------------------
 
 
-def _pi0(datum: RootDatum):
-    group = getattr(datum, "_pi0_cache", None)
-    if group is None:
-        group = pi0_group(datum)
-        datum._pi0_cache = group
-    return group
-
-
-def _odd_lookup(datum: RootDatum) -> dict[Weight, int]:
-    table = getattr(datum, "_odd_lookup_cache", None)
-    if table is None:
-        table = {r.vector: i for i, r in enumerate(datum.positive_odd)}
-        datum._odd_lookup_cache = table
-    return table
-
-
 def _positive_odd_index(datum: RootDatum, vector: Weight) -> int:
-    idx = _odd_lookup(datum).get(vector)
+    idx = datum._odd_index.get(vector)
     # The even Weyl group of Pi_0 must keep the type inside the positive
     # odd roots; leaving them would silently corrupt every Z symbol.
     assert idx is not None, (
@@ -231,6 +215,24 @@ def _prefactor(ctx: AtypicalContext, idx: int) -> ZSeries:
     return _one_plus(idx, t).inverse()
 
 
+def _normalizer(ctx: AtypicalContext) -> ZSeries:
+    """Reciprocal of the identity element's prefactor, which makes U start at 1."""
+    t = ctx.z_truncation
+    gi = ctx.gamma_index
+    if ctx.special:
+        return _one_plus(gi, t) * _two_plus(gi, t).inverse() * ZSeries.constant(2, t)
+    return _one_plus(gi, t)
+
+
+def _block(ctx: AtypicalContext, idx: int) -> ZSeries:
+    """Series factor of one partition block that moves gamma to index ``idx``.
+
+    This is (1 + Z_gamma) / (1 + Z_idx), or for special weights
+    (1 + Z_gamma)(2 + Z_idx) / ((2 + Z_gamma)(1 + Z_idx)).
+    """
+    return _normalizer(ctx) * _prefactor(ctx, idx)
+
+
 def atypical_numerator(ctx: AtypicalContext) -> Poly:
     """The normalized numerator U(lambda) with truncated series coefficients.
 
@@ -242,7 +244,7 @@ def atypical_numerator(ctx: AtypicalContext) -> Poly:
     eta = vadd(ctx.lam, datum.rho)
     terms: dict[Mono, ZSeries] = {}
     prefactors: dict[int, ZSeries] = {}
-    for w in _pi0(datum):
+    for w in pi0_group(datum):
         idx = _positive_odd_index(datum, w.act(ctx.gamma.vector))
         if idx not in prefactors:
             prefactors[idx] = _prefactor(ctx, idx)
@@ -259,15 +261,9 @@ def coefficient_oracle(ctx: AtypicalContext) -> CoefficientValue:
     logarithm applies, then reads off the target monomial.  No closed form
     is consulted; this is the reference the closed forms are tested against.
     """
-    t = ctx.z_truncation
     u = atypical_numerator(ctx)
-    gi = ctx.gamma_index
-    if ctx.special:
-        normalizer = _one_plus(gi, t) * _two_plus(gi, t).inverse() * ZSeries.constant(2, t)
-    else:
-        normalizer = _one_plus(gi, t)
     target = x_lambda(ctx.datum, ctx.lam)
-    series = neg_log(u.scale(normalizer), mono_degree(target) + 1)
+    series = neg_log(u.scale(_normalizer(ctx)), mono_degree(target) + 1)
     return CoefficientValue(
         value=series.coefficient(target),
         tag=None,
@@ -304,7 +300,7 @@ def _k_ratio(ctx: AtypicalContext) -> CoefficientValue:
         image = _reflect(datum, g.vector, ctx.gamma.vector)
         idx = _positive_odd_index(datum, image)
         image_indices.append(idx)
-        value = value * _one_plus(ctx.gamma_index, t) * _one_plus(idx, t).inverse()
+        value = value * _block(ctx, idx)
     return CoefficientValue(
         value=value,
         tag="K-ratio",
@@ -324,23 +320,14 @@ def _m_form(ctx: AtypicalContext) -> CoefficientValue:
     simple roots contribute with opposite signs.
     """
     datum = ctx.datum
-    t = ctx.z_truncation
-    gi = ctx.gamma_index
     simples = [g for g in datum.generators if g.pi_index is not None]
     images = [
         _positive_odd_index(datum, _reflect(datum, g.vector, ctx.gamma.vector))
         for g in simples
     ]
 
-    def block(idx: int) -> ZSeries:
-        # one factor of the partition product, generic or special
-        if ctx.special:
-            m = _one_plus(gi, t) * _two_plus(gi, t).inverse()
-            return m * _two_plus(idx, t) * _one_plus(idx, t).inverse()
-        return _one_plus(gi, t) * _one_plus(idx, t).inverse()
-
     if len(simples) == 2:
-        value = block(images[0]) * block(images[1])
+        value = _block(ctx, images[0]) * _block(ctx, images[1])
         params = {"image_indices": tuple(images), "special": ctx.special}
         return CoefficientValue(value=value, tag="M-form", params=params)
 
@@ -363,8 +350,8 @@ def _m_form(ctx: AtypicalContext) -> CoefficientValue:
         datum, simples[j].vector, _reflect(datum, simples[i].vector, ctx.gamma.vector)
     )
     fused_idx = _positive_odd_index(datum, fused)
-    triple = block(images[0]) * block(images[1]) * block(images[2])
-    double = block(fused_idx) * block(images[k])
+    triple = _block(ctx, images[0]) * _block(ctx, images[1]) * _block(ctx, images[2])
+    double = _block(ctx, fused_idx) * _block(ctx, images[k])
     value = triple.scale(2) - double
     params = {
         "image_indices": tuple(images),
@@ -396,12 +383,7 @@ def _partition_factor(
     image = ctx.gamma.vector
     for d in moved:
         image = vadd(image, d)
-    idx = _positive_odd_index(ctx.datum, image)
-    t = ctx.z_truncation
-    if ctx.special:
-        m = _one_plus(ctx.gamma_index, t) * _two_plus(ctx.gamma_index, t).inverse()
-        return m * _two_plus(idx, t) * _one_plus(idx, t).inverse()
-    return _one_plus(ctx.gamma_index, t) * _one_plus(idx, t).inverse()
+    return _block(ctx, _positive_odd_index(ctx.datum, image))
 
 
 def enumeration_coefficient(ctx: AtypicalContext) -> CoefficientValue:
@@ -593,21 +575,6 @@ def coefficient_f1(datum: RootDatum, p: int, q: int) -> Fraction:
     return direct
 
 
-def compare_values(a: CoefficientValue, b: CoefficientValue) -> bool:
-    """Exact equality of two coefficient series.
-
-    The series only carry information up to their truncation order, so
-    comparing values computed at different truncations is refused rather
-    than answered on the overlap.
-    """
-    if a.value.trunc != b.value.trunc:
-        raise TruncationTooSmall(
-            f"cannot compare truncation {a.value.trunc} against {b.value.trunc}; "
-            "requested comparisons exceed the common truncation"
-        )
-    return a.value == b.value
-
-
 # -- product matching --------------------------------------------------------
 
 
@@ -633,7 +600,7 @@ def atypical_match(
     unequal.
     """
     gamma_vector = gamma.vector if isinstance(gamma, Root) else as_weight(gamma)
-    type_index = _odd_lookup(datum).get(gamma_vector)
+    type_index = datum._odd_index.get(gamma_vector)
     if type_index is None:
         raise IndexOutOfRange(
             "gamma is not a positive odd root of this datum"

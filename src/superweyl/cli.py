@@ -324,6 +324,8 @@ def _cmd_group(args) -> int:
 
 
 def _cmd_numerator(args) -> int:
+    if args.trunc < 0:
+        args.parser.error("--trunc must be at least 0")
     datum = _resolve_datum(args)
     lam = parse_weight(args.weight, datum)
     print(f"weight: {datum.format_weight(lam)}")
@@ -374,6 +376,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    if args.bound < 0:
+        args.parser.error("--bound must be at least 0")
+    if args.limit is not None and args.limit < 1:
+        args.parser.error("--limit must be at least 1")
     datum = _resolve_datum(args)
     count = 0
     try:

@@ -17,7 +17,7 @@ invariant for typical modules.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import NonIntegralExponent, NotDominant, NotTypical, UnsupportedCase
 from .rootdata import Dominance, RootDatum, Weight, as_weight, vadd, vsub

@@ -118,10 +118,6 @@ class SimpleGraph:
                     frontier.append(w)
         return len(seen) == len(self.vertices)
 
-    def sort_key(self, subset: Iterable[Vertex]) -> tuple[int, ...]:
-        """Positions of ``subset`` in ambient order, as a sorted tuple."""
-        return tuple(sorted(self.index(v) for v in subset))
-
 
 def graph_of_datum(datum: RootDatum) -> SimpleGraph:
     """Diagram on the even simple positions, edges where the form is nonzero."""
@@ -136,31 +132,6 @@ def _check_size(graph: SimpleGraph, cap: int) -> None:
         raise GraphTooLarge(
             f"graph has {len(graph)} vertices, cap is {cap}"
         )
-
-
-def totally_disconnected_subsets(
-    graph: SimpleGraph, cap: int = DEFAULT_MAX_VERTICES
-) -> list[tuple[Vertex, ...]]:
-    """All nonempty independent vertex subsets, smallest first.
-
-    Subsets are tuples in ambient vertex order; the list is sorted by
-    (size, positions) and is therefore deterministic.
-    """
-    _check_size(graph, cap)
-    found: list[tuple[Vertex, ...]] = []
-
-    def extend(prefix: list[Vertex], start: int) -> None:
-        for pos in range(start, len(graph.vertices)):
-            v = graph.vertices[pos]
-            if all(not graph.adjacent(v, u) for u in prefix):
-                prefix.append(v)
-                found.append(tuple(prefix))
-                extend(prefix, pos + 1)
-                prefix.pop()
-
-    extend([], 0)
-    found.sort(key=lambda s: (len(s), graph.sort_key(s)))
-    return found
 
 
 @dataclass(frozen=True)

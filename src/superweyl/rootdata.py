@@ -17,8 +17,13 @@ Built-in families:
 Other data (``B(m, n)``, ``D(m, n)``, ...) can be supplied through datum
 files; see :func:`datum_from_text`.
 
-All arithmetic is exact over :class:`fractions.Fraction`.  Instances are
-immutable after construction and safe to share between threads.
+All arithmetic is exact over :class:`fractions.Fraction`.  The structure
+of a datum is fixed at construction, but three private caches on it fill
+lazily: ``_fundamental_cache`` (even fundamental weights),
+``_group_cache`` (Weyl groups per generator set, see
+:func:`superweyl.weyl.generate`) and ``_factor_cache`` (component factors
+and signatures per weight, see :mod:`superweyl.unifac`).  Nothing guards
+them against concurrent writers.
 """
 
 from __future__ import annotations
@@ -148,77 +153,45 @@ class Atypicality:
 # exact linear algebra helpers
 
 
-def _mat_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Invert a square matrix of Fractions by Gauss-Jordan elimination."""
-    n = len(rows)
-    aug = [list(r) + [ONE if i == j else ZERO for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = ONE / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 class _SpanSolver:
-    """Solves M c = v exactly for a full-column-rank matrix M (columns fixed)."""
+    """Exact coordinates over a fixed list of linearly independent columns.
 
-    def __init__(self, columns: Sequence[Weight]):
-        self.columns = [tuple(c) for c in columns]
-        self.dim = len(self.columns[0]) if self.columns else 0
-        self.rank = len(self.columns)
-        # choose a row subset on which the column matrix is invertible
-        rows: list[int] = []
-        basis: list[list[Fraction]] = []
-        for r in range(self.dim):
-            candidate = basis + [[col[r] for col in self.columns]]
-            if _rank(candidate) == len(candidate):
-                rows.append(r)
-                basis = candidate
-            if len(rows) == self.rank:
-                break
-        if len(rows) != self.rank:
-            raise ValueError("columns are linearly dependent")
-        self.rows = rows
-        self.inverse = _mat_inverse([[self.columns[j][r] for j in range(self.rank)] for r in rows])
+    The column matrix M is row-reduced once next to the identity, giving an
+    invertible E with E M = [I; 0].  For any v, the first ``rank`` entries
+    of E v are the coefficients c, and M c = v holds exactly when the
+    remaining entries vanish.  E is stored as sparse rows.
+    """
+
+    def __init__(self, columns: Sequence[Weight], name: str):
+        self.dim = len(columns[0]) if columns else 0
+        self.rank = len(columns)
+        aug = [
+            [col[r] for col in columns] + [ONE if i == r else ZERO for i in range(self.dim)]
+            for r in range(self.dim)
+        ]
+        for col in range(self.rank):
+            pivot = next((r for r in range(col, self.dim) if aug[r][col] != 0), None)
+            if pivot is None:
+                raise MalformedDatumFile(f"{name} are linearly dependent")
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+            inv_p = ONE / aug[col][col]
+            aug[col] = [x * inv_p for x in aug[col]]
+            for r in range(self.dim):
+                if r != col and aug[r][col] != 0:
+                    f = aug[r][col]
+                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+        self._reducer = [
+            tuple((j, x) for j, x in enumerate(row[self.rank :]) if x != 0) for row in aug
+        ]
 
     def solve(self, v: Weight) -> tuple[Fraction, ...] | None:
         """Coefficients c with sum(c_j * column_j) = v, or None if v is off-span."""
         if len(v) != self.dim:
             raise DimensionMismatch(f"vector has length {len(v)}, expected {self.dim}")
-        rhs = [v[r] for r in self.rows]
-        c = [sum(row[j] * rhs[j] for j in range(self.rank)) for row in self.inverse]
-        for r in range(self.dim):
-            if sum(self.columns[j][r] * c[j] for j in range(self.rank)) != v[r]:
-                return None
-        return tuple(c)
-
-
-def _rank(rows: list[list[Fraction]]) -> int:
-    m = [list(r) for r in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv_p = ONE / m[rank][col]
-        m[rank] = [x * inv_p for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+        ev = [sum((x * v[j] for j, x in row), ZERO) for row in self._reducer]
+        if any(ev[self.rank :]):
+            return None
+        return tuple(ev[: self.rank])
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +243,19 @@ class RootDatum:
         odd_positions = [i for i, r in enumerate(self.simple_roots) if r.odd]
         self.odd_position: int | None = odd_positions[0] if odd_positions else None
 
-        self._simple_solver = _SpanSolver([r.vector for r in self.simple_roots])
+        self._simple_solver = _SpanSolver([r.vector for r in self.simple_roots], "simple roots")
         self.generators: tuple[Generator, ...] = self._build_generators()
-        self._generator_solver = _SpanSolver([g.vector for g in self.generators])
+        self._generator_solver = _SpanSolver(
+            [g.vector for g in self.generators], "even generators"
+        )
         self.components: tuple[tuple[int, ...], ...] = self._split_components()
 
+        self._odd_index: dict[Weight, int] = {
+            r.vector: i for i, r in enumerate(self.positive_odd)
+        }
         self._fundamental_cache: dict[int, Weight] = {}
         self._group_cache: dict[object, object] = {}
+        self._factor_cache: dict[Weight, object] = {}
 
         self._validate(expected_components)
 
@@ -467,15 +446,6 @@ class RootDatum:
             )
         return coeffs
 
-    def expand_generators(self, v: Weight) -> tuple[Fraction, ...]:
-        """Coordinates of v over the even reflection generators."""
-        coeffs = self._generator_solver.solve(v)
-        if coeffs is None:
-            raise MalformedDatumFile(
-                "vector does not lie in the span of the even generators"
-            )
-        return coeffs
-
     @property
     def even_simple_count(self) -> int:
         return len(self.even_positions)
@@ -506,13 +476,6 @@ class RootDatum:
 
     # -- weights ----------------------------------------------------------
 
-    def weyl_vector(self) -> Weight:
-        """Half the sum of positive even roots minus half the sum of odd ones."""
-        return self.rho
-
-    def sum_positive_odd(self) -> Weight:
-        return self.tau
-
     def fundamental_weight(self, i: int) -> Weight:
         """Even fundamental weight for the i-th even simple root, 1-based.
 
@@ -527,12 +490,14 @@ class RootDatum:
         if i not in self._fundamental_cache:
             basis = [self.simple_roots[p].vector for p in self.even_positions]
             n = len(basis)
-            cartan = [[self.pairing(basis[k], basis[j]) for k in range(n)] for j in range(n)]
-            inv = _mat_inverse(cartan)
+            cartan = _SpanSolver(
+                [tuple(self.pairing(b, a) for a in basis) for b in basis], "even simple roots"
+            )
             for col in range(n):
+                coeffs = cartan.solve(_unit(n, col))
                 w = zero_weight(self.dim)
                 for k in range(n):
-                    w = vadd(w, vscale(inv[k][col], basis[k]))
+                    w = vadd(w, vscale(coeffs[k], basis[k]))
                 self._fundamental_cache[col + 1] = w
         return self._fundamental_cache[i]
 
@@ -1068,5 +1033,11 @@ def datum_from_text(text: str) -> RootDatum:
 
 def datum_from_file(path: str) -> RootDatum:
     """Read a datum file from disk; see :func:`datum_from_text`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return datum_from_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise MalformedDatumFile(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise MalformedDatumFile(f"cannot read {path}: not UTF-8 text") from None
+    return datum_from_text(text)

@@ -18,7 +18,7 @@ polynomial has no terms.  All operations are exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from .errors import (
     ConstantTermNotOne,
@@ -401,17 +401,6 @@ class Poly:
             self.ztrunc,
         )
 
-    def filter_support(self, allowed: Iterable[int]) -> "Poly":
-        """Keep the terms whose variables all lie in ``allowed``."""
-        allow = frozenset(allowed)
-        return Poly(
-            {m: c for m, c in self.terms.items() if mono_support(m) <= allow},
-            self.ztrunc,
-        )
-
-    def map_coeffs(self, fn: Callable[[Fraction | ZSeries], Fraction | ZSeries], ztrunc: int | None) -> "Poly":
-        return Poly({m: fn(c) for m, c in self.terms.items()}, ztrunc)
-
     def sorted_terms(self, nvars: int) -> list[tuple[Mono, Fraction | ZSeries]]:
         return sorted(self.terms.items(), key=lambda kv: mono_key(kv[0], nvars))
 
@@ -466,37 +455,6 @@ def neg_log(poly: Poly, bound: int) -> Poly:
             break
         acc = acc + power.scale(Fraction(1, k))
     return acc
-
-
-def collapse(poly: Poly, z_to_x: Sequence[Mono]) -> Poly:
-    """Substitute each Z symbol by its X monomial.
-
-    ``z_to_x[i]`` is the X monomial standing for the i-th Z symbol.  The
-    result has rational coefficients; exponents must stay non-negative
-    integers.
-    """
-    for m in z_to_x:
-        for v, e in m:
-            if e < 0:
-                raise NegativeExponentAfterCollapse(
-                    f"substitution for Z symbol uses a negative exponent on X{v}"
-                )
-    out: dict[Mono, Fraction] = {}
-    for xm, coeff in poly.terms.items():
-        if isinstance(coeff, ZSeries):
-            items = coeff.terms.items()
-        else:
-            items = [(EMPTY_MONO, coeff)]
-        for zm, c in items:
-            target = xm
-            for zv, ze in zm:
-                if zv >= len(z_to_x):
-                    raise NonIntegralExponent(
-                        f"no substitution is defined for Z symbol {zv}"
-                    )
-                target = mono_mul(target, mono_pow(z_to_x[zv], ze))
-            out[target] = out.get(target, ZERO) + c
-    return Poly(out, None)
 
 
 def weight_monomial(coeffs: Iterable[Fraction]) -> Mono:

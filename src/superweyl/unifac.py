@@ -51,10 +51,7 @@ def _cached_analysis(
     datum: RootDatum, lam: Weight
 ) -> tuple[tuple[Poly, ...], tuple[tuple[int, ...], ...]]:
     """Factors and signature of ``lam``, memoized on the datum."""
-    cache = getattr(datum, "_factor_cache", None)
-    if cache is None:
-        cache = {}
-        datum._factor_cache = cache
+    cache = datum._factor_cache
     if lam not in cache:
         cache[lam] = (
             tuple(factor_numerator(datum, lam)),

@@ -141,6 +141,12 @@ class WeylGroup:
         return f"WeylGroup({self.datum.label}, gens={self.gids}, order={self.order})"
 
 
+def _too_large(datum: RootDatum, chosen: tuple[int, ...], cap: int) -> GroupTooLarge:
+    return GroupTooLarge(
+        f"group on generators {chosen} of {datum.label} exceeds the cap of {cap} elements"
+    )
+
+
 def generate(
     datum: RootDatum,
     gids: Sequence[int] | None = None,
@@ -151,7 +157,9 @@ def generate(
     Enumeration is breadth first and aborts with :class:`GroupTooLarge` once
     more than ``max_elements`` elements appear (default: the
     ``SUPERWEYL_MAX_GROUP`` environment variable, else one million).
-    Results are cached on the datum per generator set.
+    Results are cached on the datum per generator set; the cap is read on
+    every call, so a cached group larger than the current cap raises
+    :class:`GroupTooLarge` too.
     """
     if gids is None:
         chosen = tuple(g.gid for g in datum.generators)
@@ -160,10 +168,12 @@ def generate(
         for g in chosen:
             if not 0 <= g < len(datum.generators):
                 raise IndexOutOfRange(f"generator id {g} out of range")
+    cap = max_elements if max_elements is not None else max_group_cap()
     cached = datum._group_cache.get(chosen)
     if cached is not None:
+        if cached.order > cap:
+            raise _too_large(datum, chosen, cap)
         return cached
-    cap = max_elements if max_elements is not None else max_group_cap()
 
     refl = {g: _reflection_matrix(datum, datum.generators[g].vector) for g in chosen}
     identity = WeylElement((), _identity_matrix(datum.dim))
@@ -176,10 +186,7 @@ def generate(
                 m = _mat_mul(w.matrix, refl[g])
                 if m not in seen:
                     if len(seen) >= cap:
-                        raise GroupTooLarge(
-                            f"group on generators {chosen} of {datum.label} "
-                            f"exceeds the cap of {cap} elements"
-                        )
+                        raise _too_large(datum, chosen, cap)
                     e = WeylElement(w.word + (g,), m)
                     seen[m] = e
                     new.append(e)
@@ -215,10 +222,3 @@ def component_group(datum: RootDatum, k: int, max_elements: int | None = None) -
     comp = set(datum.components[k - 1])
     gids = tuple(g.gid for g in datum.generators if g.pi_index in comp)
     return generate(datum, gids, max_elements)
-
-
-def component_groups(datum: RootDatum, max_elements: int | None = None) -> tuple[WeylGroup, ...]:
-    """Subgroups for every component of the even simple diagram, in order."""
-    return tuple(
-        component_group(datum, k + 1, max_elements) for k in range(len(datum.components))
-    )

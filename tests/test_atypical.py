@@ -14,7 +14,6 @@ from superweyl.atypical import (
     closed_form_coefficient,
     coefficient_f1,
     coefficient_oracle,
-    compare_values,
     enumeration_coefficient,
     shift_to_type,
     _block_images,
@@ -270,7 +269,7 @@ class TestCoefficientAgreement:
         closed = closed_form_coefficient(ctx)
         direct = enumeration_coefficient(ctx)
         assert closed.tag == tag
-        assert compare_values(oracle, closed)
+        assert oracle.value == closed.value
         assert oracle.value == direct.value
         # the coefficient never vanishes, so it can separate numerators
         assert not oracle.value.is_zero()
@@ -305,12 +304,6 @@ class TestCoefficientAgreement:
         assert coefficient_oracle(ctx).value == expected
         assert closed_form_coefficient(ctx).value == expected
         assert expected.constant_term() == 1
-
-    def test_truncation_mismatch_is_refused(self):
-        a = coefficient_oracle(oracle_case_context(lambda: build_sl(2, 1), 0, False, 2))
-        b = coefficient_oracle(oracle_case_context(lambda: build_sl(2, 1), 0, False, 3))
-        with pytest.raises(TruncationTooSmall):
-            compare_values(a, b)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,10 +1,15 @@
 """Tests for the command line interface: grammar, output, exit codes."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import superweyl
 from superweyl import AlgebraDescriptor, build_datum
 from superweyl.cli import (
     EXIT_INTERNAL,
@@ -18,11 +23,22 @@ from superweyl.cli import (
 from superweyl.errors import UnknownSymbol, WeightParseError
 from superweyl.rootdata import vadd, vscale, zero_weight
 
+from test_rootdata import A3_TEXT
+
 
 def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_process(argv):
+    """Run the CLI in a fresh interpreter, so an escaping exception shows."""
+    env = dict(os.environ, PYTHONPATH=str(Path(superweyl.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "superweyl.cli", *argv],
+        capture_output=True, text=True, env=env,
+    )
 
 
 class TestWeightGrammar:
@@ -144,6 +160,43 @@ class TestDatumCommand:
         with pytest.raises(SystemExit) as info:
             main(["datum", "--family", "sl", "--m", "1", "--n", "1"])
         assert info.value.code == EXIT_USAGE
+
+
+class TestDatumFiles:
+    def test_dependent_simple_roots_exit_2(self, tmp_path):
+        path = tmp_path / "dependent.txt"
+        path.write_text(A3_TEXT.replace("even 0 0 1 -1", "even 1 0 -1 0"))
+        proc = run_cli_process(["datum", "--datum-file", str(path)])
+        assert proc.returncode == EXIT_PRECONDITION
+        assert proc.stderr.startswith("error: simple roots are linearly dependent")
+        assert "Traceback" not in proc.stderr
+
+    def test_missing_file_exit_2(self, tmp_path):
+        path = tmp_path / "absent.txt"
+        proc = run_cli_process(["datum", "--datum-file", str(path)])
+        assert proc.returncode == EXIT_PRECONDITION
+        assert proc.stderr.startswith(f"error: cannot read {path}")
+        assert "Traceback" not in proc.stderr
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["numerator", "--family", "sl", "--m", "3", "--n", "2",
+             "--weight", "tau", "--char", "--trunc", "-1"],
+            ["search", "--family", "sl", "--m", "3", "--n", "2",
+             "--bound", "-1", "--tau-mult", "1"],
+            ["search", "--family", "sl", "--m", "3", "--n", "2",
+             "--bound", "3", "--tau-mult", "1", "--limit", "0"],
+        ],
+        ids=["trunc", "bound", "limit"],
+    )
+    def test_out_of_range_integers_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == EXIT_USAGE
+        assert "must be at least" in capsys.readouterr().err
 
 
 class TestGroupCommand:

@@ -28,7 +28,6 @@ from superweyl.partitions import (
     graph_of_datum,
     iter_ordered_partitions,
     k_partition_counts,
-    totally_disconnected_subsets,
     tree_graph_gpq,
     weyl_of_partition,
 )
@@ -106,20 +105,6 @@ class TestDiagramGraphs:
         g = graph_of_datum(d)
         assert g.vertices == (0, 1, 2)
         assert g.edges() == ((0, 1), (1, 2))
-
-
-class TestTotallyDisconnectedSubsets:
-    def test_three_path(self):
-        subsets = totally_disconnected_subsets(path_graph(3))
-        assert subsets == [(0,), (1,), (2,), (0, 2)]
-
-    def test_empty_graph_lists_all_subsets(self):
-        subsets = totally_disconnected_subsets(empty_graph(2))
-        assert subsets == [(0,), (1,), (0, 1)]
-
-    def test_cap_enforced(self):
-        with pytest.raises(GraphTooLarge):
-            totally_disconnected_subsets(empty_graph(4), cap=3)
 
 
 class TestPartitionCounts:

@@ -234,6 +234,37 @@ def test_expansions():
         d.expand_simple(as_weight((1, 0, 0, 0, 0)))
 
 
+@pytest.mark.parametrize(
+    "builder",
+    [
+        lambda: build_sl(3, 2),
+        lambda: build_sl(4, 3),
+        lambda: build_b0(3),
+        lambda: build_osp2(3),
+        build_g3,
+        build_f4,
+    ],
+    ids=["sl(3,2)", "sl(4,3)", "B(0,3)", "osp(2,6)", "G(3)", "F(4)"],
+)
+def test_expand_simple_reconstructs_every_positive_root(builder):
+    d = builder()
+    for r in d.positive_even + d.positive_odd:
+        coeffs = d.expand_simple(r.vector)
+        assert all(c.denominator == 1 and c >= 0 for c in coeffs), r
+        total = zero_weight(d.dim)
+        for c, s in zip(coeffs, d.simple_roots):
+            total = vadd(total, vscale(c, s.vector))
+        assert total == r.vector
+
+
+@pytest.mark.parametrize("p, q", [(2, 1), (3, 2), (4, 3)])
+def test_expand_simple_rejects_vectors_off_the_span(p, q):
+    d = build_sl(p, q)
+    assert d.dim == len(d.simple_roots) + 1
+    with pytest.raises(MalformedDatumFile):
+        d.expand_simple(as_weight((1,) + (0,) * (d.dim - 1)))
+
+
 def test_component_lookup():
     d = build_sl(3, 2)
     assert d.component_of_position(0) == 1
@@ -299,6 +330,7 @@ def test_datum_file_round_trip():
         (lambda t: t.replace("1 0 -1 0", "1 0 -1/0 0"), "rational"),
         (lambda t: t.replace("gram:", "metric:"), "unknown key"),
         (lambda t: t.replace("1 0 0 0\n", "", 1), "rows"),
+        (lambda t: t.replace("even 0 0 1 -1", "even 1 0 -1 0"), "linearly dependent"),
     ],
 )
 def test_datum_file_errors(mutation, fragment):

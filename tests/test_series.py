@@ -15,7 +15,6 @@ from superweyl.series import (
     EMPTY_MONO,
     Poly,
     ZSeries,
-    collapse,
     mono_degree,
     mono_from_pairs,
     mono_key,
@@ -147,20 +146,6 @@ def test_theta_on_empty_support_is_constant_term():
     p = Poly.one() + Poly.one() + xvar(0)
     assert theta(p, set()) == Poly.one() + Poly.one()
     assert theta(xvar(1), set()) == Poly({})
-
-
-def test_collapse_substitutes_z_for_x():
-    z = ZSeries.one(2) - ZSeries.var(0, 2)
-    p = Poly({EMPTY_MONO: z}, ztrunc=2) + Poly({((0, 1),): ZSeries.var(1, 2)}, ztrunc=2)
-    out = collapse(p, [((0, 1),), ((0, 1), (1, 1))])
-    expected = Poly.one() - xvar(0) + xvar(0, 2) * xvar(1)
-    assert out == expected
-
-
-def test_collapse_rejects_negative_substitution():
-    p = Poly({EMPTY_MONO: ZSeries.var(0, 2)}, ztrunc=2)
-    with pytest.raises(NegativeExponentAfterCollapse):
-        collapse(p, [((0, -1),)])
 
 
 def test_weight_monomial():

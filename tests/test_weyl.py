@@ -15,7 +15,6 @@ from superweyl.rootdata import (
 )
 from superweyl.weyl import (
     component_group,
-    component_groups,
     full_group,
     generate,
     pi0_group,
@@ -43,18 +42,30 @@ def test_group_orders(datum, full, pi0):
     assert pi0_group(datum).order == pi0
 
 
-def test_component_groups_sl32():
+def test_component_group_sl32():
     d = build_sl(3, 2)
-    groups = component_groups(d)
-    assert [g.order for g in groups] == [6, 2]
     assert component_group(d, 1).order == 6
     assert component_group(d, 2).order == 2
     with pytest.raises(IndexOutOfRange):
         component_group(d, 3)
     d31 = build_sl(3, 1)
-    assert len(component_groups(d31)) == 1
+    assert component_group(d31, 1).order == 6
     with pytest.raises(IndexOutOfRange):
         component_group(d31, 2)
+
+
+def test_cached_group_respects_a_smaller_cap(monkeypatch):
+    d = build_sl(3, 2)
+    group = full_group(d)
+    assert group.order == 12
+    monkeypatch.setenv("SUPERWEYL_MAX_GROUP", "10")
+    with pytest.raises(GroupTooLarge, match="cap of 10"):
+        full_group(d)
+    with pytest.raises(GroupTooLarge, match="cap of 11"):
+        generate(d, max_elements=11)
+    assert generate(d, max_elements=12) is group
+    monkeypatch.delenv("SUPERWEYL_MAX_GROUP")
+    assert full_group(d) is group
 
 
 def test_identity_and_signs():
