@@ -55,7 +55,7 @@ from .rootdata import (
 )
 from .series import Mono, Poly, ZSeries, mono_degree, neg_log, weight_monomial
 from .unifac import Conclusion, FactorMatch, MatchReport
-from .weyl import pi0_group
+from .weyl import orbit_drops, pi0_group
 
 ATYPICAL_FAMILIES = ("sl", "osp", "G3", "F4")
 DEFAULT_Z_TRUNCATION = 3
@@ -238,17 +238,29 @@ def atypical_numerator(ctx: AtypicalContext) -> Poly:
 
     One term per element of the Weyl group of Pi_0: the X monomial records
     the drop of lambda + rho, the coefficient is the expanded prefactor in
-    the Z symbol of the transported type.
+    the Z symbol of the transported type.  The type is carried down the
+    element tree with :func:`orbit_drops`, one simple reflection at a time;
+    each reflection's action on the positive odd roots is looked up once.
     """
     datum = ctx.datum
+    group = pi0_group(datum)
     eta = vadd(ctx.lam, datum.rho)
+    images = [ctx.gamma_index]
+    moved: dict[tuple[int, int], int] = {}
+    for w in group.elements[1:]:
+        key = (w.word[-1], images[w.parent])
+        if key not in moved:
+            alpha = datum.generators[key[0]].vector
+            moved[key] = _positive_odd_index(
+                datum, _reflect(datum, alpha, datum.positive_odd[key[1]].vector)
+            )
+        images.append(moved[key])
     terms: dict[Mono, ZSeries] = {}
     prefactors: dict[int, ZSeries] = {}
-    for w in pi0_group(datum):
-        idx = _positive_odd_index(datum, w.act(ctx.gamma.vector))
+    for w, drop, idx in zip(group.elements, orbit_drops(group, eta), images):
         if idx not in prefactors:
             prefactors[idx] = _prefactor(ctx, idx)
-        mono = weight_monomial(datum.expand_simple(vsub(eta, w.act(eta))))
+        mono = weight_monomial(drop)
         coeff = prefactors[idx].scale(w.sign)
         terms[mono] = terms[mono] + coeff if mono in terms else coeff
     return Poly(terms, ctx.z_truncation)

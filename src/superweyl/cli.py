@@ -347,11 +347,13 @@ def _cmd_numerator(args) -> int:
 def _cmd_kgraph(args) -> int:
     datum = _resolve_datum(args)
     graph = graph_of_datum(datum)
-    if args.subset:
+    if args.subset is not None:
         try:
             picks = [int(tok) for tok in args.subset.split(",")]
         except ValueError:
             args.parser.error("--subset wants comma-separated integers")
+        if len(set(picks)) != len(picks):
+            args.parser.error("--subset repeats an index")
         vertices = list(graph.vertices)
         for i in picks:
             if not 1 <= i <= len(vertices):

@@ -51,14 +51,6 @@ class GraphTooLarge(SuperweylError):
     """Partition enumeration was requested for a graph above the vertex cap."""
 
 
-class NotTotallyDisconnected(SuperweylError):
-    """A partition block contains two adjacent vertices."""
-
-
-class OverlappingParts(SuperweylError):
-    """Partition blocks overlap or fail to cover the vertex set."""
-
-
 class RingMismatch(SuperweylError):
     """Polynomials over different coefficient rings were combined."""
 

@@ -17,10 +17,9 @@ invariant for typical modules.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import NonIntegralExponent, NotDominant, NotTypical, UnsupportedCase
-from .rootdata import Dominance, RootDatum, Weight, as_weight, vadd, vsub
+from .rootdata import Dominance, RootDatum, Weight, as_weight, vadd, vscale, vsub
 from .series import (
     Mono,
     Poly,
@@ -29,24 +28,30 @@ from .series import (
     mono_pow,
     weight_monomial,
 )
-from .weyl import component_group, full_group
+from .weyl import WeylGroup, component_group, full_group, orbit_drops
 
 
 def _dominant_representative(datum: RootDatum, eta: Weight) -> Weight:
     """Orbit element with strictly positive pairing against every generator.
 
-    Such an element exists exactly when eta is regular for the even root
-    system; a weight on a chamber wall has none and is rejected.
+    Walks toward the dominant chamber, reflecting at the first negative
+    label <eta, g^vee> until none is left; the walk is finite because the
+    group is.  Such an element exists exactly when eta is regular for the
+    even root system, so a zero label (a chamber wall) is rejected.
     """
-    for w in full_group(datum).elements:
-        image = w.act(eta)
-        if all(
-            datum.pairing(image, g.vector) > 0 for g in datum.generators
-        ):
-            return image
-    raise NotDominant(
-        "shifted weight lies on a wall of the even Weyl chambers"
-    )
+    gens = datum.generators
+    labels = [datum.pairing(eta, g.vector) for g in gens]
+    while True:
+        if any(a == 0 for a in labels):
+            raise NotDominant(
+                "shifted weight lies on a wall of the even Weyl chambers"
+            )
+        k = next((k for k, a in enumerate(labels) if a < 0), None)
+        if k is None:
+            return eta
+        c = labels[k]
+        eta = vsub(eta, vscale(c, gens[k].vector))
+        labels = [a - c * r for a, r in zip(labels, datum.generator_cartan[k])]
 
 
 def _check_weight(datum: RootDatum, lam: Weight) -> Weight:
@@ -60,20 +65,21 @@ def _check_weight(datum: RootDatum, lam: Weight) -> Weight:
     return lam
 
 
-def _orbit_sum(datum: RootDatum, elements: Iterable, eta: Weight) -> Poly:
-    """sum of sign(w) X^(eta - w eta) over the given group elements."""
-    terms: dict[Mono, Fraction] = {}
-    for w in elements:
-        mono = weight_monomial(datum.expand_simple(vsub(eta, w.act(eta))))
-        terms[mono] = terms.get(mono, Fraction(0)) + w.sign
+def _orbit_sum(group: WeylGroup, eta: Weight) -> Poly:
+    """sum of sign(w) X^(eta - w eta) over the elements of ``group``."""
+    terms: dict[Mono, int] = {}
+    for w, drop in zip(group.elements, orbit_drops(group, eta)):
+        mono = weight_monomial(drop)
+        terms[mono] = terms.get(mono, 0) + w.sign
     return Poly({m: c for m, c in terms.items() if c != 0})
 
 
 def numerator(datum: RootDatum, lam: Weight) -> Poly:
     """Normalized numerator of the typical dominant weight ``lam``."""
     lam = _check_weight(datum, lam)
+    group = full_group(datum)  # finite (or GroupTooLarge) before the walk
     eta_plus = _dominant_representative(datum, vadd(lam, datum.rho))
-    poly = _orbit_sum(datum, full_group(datum).elements, eta_plus)
+    poly = _orbit_sum(group, eta_plus)
     assert poly.constant_term() == 1
     return poly
 
@@ -95,7 +101,7 @@ def factor_numerator(datum: RootDatum, lam: Weight) -> list[Poly]:
     # With no extra generators the shifted weight is already dominant.
     eta = vadd(as_weight(lam), datum.rho)
     factors = [
-        _orbit_sum(datum, component_group(datum, k).elements, eta)
+        _orbit_sum(component_group(datum, k), eta)
         for k in range(1, len(comps) + 1)
     ]
     product = factors[0]

@@ -8,10 +8,9 @@ alternating sum
     k(G) = (-1)^{|V|} * sum_k (-1)^k c_k / k
 
 is 1 when G is connected and 0 otherwise.  This module computes the
-counts c_k exactly, enumerates the partitions themselves, maps partitions
-of a Dynkin diagram to products of commuting simple reflections, and
-builds the fused "pair graph" used by the closed-form coefficient
-formulas for two-block atypicality patterns.
+counts c_k exactly, enumerates the partitions themselves, and builds the
+fused "pair graph" used by the closed-form coefficient formulas for
+two-block atypicality patterns.
 """
 
 from __future__ import annotations
@@ -19,18 +18,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator
 
 from .errors import (
     GraphTooLarge,
     IndexNotInterior,
-    IndexOutOfRange,
-    NotTotallyDisconnected,
-    OverlappingParts,
     WrongFamily,
 )
 from .rootdata import RootDatum, Weight
-from .weyl import WeylElement, pi0_group
 
 # Partition counting is exponential in the vertex count; diagrams in
 # practice have at most a handful of vertices.
@@ -238,50 +233,6 @@ def iter_ordered_partitions(
                 blocks.pop()
 
     yield from split(list(graph.vertices), [])
-
-
-def weyl_of_partition(
-    datum: RootDatum, parts: Sequence[Iterable[int]]
-) -> WeylElement:
-    """Product of the commuting-reflection blocks of a partition.
-
-    ``parts`` lists blocks of even simple positions.  Each block must be
-    totally disconnected, blocks must not overlap, and the result is the
-    group element w(J_1)...w(J_k) where w(J) multiplies the simple
-    reflections indexed by J.  Its length is the total number of
-    positions used.
-    """
-    graph = graph_of_datum(datum)
-    group = pi0_group(datum)
-    gid_of = {pi: k for k, pi in enumerate(datum.even_positions)}
-
-    seen: set[int] = set()
-    blocks: list[tuple[int, ...]] = []
-    for raw in parts:
-        block = tuple(raw)
-        if not block:
-            raise NotTotallyDisconnected("empty part in partition")
-        for pos in block:
-            if pos not in gid_of:
-                raise IndexOutOfRange(
-                    f"position {pos} is not an even simple position"
-                )
-        if len(set(block)) != len(block) or seen.intersection(block):
-            raise OverlappingParts(f"position reused in part {block}")
-        if not graph.is_independent(block):
-            raise NotTotallyDisconnected(
-                f"part {block} contains adjacent positions"
-            )
-        seen.update(block)
-        blocks.append(block)
-
-    word: list[int] = []
-    for block in blocks:
-        word.extend(gid_of[pos] for pos in sorted(block))
-    element = group.identity
-    for gid in word:
-        element = group.mul(element, group.reflection(gid))
-    return element
 
 
 def tree_graph_gpq(datum: RootDatum, p: int, q: int) -> SimpleGraph:

@@ -17,13 +17,15 @@ Built-in families:
 Other data (``B(m, n)``, ``D(m, n)``, ...) can be supplied through datum
 files; see :func:`datum_from_text`.
 
-All arithmetic is exact over :class:`fractions.Fraction`.  The structure
-of a datum is fixed at construction, but three private caches on it fill
-lazily: ``_fundamental_cache`` (even fundamental weights),
-``_group_cache`` (Weyl groups per generator set, see
-:func:`superweyl.weyl.generate`) and ``_factor_cache`` (component factors
-and signatures per weight, see :mod:`superweyl.unifac`).  Nothing guards
-them against concurrent writers.
+Vectors, the form and every derived weight are exact
+:class:`fractions.Fraction` tuples; the integer data of the Weyl group
+walks (``generator_cartan`` and ``generator_coords``) are plain ints,
+checked integral at construction.  The structure of a datum is fixed at
+construction, but three private caches on it fill lazily:
+``_fundamental_cache`` (even fundamental weights), ``_group_cache`` (Weyl
+groups per generator set, see :func:`superweyl.weyl.generate`) and
+``_factor_cache`` (component factors and signatures per weight, see
+:mod:`superweyl.unifac`).  Nothing guards them against concurrent writers.
 """
 
 from __future__ import annotations
@@ -259,6 +261,13 @@ class RootDatum:
 
         self._validate(expected_components)
 
+        # Integer data for the label walks of superweyl.weyl: the Cartan
+        # rows <g_k, g_i^vee> and each generator over the simple roots.
+        self.generator_cartan: tuple[tuple[int, ...], ...] = self._generator_cartan()
+        self.generator_coords: tuple[tuple[int, ...], ...] = tuple(
+            tuple(int(c) for c in self.expand_simple(g.vector)) for g in self.generators
+        )
+
     # -- construction helpers ------------------------------------------------
 
     def _validate_shapes(self) -> None:
@@ -339,6 +348,20 @@ class RootDatum:
             comps.append(tuple(sorted(comp)))
         comps.sort(key=lambda c: c[0])
         return tuple(comps)
+
+    def _generator_cartan(self) -> tuple[tuple[int, ...], ...]:
+        rows = []
+        for g in self.generators:
+            row = []
+            for h in self.generators:
+                c = self.pairing(g.vector, h.vector)
+                if c.denominator != 1:
+                    raise MalformedDatumFile(
+                        f"Cartan entry <{g.label}, {h.label}^vee> = {c} is not an integer"
+                    )
+                row.append(int(c))
+            rows.append(tuple(row))
+        return tuple(rows)
 
     def _validate(self, expected_components: int | None) -> None:
         seen_vectors: set[Weight] = set()

@@ -369,16 +369,6 @@ class Poly:
     def coefficient(self, mono: Mono) -> Fraction | ZSeries:
         return self.terms.get(mono, self._zero_coeff())
 
-    def degree(self) -> int:
-        """Top X degree; the zero polynomial has degree 0 by convention."""
-        return max((mono_degree(m) for m in self.terms), default=0)
-
-    def support_vars(self) -> frozenset[int]:
-        out: set[int] = set()
-        for m in self.terms:
-            out |= mono_support(m)
-        return frozenset(out)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented

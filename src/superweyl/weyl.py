@@ -1,10 +1,18 @@
-"""Even Weyl groups of root data, as exact reflection matrices.
+"""Even Weyl groups of root data, as trees over integer generator labels.
 
 The group attached to a :class:`~superweyl.rootdata.RootDatum` is generated
 by the reflections in the even reflection generators (the simple system of
-the even root system).  Elements are enumerated breadth first, so each one
-carries a shortest word over the chosen generators; words and the element
-order are deterministic.
+the even root system).  No matrices are formed: s_k acts on the labels
+a_i = <v, g_i^vee> of a vector v by a <- a - a_k * A[k], with the integer
+Cartan rows A[k][i] = <g_k, g_i^vee> of ``datum.generator_cartan``.
+
+Enumeration is breadth first from the regular point whose labels are all
+1, reflecting only at a positive label (which lengthens the word) and
+deduplicating by label tuple.  The element w = s_{k_1} ... s_{k_L} keeps
+its lexicographically first reduced word (k_1, ..., k_L) and its parent,
+the element of the word without its last letter; elements are ordered by
+(length, word).  Orbit sums are one pass down this tree
+(:func:`orbit_drops`).
 
 Three generating sets matter downstream: all generators (the full even Weyl
 group), the generators that are themselves simple roots (the subgroup used
@@ -14,6 +22,7 @@ simple diagram (the factors of the numerator factorization).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,11 +33,6 @@ from .rootdata import RootDatum, Weight
 
 DEFAULT_MAX_GROUP = 1_000_000
 MAX_GROUP_ENV = "SUPERWEYL_MAX_GROUP"
-
-Matrix = tuple[tuple[Fraction, ...], ...]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def max_group_cap() -> int:
@@ -45,40 +49,16 @@ def max_group_cap() -> int:
     return cap
 
 
-def _identity_matrix(dim: int) -> Matrix:
-    return tuple(
-        tuple(_ONE if i == j else _ZERO for j in range(dim)) for i in range(dim)
-    )
-
-
-def _reflection_matrix(datum: RootDatum, alpha: Weight) -> Matrix:
-    """Matrix (by rows) of the reflection in a non-isotropic root."""
-    dim = datum.dim
-    rows = []
-    images = []
-    for j in range(dim):
-        e = tuple(_ONE if k == j else _ZERO for k in range(dim))
-        c = datum.pairing(e, alpha)
-        images.append(tuple(e[i] - c * alpha[i] for i in range(dim)))
-    for i in range(dim):
-        rows.append(tuple(images[j][i] for j in range(dim)))
-    return tuple(rows)
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
 @dataclass(frozen=True)
 class WeylElement:
-    """One group element: a shortest generator word and its matrix (rows)."""
+    """One group element: its shortest generator word and its tree parent.
+
+    ``parent`` is the index in the group's element order of the element
+    whose word is this word without its last letter (-1 for the identity).
+    """
 
     word: tuple[int, ...]
-    matrix: Matrix
+    parent: int
 
     @property
     def length(self) -> int:
@@ -88,10 +68,6 @@ class WeylElement:
     def sign(self) -> int:
         """Determinant sign; generator words have the right parity."""
         return -1 if self.length % 2 else 1
-
-    def act(self, v: Weight) -> Weight:
-        """Image of an ambient vector under this element."""
-        return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in self.matrix)
 
     def describe(self, datum: RootDatum) -> str:
         if not self.word:
@@ -106,7 +82,6 @@ class WeylGroup:
         self.datum = datum
         self.gids = gids
         self.elements = elements
-        self._by_matrix = {e.matrix: e for e in elements}
 
     @property
     def order(self) -> int:
@@ -118,25 +93,6 @@ class WeylGroup:
     def __iter__(self) -> Iterator[WeylElement]:
         return iter(self.elements)
 
-    @property
-    def identity(self) -> WeylElement:
-        return self.elements[0]
-
-    def element(self, matrix: Matrix) -> WeylElement:
-        """The element with the given matrix; it must lie in this group."""
-        try:
-            return self._by_matrix[matrix]
-        except KeyError:
-            raise IndexOutOfRange("matrix does not belong to this group")
-
-    def mul(self, a: WeylElement, b: WeylElement) -> WeylElement:
-        return self.element(_mat_mul(a.matrix, b.matrix))
-
-    def reflection(self, gid: int) -> WeylElement:
-        if gid not in self.gids:
-            raise IndexOutOfRange(f"generator {gid} is not in this group")
-        return self.element(_reflection_matrix(self.datum, self.datum.generators[gid].vector))
-
     def __repr__(self) -> str:
         return f"WeylGroup({self.datum.label}, gens={self.gids}, order={self.order})"
 
@@ -145,6 +101,11 @@ def _too_large(datum: RootDatum, chosen: tuple[int, ...], cap: int) -> GroupTooL
     return GroupTooLarge(
         f"group on generators {chosen} of {datum.label} exceeds the cap of {cap} elements"
     )
+
+
+def _cartan_rows(datum: RootDatum, gids: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Rows A[k][i] = <g_k, g_i^vee> restricted to the chosen generators."""
+    return [tuple(datum.generator_cartan[k][i] for i in gids) for k in gids]
 
 
 def generate(
@@ -175,26 +136,64 @@ def generate(
             raise _too_large(datum, chosen, cap)
         return cached
 
-    refl = {g: _reflection_matrix(datum, datum.generators[g].vector) for g in chosen}
-    identity = WeylElement((), _identity_matrix(datum.dim))
-    seen: dict[Matrix, WeylElement] = {identity.matrix: identity}
-    frontier = [identity]
-    while frontier:
-        new: list[WeylElement] = []
-        for w in frontier:
-            for g in chosen:
-                m = _mat_mul(w.matrix, refl[g])
-                if m not in seen:
-                    if len(seen) >= cap:
-                        raise _too_large(datum, chosen, cap)
-                    e = WeylElement(w.word + (g,), m)
-                    seen[m] = e
-                    new.append(e)
-        frontier = new
-    elements = tuple(sorted(seen.values(), key=lambda e: (e.length, e.word)))
-    group = WeylGroup(datum, chosen, elements)
+    rows = _cartan_rows(datum, chosen)
+    start = (1,) * len(chosen)
+    labels = [start]
+    seen = {start}
+    elements = [WeylElement((), -1)]
+    # A FIFO queue visits each level in discovery order, which is word order,
+    # so the first word to reach an element is its least reduced word.
+    head = 0
+    while head < len(elements):
+        a, word = labels[head], elements[head].word
+        for p, g in enumerate(chosen):
+            c = a[p]
+            if c <= 0:
+                continue
+            b = tuple(x - c * y for x, y in zip(a, rows[p]))
+            if b in seen:
+                continue
+            if len(elements) >= cap:
+                raise _too_large(datum, chosen, cap)
+            seen.add(b)
+            labels.append(b)
+            elements.append(WeylElement(word + (g,), head))
+        head += 1
+    group = WeylGroup(datum, chosen, tuple(elements))
     datum._group_cache[chosen] = group
     return group
+
+
+def orbit_drops(group: WeylGroup, eta: Weight) -> list[tuple]:
+    """Simple-root coordinates of eta - w^-1 eta, element by element.
+
+    One pass down the element tree: a child with last letter k gets
+    drop(child) = drop(parent) + a_k(parent) * expand_simple(g_k), where
+    a(parent) are the labels of the parent's image of eta.  Labels with a
+    common denominator D > 1 (at the extra generator of G(3)) are carried
+    scaled by D and the drops come back as Fractions, which
+    :func:`~superweyl.series.weight_monomial` checks; otherwise they are
+    ints.  As w runs over the group so does w^-1, with the same sign, so
+    the list indexes an orbit sum by the group's elements.
+    """
+    datum = group.datum
+    labels = [datum.pairing(eta, datum.generators[g].vector) for g in group.gids]
+    scale = math.lcm(*(x.denominator for x in labels))
+    rows = _cartan_rows(datum, group.gids)
+    coords = [datum.generator_coords[g] for g in group.gids]
+    position = {g: p for p, g in enumerate(group.gids)}
+    state = [(tuple(int(x * scale) for x in labels), (0,) * len(datum.simple_roots))]
+    for w in group.elements[1:]:
+        a, d = state[w.parent]
+        p = position[w.word[-1]]
+        c = a[p]
+        state.append((
+            tuple(x - c * y for x, y in zip(a, rows[p])),
+            tuple(x + c * y for x, y in zip(d, coords[p])),
+        ))
+    if scale == 1:
+        return [d for _, d in state]
+    return [tuple(Fraction(x, scale) for x in d) for _, d in state]
 
 
 def full_group(datum: RootDatum, max_elements: int | None = None) -> WeylGroup:

@@ -36,6 +36,7 @@ from superweyl.series import EMPTY_MONO, Poly, ZSeries
 from superweyl.unifac import Conclusion
 from superweyl.weyl import pi0_group
 
+import weyl_reference as ref
 from test_numerator import weight_from_coeffs
 
 F = Fraction
@@ -253,6 +254,16 @@ def oracle_case_context(builder, idx, special, z_truncation=3):
         idx = datum.atypicality((0,) * datum.dim).vanishing[0]
     lam = atypical_weight(datum, idx)
     return atypical_context(datum, lam, special=special, z_truncation=z_truncation)
+
+
+@pytest.mark.parametrize(
+    "builder,idx,special",
+    [case[1:4] for case in ORACLE_CASES],
+    ids=[case[0] for case in ORACLE_CASES],
+)
+def test_numerator_matches_the_matrix_reference(builder, idx, special):
+    ctx = oracle_case_context(builder, idx, special, z_truncation=2)
+    assert atypical_numerator(ctx) == ref.atypical_numerator(ctx)
 
 
 class TestCoefficientAgreement:

@@ -23,7 +23,7 @@ from superweyl.cli import (
 from superweyl.errors import UnknownSymbol, WeightParseError
 from superweyl.rootdata import vadd, vscale, zero_weight
 
-from test_rootdata import A3_TEXT
+from test_rootdata import A3_TEXT, NON_INTEGRAL_CARTAN_TEXT
 
 
 def run_cli(capsys, argv):
@@ -171,6 +171,14 @@ class TestDatumFiles:
         assert proc.stderr.startswith("error: simple roots are linearly dependent")
         assert "Traceback" not in proc.stderr
 
+    def test_non_integral_cartan_entry_exit_2(self, tmp_path):
+        path = tmp_path / "nonintegral.txt"
+        path.write_text(NON_INTEGRAL_CARTAN_TEXT)
+        proc = run_cli_process(["group", "--datum-file", str(path)])
+        assert proc.returncode == EXIT_PRECONDITION
+        assert proc.stderr.startswith("error: Cartan entry <s2, s1^vee> = -4/3")
+        assert "Traceback" not in proc.stderr
+
     def test_missing_file_exit_2(self, tmp_path):
         path = tmp_path / "absent.txt"
         proc = run_cli_process(["datum", "--datum-file", str(path)])
@@ -285,6 +293,14 @@ class TestKgraphCommand:
         with pytest.raises(SystemExit) as info:
             main(["kgraph", "--family", "G3", "--subset", "1,9"])
         assert info.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("subset", ["", "1,1"])
+    def test_empty_or_repeated_subset_is_usage_error(self, capsys, subset):
+        with pytest.raises(SystemExit) as info:
+            main(["kgraph", "--family", "sl", "--m", "3", "--n", "2", "--subset", subset])
+        assert info.value.code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "--subset" in err
 
 
 class TestVerifyCommand:

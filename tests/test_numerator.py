@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from superweyl import build_b0, build_f4, build_g3, build_osp2, build_sl
+from superweyl import build_b0, build_f4, build_g3, build_osp2, build_sl, datum_from_text
 from superweyl.errors import (
     NonIntegralExponent,
+    SuperweylError,
     NotDominant,
     NotTypical,
     UnsupportedCase,
@@ -22,6 +23,9 @@ from superweyl.numerator import (
 from superweyl.rootdata import as_weight, vadd, vscale
 from superweyl.series import Poly, mono_from_pairs
 from superweyl.weyl import full_group
+
+import weyl_reference as ref
+from test_rootdata import A3_TEXT
 
 
 def weight_from_coeffs(datum, coeffs, tau_mult=0):
@@ -176,7 +180,8 @@ def test_single_variable_terms_match_signature():
 def test_numerator_never_uses_odd_variable():
     datum = build_sl(3, 2)
     for lam in random_typical_weights(datum, 25, seed=14):
-        assert datum.odd_position not in numerator(datum, lam).support_vars()
+        for mono in numerator(datum, lam).terms:
+            assert datum.odd_position not in {v for v, _ in mono}
 
 
 class TestGroupOrbitSums:
@@ -290,3 +295,72 @@ class TestNormalizedCharacter:
         d = build_sl(2, 1)
         with pytest.raises(NotTypical):
             normalized_character(d, as_weight([0, 0, 0]), bound=3)
+
+
+# -- against the reflection-matrix reference ---------------------------------
+
+REFERENCE_DATA = [
+    ("sl32", lambda: build_sl(3, 2)),
+    ("sl41", lambda: build_sl(4, 1)),
+    ("sl13", lambda: build_sl(1, 3)),
+    ("sl43", lambda: build_sl(4, 3)),
+    ("b02", lambda: build_b0(2)),
+    ("b03", lambda: build_b0(3)),
+    ("osp4", lambda: build_osp2(2)),
+    ("osp6", lambda: build_osp2(3)),
+    ("g3", build_g3),
+    ("f4", build_f4),
+    ("a3", lambda: datum_from_text(A3_TEXT)),
+]
+
+TAU_MULTIPLES = [Fraction(t) for t in ("0", "1/2", "1", "3/2", "2", "-1", "-1/2", "1/3", "5/2")]
+
+
+def outcome(fn, *args):
+    """The result, or the name of the library error it raised."""
+    try:
+        return fn(*args)
+    except SuperweylError as exc:
+        return type(exc).__name__
+
+
+def seeded_weights(datum, count, seed):
+    rng = random.Random(seed)
+    return [
+        vadd(
+            weight_from_coeffs(datum, [rng.randrange(4) for _ in range(datum.even_simple_count)]),
+            vscale(rng.choice(TAU_MULTIPLES), datum.tau),
+        )
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize(
+    "builder", [b for _, b in REFERENCE_DATA], ids=[n for n, _ in REFERENCE_DATA]
+)
+def test_numerator_and_factors_match_the_matrix_reference(builder):
+    datum = builder()
+    count = 6 if datum.label == "sl(4,3)" else 15
+    for lam in seeded_weights(datum, count, seed=7):
+        got = outcome(numerator, datum, lam)
+        assert got == outcome(ref.numerator, datum, lam), lam
+        if isinstance(got, Poly) and len(datum.components) > 1:
+            assert factor_numerator(datum, lam) == ref.factors(datum, lam), lam
+
+
+@pytest.mark.parametrize(
+    "builder, lam, error",
+    [
+        (build_g3, (0, 0, Fraction(5, 2)), "NotDominant"),
+        (lambda: build_b0(2), (Fraction(5, 6), Fraction(-1, 6)), "NonIntegralExponent"),
+        (lambda: build_b0(3), (Fraction(2, 3), Fraction(2, 3), Fraction(-4, 3)), "NonIntegralExponent"),
+        (build_g3, (5, 7, Fraction(7, 3)), "NonIntegralExponent"),
+        (build_f4, (3, 1, 0, Fraction(4, 3)), "NonIntegralExponent"),
+        (lambda: build_sl(3, 2), (0, 0, 0, Fraction(-1, 2), Fraction(1, 2)), "NotDominant"),
+    ],
+)
+def test_rejections_match_the_matrix_reference(builder, lam, error):
+    datum = builder()
+    lam = as_weight(lam)
+    assert outcome(numerator, datum, lam) == error
+    assert outcome(ref.numerator, datum, lam) == error

@@ -11,14 +11,10 @@ from superweyl import (
     build_g3,
     build_osp2,
     build_sl,
-    datum_from_text,
 )
 from superweyl.errors import (
     GraphTooLarge,
     IndexNotInterior,
-    IndexOutOfRange,
-    NotTotallyDisconnected,
-    OverlappingParts,
     WrongFamily,
 )
 from superweyl.partitions import (
@@ -29,11 +25,7 @@ from superweyl.partitions import (
     iter_ordered_partitions,
     k_partition_counts,
     tree_graph_gpq,
-    weyl_of_partition,
 )
-from superweyl.weyl import pi0_group
-
-from test_rootdata import A3_TEXT
 
 
 def path_graph(n):
@@ -211,67 +203,6 @@ class TestIterOrderedPartitions:
         for parts in iter_ordered_partitions(path_graph(4), 3):
             for part in parts:
                 assert path_graph(4).is_independent(part)
-
-
-class TestWeylOfPartition:
-    def test_product_of_blocks(self):
-        d = datum_from_text(A3_TEXT)
-        group = pi0_group(d)
-        w = weyl_of_partition(d, [(0, 2), (1,)])
-        expected = group.mul(
-            group.mul(group.reflection(0), group.reflection(2)),
-            group.reflection(1),
-        )
-        assert w == expected
-        assert w.length == 3
-        assert w.sign == -1
-
-    def test_block_order_matters(self):
-        d = datum_from_text(A3_TEXT)
-        first = weyl_of_partition(d, [(0,), (1,)])
-        second = weyl_of_partition(d, [(1,), (0,)])
-        assert first != second
-        assert first.length == second.length == 2
-
-    def test_length_is_total_size_on_two_chain_datum(self):
-        d = build_sl(3, 2)
-        w = weyl_of_partition(d, [(0, 3), (1,)])
-        assert w.length == 3
-        assert w.sign == -1
-
-    def test_full_cover_parity(self):
-        d = datum_from_text(A3_TEXT)
-        graph = graph_of_datum(d)
-        for k in range(1, 4):
-            for parts in iter_ordered_partitions(graph, k):
-                w = weyl_of_partition(d, parts)
-                assert w.length == sum(len(p) for p in parts) == 3
-                assert w.sign == -1
-
-    def test_rejects_adjacent_positions(self):
-        d = datum_from_text(A3_TEXT)
-        with pytest.raises(NotTotallyDisconnected):
-            weyl_of_partition(d, [(0, 1)])
-
-    def test_rejects_overlap(self):
-        d = datum_from_text(A3_TEXT)
-        with pytest.raises(OverlappingParts):
-            weyl_of_partition(d, [(0,), (0,)])
-        with pytest.raises(OverlappingParts):
-            weyl_of_partition(d, [(0, 0)])
-
-    def test_rejects_unknown_position(self):
-        d = datum_from_text(A3_TEXT)
-        with pytest.raises(IndexOutOfRange):
-            weyl_of_partition(d, [(9,)])
-        # Odd simple positions are not usable either.
-        with pytest.raises(IndexOutOfRange):
-            weyl_of_partition(build_sl(3, 2), [(2,)])
-
-    def test_rejects_empty_part(self):
-        d = datum_from_text(A3_TEXT)
-        with pytest.raises(NotTotallyDisconnected):
-            weyl_of_partition(d, [()])
 
 
 class TestTreeGraph:

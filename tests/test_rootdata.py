@@ -339,6 +339,30 @@ def test_datum_file_errors(mutation, fragment):
     assert fragment in str(exc.value)
 
 
+NON_INTEGRAL_CARTAN_TEXT = """\
+family: X2
+ambient_dim: 2
+gram:
+2 -4/3
+-4/3 1/3
+simple:
+even 1 0
+even 0 1
+positive_even:
+1 0
+0 1
+positive_odd:
+2 4
+"""
+
+
+def test_datum_file_rejects_non_integral_cartan_entry():
+    # Every other check passes (the odd root fixes the Weyl vector law),
+    # but the two reflections generate no finite Weyl group.
+    with pytest.raises(MalformedDatumFile, match=r"Cartan entry <s2, s1\^vee> = -4/3"):
+        datum_from_text(NON_INTEGRAL_CARTAN_TEXT)
+
+
 def test_datum_file_error_line_numbers():
     bad = A3_TEXT.replace("0 1 -1 0\n0 0 1 -1\n1 0 -1 0", "0 1 -1 0\n0 0 1 -1\nx y z w")
     with pytest.raises(MalformedDatumFile) as exc:

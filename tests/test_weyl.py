@@ -1,4 +1,11 @@
-"""Weyl group generation, orders, actions, and invariants."""
+"""Weyl group generation, orders, words, and orbit walks.
+
+The library builds groups as integer label trees; ``weyl_reference`` keeps
+the reflection-matrix construction, and the tests below hold the two
+against each other on groups of at most ``MAX_ORDER`` elements.
+"""
+
+import itertools
 
 import pytest
 
@@ -17,9 +24,11 @@ from superweyl.weyl import (
     component_group,
     full_group,
     generate,
+    orbit_drops,
     pi0_group,
 )
 
+import weyl_reference as ref
 from test_rootdata import A3_TEXT
 
 
@@ -69,22 +78,25 @@ def test_cached_group_respects_a_smaller_cap(monkeypatch):
 
 
 def test_identity_and_signs():
-    g = full_group(build_sl(3, 2))
-    e = g.identity
-    assert e.word == () and e.length == 0 and e.sign == 1
-    for a in list(g)[:6]:
-        for b in list(g)[:6]:
-            assert g.mul(a, b).sign == a.sign * b.sign
+    d = build_sl(3, 2)
+    g = full_group(d)
+    e = g.elements[0]
+    assert e.word == () and e.length == 0 and e.sign == 1 and e.parent == -1
+    by_matrix = {m: word for word, m in ref.reference_group(d)}
+    first = ref.reference_group(d)[:6]
+    for wa, ma in first:
+        for wb, mb in first:
+            assert ref.sign(by_matrix[ref.mat_mul(ma, mb)]) == ref.sign(wa) * ref.sign(wb)
 
 
 def test_reflection_action():
     d = build_sl(3, 2)
-    g = full_group(d)
+    words = {w.word: w for w in full_group(d)}
     for gen in d.generators:
-        s = g.reflection(gen.gid)
-        assert s.length == 1
-        assert s.act(gen.vector) == vneg(gen.vector)
-        assert s.act(s.act(d.rho)) == d.rho
+        assert words[(gen.gid,)].length == 1
+        s = ref.reflection_matrix(d, gen.vector)
+        assert ref.act(s, gen.vector) == vneg(gen.vector)
+        assert ref.act(s, ref.act(s, d.rho)) == d.rho
 
 
 def test_element_words_are_shortest_and_sorted():
@@ -96,33 +108,48 @@ def test_element_words_are_shortest_and_sorted():
     assert len(words) == 12
 
 
+def test_parents_drop_the_last_letter():
+    for d in (build_sl(4, 1), build_b0(3), build_f4()):
+        elements = full_group(d).elements
+        for w in elements[1:]:
+            assert 0 <= w.parent < elements.index(w)
+            assert elements[w.parent].word == w.word[:-1]
+
+
 def test_pi0_group_permutes_positive_odd_roots():
     for d in (build_sl(3, 2), build_osp2(2), build_b0(2), build_g3(), build_f4()):
         odd = {r.vector for r in d.positive_odd}
-        for w in pi0_group(d):
-            assert {w.act(v) for v in odd} == odd, d.label
+        pi0 = [g.gid for g in d.generators if g.pi_index is not None]
+        for _, m in ref.reference_group(d, pi0):
+            assert {ref.act(m, v) for v in odd} == odd, d.label
 
 
 def test_full_group_can_move_odd_roots_out():
     d = build_g3()
     odd = {r.vector for r in d.positive_odd}
     moved = [
-        w for w in full_group(d) if any(w.act(v) not in odd for v in odd)
+        m for _, m in ref.reference_group(d) if any(ref.act(m, v) not in odd for v in odd)
     ]
     assert moved
 
 
 def test_pi0_group_fixes_tau():
     for d in (build_sl(3, 2), build_osp2(2), build_b0(2), build_g3(), build_f4()):
-        for w in pi0_group(d):
-            assert w.act(d.tau) == d.tau, d.label
+        pi0 = [g.gid for g in d.generators if g.pi_index is not None]
+        for _, m in ref.reference_group(d, pi0):
+            assert ref.act(m, d.tau) == d.tau, d.label
 
 
 def test_rho_drop_is_nonnegative_integral():
     for d in (build_sl(3, 2), build_osp2(2)):
-        for w in pi0_group(d):
-            coeffs = d.expand_simple(vsub(d.rho, w.act(d.rho)))
-            assert all(c.denominator == 1 and c >= 0 for c in coeffs), d.label
+        pi0 = [g.gid for g in d.generators if g.pi_index is not None]
+        expected = sorted(
+            tuple(d.expand_simple(vsub(d.rho, ref.act(m, d.rho))))
+            for _, m in ref.reference_group(d, pi0)
+        )
+        drops = orbit_drops(pi0_group(d), d.rho)
+        assert sorted(drops) == expected, d.label
+        assert all(c >= 0 for drop in drops for c in drop), d.label
 
 
 def test_group_too_large():
@@ -149,8 +176,44 @@ def test_custom_a3_group():
     d = datum_from_text(A3_TEXT)
     g = full_group(d)
     assert g.order == 24
-    s1 = g.reflection(0)
-    s2 = g.reflection(1)
-    s3 = g.reflection(2)
-    w = g.mul(g.mul(s1, s3), s2)
-    assert w.length == 3
+    s1, s2, s3 = (ref.reflection_matrix(d, gen.vector) for gen in d.generators)
+    product = ref.mat_mul(ref.mat_mul(s1, s3), s2)
+    words = {m: word for word, m in ref.reference_group(d)}
+    assert words[product] == (0, 2, 1)
+    w = next(w for w in g if w.word == (0, 2, 1))
+    assert w.length == 3 and w.describe(d) == "s1*s3*s2"
+
+
+DIFFERENTIAL_DATA = [
+    ("sl32", lambda: build_sl(3, 2)),
+    ("sl21", lambda: build_sl(2, 1)),
+    ("sl41", lambda: build_sl(4, 1)),
+    ("sl13", lambda: build_sl(1, 3)),
+    ("sl43", lambda: build_sl(4, 3)),
+    ("b02", lambda: build_b0(2)),
+    ("b03", lambda: build_b0(3)),
+    ("osp2", lambda: build_osp2(1)),
+    ("osp4", lambda: build_osp2(2)),
+    ("osp6", lambda: build_osp2(3)),
+    ("g3", build_g3),
+    ("f4", build_f4),
+    ("a3", lambda: datum_from_text(A3_TEXT)),
+]
+
+
+@pytest.mark.parametrize(
+    "builder", [b for _, b in DIFFERENTIAL_DATA], ids=[n for n, _ in DIFFERENTIAL_DATA]
+)
+def test_words_match_the_matrix_reference(builder):
+    """Same words in the same order for every generator set of the datum."""
+    d = builder()
+    n = len(d.generators)
+    sets = [s for r in range(1, n + 1) for s in itertools.combinations(range(n), r)]
+    for gids in sets:
+        group = generate(d, gids)
+        if group.order > ref.MAX_ORDER:
+            continue
+        assert [w.word for w in group] == [w for w, _ in ref.reference_group(d, gids)], gids
+    for k in range(1, len(d.components) + 1):
+        group = component_group(d, k)
+        assert [w.word for w in group] == [w for w, _ in ref.reference_group(d, group.gids)]
