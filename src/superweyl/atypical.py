@@ -16,17 +16,22 @@ special weights of G(3) and F(4) replace the rational prefactor by
 The central quantity is the coefficient of the monomial
 X^lambda = prod X_alpha^<lambda+rho, alpha> (alpha over Pi_0) in the
 formal series -log U(lambda).  This module computes it three ways: a
-brute-force series oracle, a direct enumeration over graph partitions of
+brute-force series oracle, a sum over the ordered graph partitions of
 Pi_0, and the closed forms (a ratio driven by the reflections moving
 gamma, the two-term forms for G(3) and F(4), and the alternating A-sum
-over partition counts for sl(m+1, n+1) with interior type).  Products of
+over partition counts for sl(m+1, n+1) with interior type).  A partition
+enters these sums only through its block count k and the way its blocks
+group the generators that move gamma, so the partitions are walked once
+and the sums run over the resulting (k, grouping) tallies.  Products of
 the numerators are compared factor by factor to test unique factorization
 of tensor products of singly atypical modules of one common type.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -41,7 +46,8 @@ from .errors import (
     WrongFamily,
 )
 from .numerator import x_lambda, x_signature
-from .partitions import graph_of_datum, iter_ordered_partitions, k_partition_counts, tree_graph_gpq
+from .partitions import SimpleGraph, graph_of_datum, iter_ordered_partitions
+from .partitions import k_partition_counts, tree_graph_gpq
 from .rootdata import (
     Dominance,
     Generator,
@@ -386,16 +392,37 @@ def _block_images(
 
 
 def _partition_factor(
-    ctx: AtypicalContext, deltas: Mapping[int, Weight], block: Sequence[int]
-) -> ZSeries | None:
-    """Series factor of one partition block; None when the block fixes gamma."""
-    moved = [deltas[v] for v in block if v in deltas]
-    if not moved:
-        return None
-    image = ctx.gamma.vector
-    for d in moved:
-        image = vadd(image, d)
-    return _block(ctx, _positive_odd_index(ctx.datum, image))
+    ctx: AtypicalContext, deltas: Mapping[int, Weight], grouping: Iterable[Iterable[int]]
+) -> ZSeries:
+    """Series factor of a partition whose blocks cut the movers into ``grouping``.
+
+    The movers of one group share a block, which moves gamma by their summed
+    ``deltas``; blocks holding no mover fix gamma and contribute exactly 1.
+    """
+    value = ZSeries.one(ctx.z_truncation)
+    for group in grouping:
+        image = ctx.gamma.vector
+        for v in group:
+            image = vadd(image, deltas[v])
+        value = value * _block(ctx, _positive_odd_index(ctx.datum, image))
+    return value
+
+
+def _grouping_counts(graph: SimpleGraph, members: frozenset) -> Counter:
+    """Ordered k-partitions of ``graph`` tallied by (k, grouping).
+
+    A partition's grouping is the frozenset of its nonempty block cuts by
+    ``members``; the partition sums below see a partition only through k
+    and its grouping.  This is the one walk over ordered partitions.
+    """
+    cut = functools.partial(map, members.intersection)
+    tally: Counter = Counter()
+    for k in range(1, len(graph) + 1):
+        # cheap per-partition keys that keep the empty cut, merged per key
+        keys = map(frozenset, map(cut, iter_ordered_partitions(graph, k)))
+        for cuts, count in Counter(keys).items():
+            tally[k, cuts - {frozenset()}] += count
+    return tally
 
 
 def enumeration_coefficient(ctx: AtypicalContext) -> CoefficientValue:
@@ -403,28 +430,23 @@ def enumeration_coefficient(ctx: AtypicalContext) -> CoefficientValue:
 
     Every ordered k-partition of the Pi_0 graph contributes
     (-1)^(|Pi_0| + k) / k times the product of its block factors; blocks
-    that fix gamma contribute exactly 1.  Works for every covered family
-    and type, interior or boundary, and serves as the fallback closed form.
+    that fix gamma contribute exactly 1.  So the sum runs over the
+    (k, grouping) tallies of :func:`_grouping_counts`, with one product of
+    block factors per grouping of the generators that move gamma.  Works
+    for every covered family and type, interior or boundary, and serves as
+    the fallback closed form.
     """
     datum = ctx.datum
     graph = graph_of_datum(datum)
     total = len(graph)
     deltas = _block_images(datum, ctx.gamma, _movers(datum, ctx.gamma))
     t = ctx.z_truncation
-    factor_cache: dict[frozenset[int], ZSeries | None] = {}
+    weights: dict[frozenset, Fraction] = {}
+    for (k, grouping), count in _grouping_counts(graph, frozenset(deltas)).items():
+        weights[grouping] = weights.get(grouping, 0) + Fraction((-1) ** (total + k) * count, k)
     acc = ZSeries.zero(t)
-    for k in range(1, total + 1):
-        sign = Fraction((-1) ** (total + k), k)
-        for part in iter_ordered_partitions(graph, k):
-            term = ZSeries.constant(sign, t)
-            for block in part:
-                key = frozenset(v for v in block if v in deltas)
-                if key not in factor_cache:
-                    factor_cache[key] = _partition_factor(ctx, deltas, tuple(key))
-                factor = factor_cache[key]
-                if factor is not None:
-                    term = term * factor
-            acc = acc + term
+    for grouping, weight in weights.items():
+        acc = acc + _partition_factor(ctx, deltas, grouping).scale(weight)
     return CoefficientValue(
         value=acc,
         tag="enumeration",
@@ -445,8 +467,7 @@ def _a_sum(ctx: AtypicalContext) -> CoefficientValue:
     t = ctx.z_truncation
     graph = graph_of_datum(datum)
     total = len(graph)
-    movers = _movers(datum, ctx.gamma)
-    deltas = _block_images(datum, ctx.gamma, movers)
+    deltas = _block_images(datum, ctx.gamma, _movers(datum, ctx.gamma))
     comp_one = set(datum.components[0])
     alphas = sorted(p for p in deltas if p in comp_one)
     betas = sorted(p for p in deltas if p not in comp_one)
@@ -470,35 +491,23 @@ def _a_sum(ctx: AtypicalContext) -> CoefficientValue:
     ]
     quad_pattern = grouping_key([(p,) for p in deltas])
 
-    def expression(pattern: frozenset[frozenset[int]]) -> ZSeries:
-        value = ZSeries.one(t)
-        for group in pattern:
-            factor = _partition_factor(ctx, deltas, tuple(group))
-            assert factor is not None
-            value = value * factor
-        return value
+    def pattern_sum(patterns: list) -> ZSeries:
+        return sum((_partition_factor(ctx, deltas, p) for p in patterns), ZSeries.zero(t))
 
-    f_sum = expression(pair_patterns[0]) + expression(pair_patterns[1])
-    g_sum = ZSeries.zero(t)
-    for pat in triple_patterns:
-        g_sum = g_sum + expression(pat)
-    h_expr = expression(quad_pattern)
+    f_sum = pattern_sum(pair_patterns)
+    g_sum = pattern_sum(triple_patterns)
+    h_expr = _partition_factor(ctx, deltas, quad_pattern)
 
     plain_counts = k_partition_counts(graph).counts
+    tally = _grouping_counts(graph, frozenset(deltas))
     r_two: list[int] = []
     r_three: list[int] = []
     r_four: list[int] = []
     acc = ZSeries.zero(t)
     for k in range(2, total + 1):
-        tallies: dict[frozenset[frozenset[int]], int] = {}
-        for part in iter_ordered_partitions(graph, k):
-            key = grouping_key(
-                [g for g in (tuple(v for v in block if v in deltas) for block in part) if g]
-            )
-            tallies[key] = tallies.get(key, 0) + 1
-        pair_counts = [tallies.get(p, 0) for p in pair_patterns]
-        triple_counts = [tallies.get(p, 0) for p in triple_patterns]
-        quad_count = tallies.get(quad_pattern, 0)
+        pair_counts = [tally[k, p] for p in pair_patterns]
+        triple_counts = [tally[k, p] for p in triple_patterns]
+        quad_count = tally[k, quad_pattern]
         # the split patterns within one shape must occur equally often
         assert pair_counts[0] == pair_counts[1], pair_counts
         assert len(set(triple_counts)) == 1, triple_counts
@@ -560,30 +569,23 @@ def coefficient_f1(datum: RootDatum, p: int, q: int) -> Fraction:
     value of the fused tree graph; the two routes are compared and the
     common value, always 1 for a tree, is returned.
     """
-    fused = tree_graph_gpq(datum, p, q)
-    tree_value = k_partition_counts(fused).k_value
-    tree_counts = k_partition_counts(fused).counts
+    tree = k_partition_counts(tree_graph_gpq(datum, p, q))
 
     graph = graph_of_datum(datum)
     total = len(graph)
     comps = datum.components
-    pair_one = {comps[0][p - 2], comps[1][q - 2]}
-    pair_two = {comps[0][p - 1], comps[1][q - 1]}
-    members = pair_one | pair_two
+    pair_one = frozenset({comps[0][p - 2], comps[1][q - 2]})
+    pair_two = frozenset({comps[0][p - 1], comps[1][q - 1]})
+    tally = _grouping_counts(graph, pair_one | pair_two)
     acc = Fraction(0)
     for k in range(2, total + 1):
-        count = 0
-        for part in iter_ordered_partitions(graph, k):
-            groups = [set(block) & members for block in part]
-            groups = [g for g in groups if g]
-            if len(groups) == 2 and pair_one in groups and pair_two in groups:
-                count += 1
-        expected = tree_counts[k - 1] if k <= len(tree_counts) else 0
+        count = tally[k, frozenset({pair_one, pair_two})]
+        expected = tree.counts[k - 1] if k <= len(tree.counts) else 0
         # the pair-preserving partitions are exactly those of the fused tree
         assert count == expected, (k, count, expected)
         acc += Fraction((-1) ** k, k) * count
     direct = Fraction((-1) ** total) * acc
-    assert direct == tree_value == 1, (direct, tree_value)
+    assert direct == tree.k_value == 1, (direct, tree.k_value)
     return direct
 
 

@@ -407,6 +407,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_atypical_coeff(args) -> int:
+    if args.ztrunc < 0:
+        args.parser.error("--ztrunc must be at least 0")
     datum = _resolve_datum(args)
     lam = parse_weight(args.weight, datum)
     ctx = atypical_context(
@@ -435,6 +437,8 @@ def _cmd_atypical_coeff(args) -> int:
 
 
 def _cmd_atypical_verify(args) -> int:
+    if args.ztrunc < 0:
+        args.parser.error("--ztrunc must be at least 0")
     datum = _resolve_datum(args)
     gamma = parse_weight(args.type, datum)
     lhs = _parse_weight_list(args.lhs, datum)
@@ -482,10 +486,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     num = sub("numerator", _cmd_numerator, "print a normalized Weyl numerator")
     num.add_argument("--weight", required=True, help="weight expression")
-    num.add_argument(
+    shape = num.add_mutually_exclusive_group()
+    shape.add_argument(
         "--factor", action="store_true", help="print one factor per component"
     )
-    num.add_argument(
+    shape.add_argument(
         "--char", action="store_true", help="print the truncated character"
     )
     num.add_argument(

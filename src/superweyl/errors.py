@@ -51,12 +51,20 @@ class GraphTooLarge(SuperweylError):
     """Partition enumeration was requested for a graph above the vertex cap."""
 
 
+class InvalidGraph(SuperweylError):
+    """A graph has repeated vertices, a loop or an unknown vertex."""
+
+
 class RingMismatch(SuperweylError):
     """Polynomials over different coefficient rings were combined."""
 
 
 class ConstantTermNotOne(SuperweylError):
     """A logarithm was requested of a series whose constant term is not 1."""
+
+
+class NotInvertible(SuperweylError):
+    """A series without a nonzero constant term was inverted."""
 
 
 class NegativeExponentAfterCollapse(SuperweylError):

@@ -23,6 +23,7 @@ from typing import Hashable, Iterable, Iterator
 from .errors import (
     GraphTooLarge,
     IndexNotInterior,
+    InvalidGraph,
     WrongFamily,
 )
 from .rootdata import RootDatum, Weight
@@ -44,14 +45,14 @@ class SimpleGraph:
     ) -> None:
         self.vertices: tuple[Vertex, ...] = tuple(vertices)
         if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("duplicate vertices")
+            raise InvalidGraph("duplicate vertices")
         self._index = {v: i for i, v in enumerate(self.vertices)}
         adj: dict[Vertex, set[Vertex]] = {v: set() for v in self.vertices}
         for a, b in edges:
             if a not in self._index or b not in self._index:
-                raise ValueError(f"edge endpoint not a vertex: ({a!r}, {b!r})")
+                raise InvalidGraph(f"edge endpoint not a vertex: ({a!r}, {b!r})")
             if a == b:
-                raise ValueError(f"loop at vertex {a!r}")
+                raise InvalidGraph(f"loop at vertex {a!r}")
             adj[a].add(b)
             adj[b].add(a)
         self._adj = {v: frozenset(adj[v]) for v in self.vertices}
@@ -64,7 +65,7 @@ class SimpleGraph:
 
     def index(self, v: Vertex) -> int:
         if v not in self._index:
-            raise ValueError(f"unknown vertex {v!r}")
+            raise InvalidGraph(f"unknown vertex {v!r}")
         return self._index[v]
 
     def neighbors(self, v: Vertex) -> frozenset[Vertex]:
@@ -95,7 +96,7 @@ class SimpleGraph:
         keep = set(subset)
         unknown = keep - set(self.vertices)
         if unknown:
-            raise ValueError(f"unknown vertices {sorted(map(repr, unknown))}")
+            raise InvalidGraph(f"unknown vertices {sorted(map(repr, unknown))}")
         verts = [v for v in self.vertices if v in keep]
         edges = [(a, b) for a, b in self.edges() if a in keep and b in keep]
         return SimpleGraph(verts, edges)
@@ -122,10 +123,10 @@ def graph_of_datum(datum: RootDatum) -> SimpleGraph:
     return SimpleGraph(verts, edges)
 
 
-def _check_size(graph: SimpleGraph, cap: int) -> None:
-    if len(graph) > cap:
+def _check_size(graph: SimpleGraph) -> None:
+    if len(graph) > DEFAULT_MAX_VERTICES:
         raise GraphTooLarge(
-            f"graph has {len(graph)} vertices, cap is {cap}"
+            f"graph has {len(graph)} vertices, cap is {DEFAULT_MAX_VERTICES}"
         )
 
 
@@ -137,9 +138,7 @@ class PartitionReport:
     k_value: Fraction
 
 
-def k_partition_counts(
-    graph: SimpleGraph, cap: int = DEFAULT_MAX_VERTICES
-) -> PartitionReport:
+def k_partition_counts(graph: SimpleGraph) -> PartitionReport:
     """Count ordered partitions into k independent blocks for each k.
 
     c_k equals k! times the number of unordered partitions of the vertex
@@ -147,7 +146,7 @@ def k_partition_counts(
     come from a subset dynamic program: strip the independent block that
     contains the lowest-numbered remaining vertex.
     """
-    _check_size(graph, cap)
+    _check_size(graph)
     n = len(graph)
     if n == 0:
         return PartitionReport(counts=(), k_value=Fraction(0))
@@ -196,16 +195,14 @@ def k_partition_counts(
     return PartitionReport(counts=counts, k_value=k_value)
 
 
-def iter_ordered_partitions(
-    graph: SimpleGraph, k: int, cap: int = DEFAULT_MAX_VERTICES
-) -> Iterator[tuple[tuple[Vertex, ...], ...]]:
+def iter_ordered_partitions(graph: SimpleGraph, k: int) -> Iterator[tuple[tuple[Vertex, ...], ...]]:
     """Yield every ordered k-partition into independent blocks.
 
     Blocks are tuples in ambient vertex order.  Unordered partitions are
     generated with blocks sorted by their lowest vertex, then every
     arrangement of the blocks is emitted, so the stream is deterministic.
     """
-    _check_size(graph, cap)
+    _check_size(graph)
     n = len(graph)
     if k <= 0 or k > n:
         return

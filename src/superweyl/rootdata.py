@@ -473,21 +473,6 @@ class RootDatum:
     def even_simple_count(self) -> int:
         return len(self.even_positions)
 
-    def even_simple_vector(self, i: int) -> Weight:
-        """Vector of the i-th even simple root, 1-based."""
-        if not 1 <= i <= len(self.even_positions):
-            raise IndexOutOfRange(
-                f"even simple index {i} out of range 1..{len(self.even_positions)}"
-            )
-        return self.simple_roots[self.even_positions[i - 1]].vector
-
-    def component_of_position(self, pi_index: int) -> int:
-        """1-based component id containing the given even simple position."""
-        for k, comp in enumerate(self.components):
-            if pi_index in comp:
-                return k + 1
-        raise IndexOutOfRange(f"position {pi_index} is not an even simple position")
-
     def adjacency(self) -> dict[int, set[int]]:
         """Non-orthogonality graph on the even simple positions."""
         adj: dict[int, set[int]] = {i: set() for i in self.even_positions}
@@ -570,25 +555,6 @@ class RootDatum:
 
     def __repr__(self) -> str:
         return f"RootDatum({self.label})"
-
-    # -- serialization ------------------------------------------------------
-
-    def to_file_text(self) -> str:
-        """Render this datum in the datum file format."""
-        lines = [f"family: {self.label}", f"ambient_dim: {self.dim}", "gram:"]
-        for row in self.gram:
-            lines.append(" ".join(str(x) for x in row))
-        lines.append("simple:")
-        for r in self.simple_roots:
-            parity = "odd" if r.odd else "even"
-            lines.append(parity + " " + " ".join(str(c) for c in r.vector))
-        lines.append("positive_even:")
-        for r in self.positive_even:
-            lines.append(" ".join(str(c) for c in r.vector))
-        lines.append("positive_odd:")
-        for r in self.positive_odd:
-            lines.append(" ".join(str(c) for c in r.vector))
-        return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

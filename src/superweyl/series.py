@@ -24,7 +24,9 @@ from .errors import (
     ConstantTermNotOne,
     NegativeExponentAfterCollapse,
     NonIntegralExponent,
+    NotInvertible,
     RingMismatch,
+    TruncationTooSmall,
 )
 
 Mono = tuple[tuple[int, int], ...]
@@ -84,7 +86,7 @@ class ZSeries:
 
     def __init__(self, trunc: int, terms: Mapping[Mono, Fraction] | None = None):
         if trunc < 0:
-            raise ValueError("truncation must be non-negative")
+            raise TruncationTooSmall("truncation must be non-negative")
         self.trunc = trunc
         clean: dict[Mono, Fraction] = {}
         if terms:
@@ -156,7 +158,7 @@ class ZSeries:
         """Geometric inverse; the constant term must be nonzero."""
         c0 = self.terms.get(EMPTY_MONO, ZERO)
         if c0 == 0:
-            raise ZeroDivisionError("series has no invertible constant term")
+            raise NotInvertible("series has no invertible constant term")
         tail = ZSeries(self.trunc, {m: c for m, c in self.terms.items() if m})
         n = tail.scale(-1 / c0)
         acc = ZSeries.one(self.trunc)

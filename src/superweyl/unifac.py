@@ -22,6 +22,9 @@ from .numerator import factor_numerator, x_signature
 from .rootdata import RootDatum, Weight, as_weight, vadd, vscale, zero_weight
 from .series import Poly
 
+# Steps the search raises a quadruple's tau multiplier before skipping it.
+MAX_BUMP = 10
+
 
 class Conclusion(Enum):
     UNIQUE_FACTORIZATION = "UniqueFactorization"
@@ -192,14 +195,13 @@ def iter_counterexamples(
     datum: RootDatum,
     signature_bound: int,
     tau_multiplier: int,
-    max_bump: int = 10,
 ) -> Iterator[Counterexample]:
     """Enumerate cross-matched quadruples built by swapping component parts.
 
     Coefficient vectors on each component run over 0..signature_bound in
     lexicographic order.  For component vectors a < a' and b < b' the
     quadruple pairs (a, b), (a', b') against (a', b), (a, b').  The tau
-    multiplier is raised by at most ``max_bump`` steps until all four
+    multiplier is raised by at most ``MAX_BUMP`` steps until all four
     weights are typical; quadruples that stay atypical are skipped.  Each
     emitted hit has been re-verified as a cross-matched counterexample.
     """
@@ -225,7 +227,7 @@ def iter_counterexamples(
 
     for a, a2 in itertools.combinations(vectors1, 2):
         for b, b2 in itertools.combinations(vectors2, 2):
-            for bump in range(max_bump + 1):
+            for bump in range(MAX_BUMP + 1):
                 mult = tau_multiplier + bump
                 legs = [
                     leg(a + b, mult),

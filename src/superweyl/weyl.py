@@ -108,16 +108,12 @@ def _cartan_rows(datum: RootDatum, gids: tuple[int, ...]) -> list[tuple[int, ...
     return [tuple(datum.generator_cartan[k][i] for i in gids) for k in gids]
 
 
-def generate(
-    datum: RootDatum,
-    gids: Sequence[int] | None = None,
-    max_elements: int | None = None,
-) -> WeylGroup:
+def generate(datum: RootDatum, gids: Sequence[int] | None = None) -> WeylGroup:
     """Generate the group for a set of generator ids (all of them by default).
 
     Enumeration is breadth first and aborts with :class:`GroupTooLarge` once
-    more than ``max_elements`` elements appear (default: the
-    ``SUPERWEYL_MAX_GROUP`` environment variable, else one million).
+    more elements appear than the cap (the ``SUPERWEYL_MAX_GROUP``
+    environment variable, else one million).
     Results are cached on the datum per generator set; the cap is read on
     every call, so a cached group larger than the current cap raises
     :class:`GroupTooLarge` too.
@@ -129,7 +125,7 @@ def generate(
         for g in chosen:
             if not 0 <= g < len(datum.generators):
                 raise IndexOutOfRange(f"generator id {g} out of range")
-    cap = max_elements if max_elements is not None else max_group_cap()
+    cap = max_group_cap()
     cached = datum._group_cache.get(chosen)
     if cached is not None:
         if cached.order > cap:
@@ -196,12 +192,12 @@ def orbit_drops(group: WeylGroup, eta: Weight) -> list[tuple]:
     return [tuple(Fraction(x, scale) for x in d) for _, d in state]
 
 
-def full_group(datum: RootDatum, max_elements: int | None = None) -> WeylGroup:
+def full_group(datum: RootDatum) -> WeylGroup:
     """The full even Weyl group."""
-    return generate(datum, None, max_elements)
+    return generate(datum)
 
 
-def pi0_group(datum: RootDatum, max_elements: int | None = None) -> WeylGroup:
+def pi0_group(datum: RootDatum) -> WeylGroup:
     """The subgroup generated by the even members of the simple system.
 
     This is the full group for the sl and osp(2, 2n) families and a proper
@@ -209,10 +205,10 @@ def pi0_group(datum: RootDatum, max_elements: int | None = None) -> WeylGroup:
     simple root that the distinguished system does not contain.
     """
     gids = tuple(g.gid for g in datum.generators if g.pi_index is not None)
-    return generate(datum, gids, max_elements)
+    return generate(datum, gids)
 
 
-def component_group(datum: RootDatum, k: int, max_elements: int | None = None) -> WeylGroup:
+def component_group(datum: RootDatum, k: int) -> WeylGroup:
     """The subgroup for the k-th component of the even simple diagram, 1-based."""
     if not 1 <= k <= len(datum.components):
         raise IndexOutOfRange(
@@ -220,4 +216,4 @@ def component_group(datum: RootDatum, k: int, max_elements: int | None = None) -
         )
     comp = set(datum.components[k - 1])
     gids = tuple(g.gid for g in datum.generators if g.pi_index in comp)
-    return generate(datum, gids, max_elements)
+    return generate(datum, gids)

@@ -1,6 +1,7 @@
 """Coefficient extraction and matching for singly atypical numerators."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from superweyl.atypical import (
     enumeration_coefficient,
     shift_to_type,
     _block_images,
+    _grouping_counts,
     _movers,
     _partition_factor,
 )
@@ -30,7 +32,13 @@ from superweyl.errors import (
     UnsupportedCase,
     WrongFamily,
 )
-from superweyl.partitions import graph_of_datum, k_partition_counts, tree_graph_gpq
+from superweyl.partitions import (
+    SimpleGraph,
+    graph_of_datum,
+    iter_ordered_partitions,
+    k_partition_counts,
+    tree_graph_gpq,
+)
 from superweyl.rootdata import build_b0, build_f4, build_g3, build_osp2, build_sl, vscale
 from superweyl.series import EMPTY_MONO, Poly, ZSeries
 from superweyl.unifac import Conclusion
@@ -405,15 +413,90 @@ class TestInteriorSum:
             ((alphas[1], betas[1]), (alphas[0],), (betas[0],)),
             tuple((p,) for p in sorted(deltas)),
         ]
-        series = []
-        for pattern in patterns:
-            value = ZSeries.one(3)
-            for group in pattern:
-                value = value * _partition_factor(ctx, deltas, group)
-            series.append(value)
+        series = [_partition_factor(ctx, deltas, pattern) for pattern in patterns]
         monos = sorted({m for s in series for m in s.terms})
         rows = [[s.terms.get(m, F(0)) for m in monos] for s in series]
         assert fraction_rank(rows) == 7
+
+
+def grouping(part, members):
+    """Nonempty cuts of a partition's blocks by ``members``."""
+    return frozenset(frozenset(b) & members for b in part) - {frozenset()}
+
+
+def reference_enumeration(ctx):
+    """The partition sum with one series product per ordered partition."""
+    graph = graph_of_datum(ctx.datum)
+    total = len(graph)
+    deltas = _block_images(ctx.datum, ctx.gamma, _movers(ctx.datum, ctx.gamma))
+    t = ctx.z_truncation
+    acc = ZSeries.zero(t)
+    for k in range(1, total + 1):
+        for part in iter_ordered_partitions(graph, k):
+            factor = _partition_factor(ctx, deltas, grouping(part, frozenset(deltas)))
+            acc = acc + ZSeries.constant(Fraction((-1) ** (total + k), k), t) * factor
+    return acc
+
+
+def reference_r_counts(ctx):
+    """A-sum counts r2, r3, r4 from one pattern of each shape, per partition."""
+    datum = ctx.datum
+    graph = graph_of_datum(datum)
+    deltas = _block_images(datum, ctx.gamma, _movers(datum, ctx.gamma))
+    a = sorted(p for p in deltas if p in datum.components[0])
+    b = sorted(p for p in deltas if p not in datum.components[0])
+    patterns = [
+        {frozenset({a[0], b[0]}), frozenset({a[1], b[1]})},
+        {frozenset({a[0], b[0]}), frozenset({a[1]}), frozenset({b[1]})},
+        {frozenset({p}) for p in deltas},
+    ]
+    r = ([], [], [])
+    for k in range(2, len(graph) + 1):
+        seen = Counter(grouping(part, frozenset(deltas)) for part in iter_ordered_partitions(graph, k))
+        for counts, pattern in zip(r, patterns):
+            counts.append(seen[frozenset(pattern)])
+    return tuple(tuple(c) for c in r)
+
+
+TALLY_CASES = [(3, 2, idx) for idx in range(6)] + [(4, 3, idx) for idx in (0, 1, 4)]
+
+
+@pytest.mark.parametrize("m,n,idx", TALLY_CASES, ids=[f"sl{m}{n}-t{i}" for m, n, i in TALLY_CASES])
+def test_tally_sums_match_the_per_partition_reference(m, n, idx):
+    datum = build_sl(m, n)
+    ctx = atypical_context(datum, atypical_weight(datum, idx), z_truncation=3)
+    expected = reference_enumeration(ctx)
+    assert enumeration_coefficient(ctx).value == expected
+    closed = closed_form_coefficient(ctx)
+    assert closed.value == expected
+    if closed.tag == "A-sum":
+        assert (closed.params["r2"], closed.params["r3"], closed.params["r4"]) == reference_r_counts(ctx)
+
+
+@st.composite
+def graphs_with_members(draw):
+    n = draw(st.integers(0, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    members = draw(st.frozensets(st.integers(0, n - 1))) if n else frozenset()
+    return SimpleGraph(range(n), edges), members
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=graphs_with_members())
+def test_grouping_counts_match_brute_force(case):
+    graph, members = case
+    tally = _grouping_counts(graph, members)
+    brute = Counter(
+        (k, grouping(part, members))
+        for k in range(1, len(graph) + 1)
+        for part in iter_ordered_partitions(graph, k)
+    )
+    assert tally == dict(brute)
+    per_k = [0] * len(graph)
+    for (k, _), count in tally.items():
+        per_k[k - 1] += count
+    assert tuple(per_k) == k_partition_counts(graph).counts
 
 
 class TestMatching:

@@ -197,14 +197,27 @@ class TestUsageErrors:
              "--bound", "-1", "--tau-mult", "1"],
             ["search", "--family", "sl", "--m", "3", "--n", "2",
              "--bound", "3", "--tau-mult", "1", "--limit", "0"],
+            ["atypical-coeff", "--family", "G3", "--weight", "0", "--ztrunc", "-1"],
+            ["atypical-verify", "--family", "sl", "--m", "3", "--n", "2",
+             "--type", "eps[1] - delta[1]",
+             "--lhs", "4*eps[1] + 4*eps[2] + 4*eps[3] + (-6)*delta[1] + (-6)*delta[2]",
+             "--rhs", "4*eps[1] + 4*eps[2] + 4*eps[3] + (-6)*delta[1] + (-6)*delta[2]",
+             "--ztrunc", "-1"],
         ],
-        ids=["trunc", "bound", "limit"],
+        ids=["trunc", "bound", "limit", "coeff-ztrunc", "verify-ztrunc"],
     )
     def test_out_of_range_integers_are_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == EXIT_USAGE
         assert "must be at least" in capsys.readouterr().err
+
+    def test_factor_and_char_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["numerator", "--family", "sl", "--m", "3", "--n", "2",
+                  "--weight", "omega[1] + tau", "--factor", "--char"])
+        assert info.value.code == EXIT_USAGE
+        assert "not allowed with" in capsys.readouterr().err
 
 
 class TestGroupCommand:

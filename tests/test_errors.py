@@ -1,0 +1,27 @@
+"""The library raises only its own error classes.
+
+Every failure a caller can handle derives from ``SuperweylError``; a
+builtin exception escaping the library is a bug.  ``AssertionError`` is
+left to the invariant checks.
+"""
+
+import ast
+import builtins
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "superweyl"
+
+
+def builtin_raises(path):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        name = exc.id if isinstance(exc, ast.Name) else None
+        if name != "AssertionError" and isinstance(getattr(builtins, name or "", None), type):
+            yield f"{path.name}:{node.lineno} raises {name}"
+
+
+def test_library_raises_no_builtin_exceptions():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in builtin_raises(path)]
+    assert found == []

@@ -9,7 +9,9 @@ from superweyl.errors import (
     ConstantTermNotOne,
     NegativeExponentAfterCollapse,
     NonIntegralExponent,
+    NotInvertible,
     RingMismatch,
+    TruncationTooSmall,
 )
 from superweyl.series import (
     EMPTY_MONO,
@@ -118,8 +120,13 @@ def test_zseries_truncation():
 
 
 def test_zseries_inverse_needs_unit():
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(NotInvertible):
         ZSeries.var(0, 2).inverse()
+
+
+def test_zseries_rejects_negative_truncation():
+    with pytest.raises(TruncationTooSmall):
+        ZSeries(-1)
 
 
 def test_zseries_text():

@@ -29,3 +29,21 @@ def test_every_wrapped_name_resolves():
         assert needed - tracer.present == set()
     finally:
         tracer.uninstall()
+
+
+def test_enumeration_walks_partitions_under_the_tracer():
+    import superweyl.atypical as atypical
+    from superweyl.rootdata import build_sl
+    from test_atypical import atypical_weight
+
+    datum = build_sl(3, 2)
+    ctx = atypical.atypical_context(datum, atypical_weight(datum, 2))
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        atypical.enumeration_coefficient(ctx)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["atypical.enum"] == 1
+    assert tracer.calls["partitions.iter"] > 0
+    assert tracer.counters["partitions.iter.yielded"] > 0

@@ -70,9 +70,11 @@ def test_cached_group_respects_a_smaller_cap(monkeypatch):
     monkeypatch.setenv("SUPERWEYL_MAX_GROUP", "10")
     with pytest.raises(GroupTooLarge, match="cap of 10"):
         full_group(d)
+    monkeypatch.setenv("SUPERWEYL_MAX_GROUP", "11")
     with pytest.raises(GroupTooLarge, match="cap of 11"):
-        generate(d, max_elements=11)
-    assert generate(d, max_elements=12) is group
+        generate(d)
+    monkeypatch.setenv("SUPERWEYL_MAX_GROUP", "12")
+    assert generate(d) is group
     monkeypatch.delenv("SUPERWEYL_MAX_GROUP")
     assert full_group(d) is group
 
@@ -150,11 +152,6 @@ def test_rho_drop_is_nonnegative_integral():
         drops = orbit_drops(pi0_group(d), d.rho)
         assert sorted(drops) == expected, d.label
         assert all(c >= 0 for drop in drops for c in drop), d.label
-
-
-def test_group_too_large():
-    with pytest.raises(GroupTooLarge):
-        generate(build_f4(), max_elements=10)
 
 
 def test_group_cap_env(monkeypatch):
