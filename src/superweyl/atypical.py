@@ -38,12 +38,14 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     IndexOutOfRange,
+    InternalInvariant,
     MixedAtypicalityTypes,
     NotDominant,
     NotSinglyAtypical,
     TruncationTooSmall,
     UnsupportedCase,
     WrongFamily,
+    invariant,
 )
 from .numerator import x_lambda, x_signature
 from .partitions import SimpleGraph, graph_of_datum, iter_ordered_partitions
@@ -195,14 +197,24 @@ def _positive_odd_index(datum: RootDatum, vector: Weight) -> int:
     idx = datum._odd_index.get(vector)
     # The even Weyl group of Pi_0 must keep the type inside the positive
     # odd roots; leaving them would silently corrupt every Z symbol.
-    assert idx is not None, (
-        f"image {vector} of the atypicality type is not a positive odd root"
-    )
+    if idx is None:
+        raise InternalInvariant(f"image {vector} of the type is not a positive odd root")
     return idx
 
 
-def _reflect(datum: RootDatum, alpha: Weight, v: Weight) -> Weight:
-    return vsub(v, vscale(datum.pairing(v, alpha), alpha))
+def _transport(datum: RootDatum, idx: int, gids: Iterable[int]) -> int:
+    """Index of the positive odd root s_{g_r} ... s_{g_1} delta, delta at ``idx``.
+
+    ``gids`` = (g_1, ..., g_r) are applied in order, each reflection reading
+    its label of the current root.  The partition sums pass the movers that
+    share a block; a block is an independent set of the diagram, so those
+    movers are pairwise orthogonal, their reflections commute, and the image
+    is gamma + sum of the single-mover changes s_g gamma - gamma.
+    """
+    v = datum.positive_odd[idx].vector
+    for g in gids:
+        v = vsub(v, vscale(datum.labels(v)[g], datum.generators[g].vector))
+    return _positive_odd_index(datum, v)
 
 
 def _one_plus(idx: int, trunc: int) -> ZSeries:
@@ -250,20 +262,17 @@ def atypical_numerator(ctx: AtypicalContext) -> Poly:
     """
     datum = ctx.datum
     group = pi0_group(datum)
-    eta = vadd(ctx.lam, datum.rho)
     images = [ctx.gamma_index]
     moved: dict[tuple[int, int], int] = {}
     for w in group.elements[1:]:
         key = (w.word[-1], images[w.parent])
         if key not in moved:
-            alpha = datum.generators[key[0]].vector
-            moved[key] = _positive_odd_index(
-                datum, _reflect(datum, alpha, datum.positive_odd[key[1]].vector)
-            )
+            moved[key] = _transport(datum, key[1], (key[0],))
         images.append(moved[key])
+    drops = orbit_drops(group, datum.labels(vadd(ctx.lam, datum.rho)))
     terms: dict[Mono, ZSeries] = {}
     prefactors: dict[int, ZSeries] = {}
-    for w, drop, idx in zip(group.elements, orbit_drops(group, eta), images):
+    for w, drop, idx in zip(group.elements, drops, images):
         if idx not in prefactors:
             prefactors[idx] = _prefactor(ctx, idx)
         mono = weight_monomial(drop)
@@ -315,8 +324,7 @@ def _k_ratio(ctx: AtypicalContext) -> CoefficientValue:
     value = ZSeries.constant(kval, t)
     image_indices = []
     for g in movers:
-        image = _reflect(datum, g.vector, ctx.gamma.vector)
-        idx = _positive_odd_index(datum, image)
+        idx = _transport(datum, ctx.gamma_index, (g.gid,))
         image_indices.append(idx)
         value = value * _block(ctx, idx)
     return CoefficientValue(
@@ -339,10 +347,7 @@ def _m_form(ctx: AtypicalContext) -> CoefficientValue:
     """
     datum = ctx.datum
     simples = [g for g in datum.generators if g.pi_index is not None]
-    images = [
-        _positive_odd_index(datum, _reflect(datum, g.vector, ctx.gamma.vector))
-        for g in simples
-    ]
+    images = [_transport(datum, ctx.gamma_index, (g.gid,)) for g in simples]
 
     if len(simples) == 2:
         value = _block(ctx, images[0]) * _block(ctx, images[1])
@@ -364,10 +369,7 @@ def _m_form(ctx: AtypicalContext) -> CoefficientValue:
         )
     i, j = pairs[0]
     k = ({0, 1, 2} - {i, j}).pop()
-    fused = _reflect(
-        datum, simples[j].vector, _reflect(datum, simples[i].vector, ctx.gamma.vector)
-    )
-    fused_idx = _positive_odd_index(datum, fused)
+    fused_idx = _transport(datum, ctx.gamma_index, (simples[i].gid, simples[j].gid))
     triple = _block(ctx, images[0]) * _block(ctx, images[1]) * _block(ctx, images[2])
     double = _block(ctx, fused_idx) * _block(ctx, images[k])
     value = triple.scale(2) - double
@@ -380,31 +382,18 @@ def _m_form(ctx: AtypicalContext) -> CoefficientValue:
     return CoefficientValue(value=value, tag="M-form", params=params)
 
 
-def _block_images(
-    datum: RootDatum, gamma: Root, movers: Iterable
-) -> dict[int, Weight]:
-    """Change of gamma under each moving generator, keyed by diagram position."""
-    out: dict[int, Weight] = {}
-    for g in movers:
-        pos = datum.even_positions[g.gid]
-        out[pos] = vsub(_reflect(datum, g.vector, gamma.vector), gamma.vector)
-    return out
-
-
-def _partition_factor(
-    ctx: AtypicalContext, deltas: Mapping[int, Weight], grouping: Iterable[Iterable[int]]
-) -> ZSeries:
+def _partition_factor(ctx: AtypicalContext, grouping: Iterable[Iterable[int]]) -> ZSeries:
     """Series factor of a partition whose blocks cut the movers into ``grouping``.
 
-    The movers of one group share a block, which moves gamma by their summed
-    ``deltas``; blocks holding no mover fix gamma and contribute exactly 1.
+    The movers of one group (diagram positions) share a block, which moves
+    gamma by all of their reflections; blocks holding no mover fix gamma
+    and contribute exactly 1.
     """
+    datum = ctx.datum
     value = ZSeries.one(ctx.z_truncation)
     for group in grouping:
-        image = ctx.gamma.vector
-        for v in group:
-            image = vadd(image, deltas[v])
-        value = value * _block(ctx, _positive_odd_index(ctx.datum, image))
+        gids = [datum.even_positions.index(p) for p in group]
+        value = value * _block(ctx, _transport(datum, ctx.gamma_index, gids))
     return value
 
 
@@ -439,18 +428,18 @@ def enumeration_coefficient(ctx: AtypicalContext) -> CoefficientValue:
     datum = ctx.datum
     graph = graph_of_datum(datum)
     total = len(graph)
-    deltas = _block_images(datum, ctx.gamma, _movers(datum, ctx.gamma))
+    movers = frozenset(g.pi_index for g in _movers(datum, ctx.gamma))
     t = ctx.z_truncation
     weights: dict[frozenset, Fraction] = {}
-    for (k, grouping), count in _grouping_counts(graph, frozenset(deltas)).items():
+    for (k, grouping), count in _grouping_counts(graph, movers).items():
         weights[grouping] = weights.get(grouping, 0) + Fraction((-1) ** (total + k) * count, k)
     acc = ZSeries.zero(t)
     for grouping, weight in weights.items():
-        acc = acc + _partition_factor(ctx, deltas, grouping).scale(weight)
+        acc = acc + _partition_factor(ctx, grouping).scale(weight)
     return CoefficientValue(
         value=acc,
         tag="enumeration",
-        params={"vertex_count": total, "mover_positions": tuple(sorted(deltas))},
+        params={"vertex_count": total, "mover_positions": tuple(sorted(movers))},
     )
 
 
@@ -467,10 +456,10 @@ def _a_sum(ctx: AtypicalContext) -> CoefficientValue:
     t = ctx.z_truncation
     graph = graph_of_datum(datum)
     total = len(graph)
-    deltas = _block_images(datum, ctx.gamma, _movers(datum, ctx.gamma))
+    movers = frozenset(g.pi_index for g in _movers(datum, ctx.gamma))
     comp_one = set(datum.components[0])
-    alphas = sorted(p for p in deltas if p in comp_one)
-    betas = sorted(p for p in deltas if p not in comp_one)
+    alphas = sorted(p for p in movers if p in comp_one)
+    betas = sorted(p for p in movers if p not in comp_one)
     if len(alphas) != 2 or len(betas) != 2:
         raise UnsupportedCase(
             "interior closed form needs two moving generators on each chain"
@@ -489,17 +478,17 @@ def _a_sum(ctx: AtypicalContext) -> CoefficientValue:
         for a, other_a in ((alphas[0], alphas[1]), (alphas[1], alphas[0]))
         for b, other_b in ((betas[0], betas[1]), (betas[1], betas[0]))
     ]
-    quad_pattern = grouping_key([(p,) for p in deltas])
+    quad_pattern = grouping_key([(p,) for p in movers])
 
     def pattern_sum(patterns: list) -> ZSeries:
-        return sum((_partition_factor(ctx, deltas, p) for p in patterns), ZSeries.zero(t))
+        return sum((_partition_factor(ctx, p) for p in patterns), ZSeries.zero(t))
 
     f_sum = pattern_sum(pair_patterns)
     g_sum = pattern_sum(triple_patterns)
-    h_expr = _partition_factor(ctx, deltas, quad_pattern)
+    h_expr = _partition_factor(ctx, quad_pattern)
 
     plain_counts = k_partition_counts(graph).counts
-    tally = _grouping_counts(graph, frozenset(deltas))
+    tally = _grouping_counts(graph, movers)
     r_two: list[int] = []
     r_three: list[int] = []
     r_four: list[int] = []
@@ -509,10 +498,10 @@ def _a_sum(ctx: AtypicalContext) -> CoefficientValue:
         triple_counts = [tally[k, p] for p in triple_patterns]
         quad_count = tally[k, quad_pattern]
         # the split patterns within one shape must occur equally often
-        assert pair_counts[0] == pair_counts[1], pair_counts
-        assert len(set(triple_counts)) == 1, triple_counts
+        invariant(pair_counts[0] == pair_counts[1], f"pair counts {pair_counts}")
+        invariant(len(set(triple_counts)) == 1, f"triple counts {triple_counts}")
         covered = 2 * pair_counts[0] + 4 * triple_counts[0] + quad_count
-        assert covered == plain_counts[k - 1], (k, covered, plain_counts)
+        invariant(covered == plain_counts[k - 1], f"k={k}: {covered} != {plain_counts}")
         r_two.append(pair_counts[0])
         r_three.append(triple_counts[0])
         r_four.append(quad_count)
@@ -582,10 +571,10 @@ def coefficient_f1(datum: RootDatum, p: int, q: int) -> Fraction:
         count = tally[k, frozenset({pair_one, pair_two})]
         expected = tree.counts[k - 1] if k <= len(tree.counts) else 0
         # the pair-preserving partitions are exactly those of the fused tree
-        assert count == expected, (k, count, expected)
+        invariant(count == expected, f"k={k}: {count} != {expected}")
         acc += Fraction((-1) ** k, k) * count
     direct = Fraction((-1) ** total) * acc
-    assert direct == tree.k_value == 1, (direct, tree.k_value)
+    invariant(direct == tree.k_value == 1, f"f1 {direct}, tree value {tree.k_value}")
     return direct
 
 
@@ -658,7 +647,7 @@ def atypical_match(
             if used[j] or other != sig:
                 continue
             # same signature forces the same numerator
-            assert lhs_factors[i] == rhs_factors[j]
+            invariant(lhs_factors[i] == rhs_factors[j], "same signature, other numerator")
             used[j] = True
             # whole numerators pair up at once; report them on component 1
             pairing.append(
@@ -668,9 +657,8 @@ def atypical_match(
 
     r_equals_s = len(lhs) == len(rhs)
     complete = r_equals_s and len(pairing) == len(lhs)
-    if products_equal:
-        # equal products force a full matching of the factors
-        assert complete, "equal numerator products with unmatched factors"
+    # equal products force a full matching of the factors
+    invariant(complete or not products_equal, "equal numerator products with unmatched factors")
     conclusion = (
         Conclusion.UNIQUE_FACTORIZATION
         if products_equal and complete

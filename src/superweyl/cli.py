@@ -36,6 +36,7 @@ from .atypical import (
     coefficient_oracle,
 )
 from .errors import (
+    InternalInvariant,
     NoSecondComponent,
     SuperweylError,
     UnknownSymbol,
@@ -582,12 +583,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (InternalInvariant, AssertionError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except SuperweylError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except AssertionError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

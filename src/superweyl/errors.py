@@ -31,10 +31,6 @@ class DimensionMismatch(SuperweylError):
     """Vectors of incompatible ambient dimension were combined."""
 
 
-class IsotropicRoot(SuperweylError):
-    """A normalized pairing was requested against an isotropic root."""
-
-
 class IndexOutOfRange(SuperweylError):
     """A simple-root, odd-root, or component index is out of range."""
 
@@ -107,6 +103,10 @@ class UnsupportedCase(SuperweylError):
     """No closed form is available for this configuration."""
 
 
+class InternalInvariant(SuperweylError):
+    """An internal consistency check failed: a bug, not a caller error."""
+
+
 class WeightParseError(SuperweylError):
     """A weight expression failed to parse."""
 
@@ -119,3 +119,9 @@ class WeightParseError(SuperweylError):
 
 class UnknownSymbol(WeightParseError):
     """A weight expression referenced an unknown symbol or bad index."""
+
+
+def invariant(holds: bool, message: str) -> None:
+    """Raise :class:`InternalInvariant` unless ``holds``; unlike ``assert``, kept under ``-O``."""
+    if not holds:
+        raise InternalInvariant(message)

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NonIntegralExponent, NotDominant, NotTypical, UnsupportedCase
-from .rootdata import Dominance, RootDatum, Weight, as_weight, vadd, vscale, vsub
+from .errors import NonIntegralExponent, NotDominant, NotTypical, UnsupportedCase, invariant
+from .rootdata import Dominance, RootDatum, Weight, as_weight, vadd
 from .series import (
     Mono,
     Poly,
@@ -31,16 +31,14 @@ from .series import (
 from .weyl import WeylGroup, component_group, full_group, orbit_drops
 
 
-def _dominant_representative(datum: RootDatum, eta: Weight) -> Weight:
-    """Orbit element with strictly positive pairing against every generator.
+def _dominant_representative(datum: RootDatum, labels: tuple) -> tuple:
+    """Labels of the orbit element with every label <eta, g^vee> positive.
 
-    Walks toward the dominant chamber, reflecting at the first negative
-    label <eta, g^vee> until none is left; the walk is finite because the
-    group is.  Such an element exists exactly when eta is regular for the
-    even root system, so a zero label (a chamber wall) is rejected.
+    Walks toward the dominant chamber on the labels alone, reflecting at
+    the first negative label until none is left; the walk is finite because
+    the group is.  Such an element exists exactly when eta is regular for
+    the even root system, so a zero label (a chamber wall) is rejected.
     """
-    gens = datum.generators
-    labels = [datum.pairing(eta, g.vector) for g in gens]
     while True:
         if any(a == 0 for a in labels):
             raise NotDominant(
@@ -48,10 +46,9 @@ def _dominant_representative(datum: RootDatum, eta: Weight) -> Weight:
             )
         k = next((k for k, a in enumerate(labels) if a < 0), None)
         if k is None:
-            return eta
+            return labels
         c = labels[k]
-        eta = vsub(eta, vscale(c, gens[k].vector))
-        labels = [a - c * r for a, r in zip(labels, datum.generator_cartan[k])]
+        labels = tuple(a - c * r for a, r in zip(labels, datum.generator_cartan[k]))
 
 
 def _check_weight(datum: RootDatum, lam: Weight) -> Weight:
@@ -65,10 +62,10 @@ def _check_weight(datum: RootDatum, lam: Weight) -> Weight:
     return lam
 
 
-def _orbit_sum(group: WeylGroup, eta: Weight) -> Poly:
-    """sum of sign(w) X^(eta - w eta) over the elements of ``group``."""
+def _orbit_sum(group: WeylGroup, labels: tuple) -> Poly:
+    """sum of sign(w) X^(eta - w eta) over ``group``, for eta with these labels."""
     terms: dict[Mono, int] = {}
-    for w, drop in zip(group.elements, orbit_drops(group, eta)):
+    for w, drop in zip(group.elements, orbit_drops(group, labels)):
         mono = weight_monomial(drop)
         terms[mono] = terms.get(mono, 0) + w.sign
     return Poly({m: c for m, c in terms.items() if c != 0})
@@ -78,9 +75,9 @@ def numerator(datum: RootDatum, lam: Weight) -> Poly:
     """Normalized numerator of the typical dominant weight ``lam``."""
     lam = _check_weight(datum, lam)
     group = full_group(datum)  # finite (or GroupTooLarge) before the walk
-    eta_plus = _dominant_representative(datum, vadd(lam, datum.rho))
-    poly = _orbit_sum(group, eta_plus)
-    assert poly.constant_term() == 1
+    labels = _dominant_representative(datum, datum.labels(vadd(lam, datum.rho)))
+    poly = _orbit_sum(group, labels)
+    invariant(poly.constant_term() == 1, "numerator does not start at 1")
     return poly
 
 
@@ -99,26 +96,26 @@ def factor_numerator(datum: RootDatum, lam: Weight) -> list[Poly]:
             "component factors need every generator to be a simple root"
         )
     # With no extra generators the shifted weight is already dominant.
-    eta = vadd(as_weight(lam), datum.rho)
+    labels = datum.labels(vadd(as_weight(lam), datum.rho))
     factors = [
-        _orbit_sum(component_group(datum, k), eta)
+        _orbit_sum(component_group(datum, k), labels)
         for k in range(1, len(comps) + 1)
     ]
     product = factors[0]
     for factor in factors[1:]:
         product = product * factor
-    assert product == total
+    invariant(product == total, "component factors do not multiply to the numerator")
     return factors
 
 
 def x_signature(datum: RootDatum, lam: Weight) -> tuple[tuple[int, ...], ...]:
     """Pairings of lambda + rho against the even simple roots, by component."""
-    eta = vadd(as_weight(lam), datum.rho)
+    labels = datum.labels(vadd(as_weight(lam), datum.rho))
     out: list[tuple[int, ...]] = []
     for comp in datum.components:
         sig: list[int] = []
         for pos in comp:
-            val = datum.pairing(eta, datum.simple_roots[pos].vector)
+            val = labels[datum.even_positions.index(pos)]
             if val.denominator != 1:
                 raise NonIntegralExponent(
                     f"pairing {val} at position {pos} is not an integer"

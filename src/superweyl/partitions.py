@@ -25,6 +25,7 @@ from .errors import (
     IndexNotInterior,
     InvalidGraph,
     WrongFamily,
+    invariant,
 )
 from .rootdata import RootDatum, Weight
 
@@ -290,7 +291,7 @@ def tree_graph_gpq(datum: RootDatum, p: int, q: int) -> SimpleGraph:
     edges.append(("nu1", "nu2"))
 
     graph = SimpleGraph(verts, edges)
-    assert len(graph) == m + n - 2
-    assert graph.is_connected()
-    assert len(graph.edges()) == len(graph) - 1
+    invariant(len(graph) == m + n - 2, "fused graph has the wrong vertex count")
+    invariant(graph.is_connected(), "fused graph is not connected")
+    invariant(len(graph.edges()) == len(graph) - 1, "fused graph is not a tree")
     return graph

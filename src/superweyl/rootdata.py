@@ -18,8 +18,11 @@ Other data (``B(m, n)``, ``D(m, n)``, ...) can be supplied through datum
 files; see :func:`datum_from_text`.
 
 Vectors, the form and every derived weight are exact
-:class:`fractions.Fraction` tuples; the integer data of the Weyl group
-walks (``generator_cartan`` and ``generator_coords``) are plain ints,
+:class:`fractions.Fraction` tuples.  Every pairing with a reflection
+generator goes through one label map: sparse coroot rows, built once after
+validation, make ``labels(v)`` (the <v, g^vee> in gid order) dot products.
+The integer data of the Weyl group walks (``generator_cartan``, the labels
+of the generators themselves, and ``generator_coords``) are plain ints,
 checked integral at construction.  The structure of a datum is fixed at
 construction, but three private caches on it fill lazily:
 ``_fundamental_cache`` (even fundamental weights), ``_group_cache`` (Weyl
@@ -39,7 +42,6 @@ from typing import Iterable, Sequence
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
-    IsotropicRoot,
     MalformedDatumFile,
     UnsupportedFamily,
 )
@@ -137,18 +139,6 @@ class Atypicality:
     @property
     def is_typical(self) -> bool:
         return not self.vanishing
-
-    @property
-    def is_singly_atypical(self) -> bool:
-        return len(self.vanishing) == 1
-
-    @property
-    def gamma_index(self) -> int | None:
-        return self.vanishing[0] if len(self.vanishing) == 1 else None
-
-    @property
-    def count(self) -> int:
-        return len(self.vanishing)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +251,8 @@ class RootDatum:
 
         self._validate(expected_components)
 
+        # <v, g^vee> is a sparse dot product of v with the coroot row of g.
+        self._coroot_rows = tuple(self._coroot_row(g.vector) for g in self.generators)
         # Integer data for the label walks of superweyl.weyl: the Cartan
         # rows <g_k, g_i^vee> and each generator over the simple roots.
         self.generator_cartan: tuple[tuple[int, ...], ...] = self._generator_cartan()
@@ -349,18 +341,25 @@ class RootDatum:
         comps.sort(key=lambda c: c[0])
         return tuple(comps)
 
+    def _coroot_row(self, alpha: Weight) -> tuple[tuple[int, Fraction], ...]:
+        """alpha^vee = 2 alpha / (alpha, alpha) through the form, as (column, entry) pairs."""
+        nn = self.inner(alpha, alpha)
+        row = (
+            2 * sum((a * self.gram[i][j] for i, a in enumerate(alpha)), ZERO) / nn
+            for j in range(self.dim)
+        )
+        return tuple((j, x) for j, x in enumerate(row) if x != 0)
+
     def _generator_cartan(self) -> tuple[tuple[int, ...], ...]:
         rows = []
         for g in self.generators:
-            row = []
-            for h in self.generators:
-                c = self.pairing(g.vector, h.vector)
+            row = self.labels(g.vector)
+            for h, c in zip(self.generators, row):
                 if c.denominator != 1:
                     raise MalformedDatumFile(
                         f"Cartan entry <{g.label}, {h.label}^vee> = {c} is not an integer"
                     )
-                row.append(int(c))
-            rows.append(tuple(row))
+            rows.append(tuple(map(int, row)))
         return tuple(rows)
 
     def _validate(self, expected_components: int | None) -> None:
@@ -449,14 +448,11 @@ class RootDatum:
             total += a * sum(row[j] * b for j, b in enumerate(v) if b != 0)
         return total
 
-    def pairing(self, lam: Weight, alpha: Weight) -> Fraction:
-        """Normalized pairing 2 (lam, alpha) / (alpha, alpha)."""
-        nn = self.inner(alpha, alpha)
-        if nn == 0:
-            raise IsotropicRoot(
-                "normalized pairing is undefined against an isotropic root"
-            )
-        return 2 * self.inner(lam, alpha) / nn
+    def labels(self, v: Weight) -> tuple[Fraction, ...]:
+        """The labels <v, g^vee> = 2 (v, g) / (g, g) of v, one per generator in gid order."""
+        if len(v) != self.dim:
+            raise DimensionMismatch(f"vector has length {len(v)}, expected {self.dim}")
+        return tuple(sum((x * v[j] for j, x in row), ZERO) for row in self._coroot_rows)
 
     # -- derived structure ------------------------------------------------
 
@@ -498,8 +494,9 @@ class RootDatum:
         if i not in self._fundamental_cache:
             basis = [self.simple_roots[p].vector for p in self.even_positions]
             n = len(basis)
+            # the even simple roots are the generators with gids 0..n-1
             cartan = _SpanSolver(
-                [tuple(self.pairing(b, a) for a in basis) for b in basis], "even simple roots"
+                [row[:n] for row in self.generator_cartan[:n]], "even simple roots"
             )
             for col in range(n):
                 coeffs = cartan.solve(_unit(n, col))
@@ -508,6 +505,14 @@ class RootDatum:
                     w = vadd(w, vscale(coeffs[k], basis[k]))
                 self._fundamental_cache[col + 1] = w
         return self._fundamental_cache[i]
+
+    def coefficient_weight(self, coeffs: Sequence[int], tau_multiple: int = 0) -> Weight:
+        """The weight sum_i coeffs[i-1] * omega_i + tau_multiple * tau."""
+        lam = vscale(tau_multiple, self.tau)
+        for i, c in enumerate(coeffs, start=1):
+            if c:
+                lam = vadd(lam, vscale(c, self.fundamental_weight(i)))
+        return lam
 
     def atypicality(self, lam: Weight) -> Atypicality:
         """Vanishing pattern of (lam + rho, gamma) over isotropic gamma > 0."""
@@ -530,8 +535,7 @@ class RootDatum:
         ones (sl and osp(2, 2n) here) get a definite ``YES``; other families
         get ``NECESSARY_ONLY`` when the even conditions hold.
         """
-        for p in self.even_positions:
-            val = self.pairing(lam, self.simple_roots[p].vector)
+        for val in self.labels(lam)[: len(self.even_positions)]:
             if val.denominator != 1 or val < 0:
                 return Dominance.NO
         return Dominance.YES if self.type_one else Dominance.NECESSARY_ONLY

@@ -23,7 +23,7 @@ from .atypical import (
     coefficient_oracle,
     shift_to_type,
 )
-from .errors import NoSecondComponent, SuperweylError
+from .errors import InternalInvariant, NoSecondComponent, SuperweylError
 from .numerator import (
     factor_numerator,
     normalized_character,
@@ -64,20 +64,13 @@ class CriterionResult:
 # -- helpers -----------------------------------------------------------------
 
 
-def _weight(datum: RootDatum, coeffs, tau_mult=0) -> Weight:
-    lam = vscale(Fraction(tau_mult), datum.tau)
-    for i, c in enumerate(coeffs, start=1):
-        lam = vadd(lam, vscale(Fraction(c), datum.fundamental_weight(i)))
-    return lam
-
-
 def _random_typical(datum: RootDatum, count: int, rng: random.Random):
     """Seeded dominant typical weights: fundamental coefficients plus tau."""
     rank = datum.even_simple_count
     found = []
     while len(found) < count:
         coeffs = [rng.randrange(5) for _ in range(rank)]
-        lam = _weight(datum, coeffs, rng.randrange(4))
+        lam = datum.coefficient_weight(coeffs, rng.randrange(4))
         if datum.atypicality(lam).is_typical:
             found.append(lam)
     return found
@@ -92,13 +85,13 @@ def _atypical_weight(datum: RootDatum, idx: int, coeff_bound: int = 3) -> Weight
     )
     for coeffs in candidates:
         try:
-            lam = shift_to_type(datum, _weight(datum, coeffs), idx)
+            lam = shift_to_type(datum, datum.coefficient_weight(coeffs), idx)
         except SuperweylError:
             continue
         at = datum.atypicality(lam)
         if at.vanishing == (idx,):
             return lam
-    raise AssertionError(f"no weight of type {idx} found on {datum.label}")
+    raise InternalInvariant(f"no weight of type {idx} found on {datum.label}")
 
 
 def _text(datum: RootDatum, poly: Poly) -> str:
@@ -127,7 +120,7 @@ _EXAMPLE_GOLDEN = {
 
 def _example_weights(datum: RootDatum) -> dict[str, Weight]:
     return {
-        name: _weight(datum, coeffs, tau_mult=1)
+        name: datum.coefficient_weight(coeffs, 1)
         for name, coeffs in _EXAMPLE_COEFFS.items()
     }
 
@@ -273,7 +266,7 @@ def _c8_distinct_numerators(seed: int):
     datum = build_sl(3, 2)
     seen = {}
     for coeffs in itertools.product((1, 2, 3), repeat=3):
-        lam = _weight(datum, coeffs, tau_mult=1)
+        lam = datum.coefficient_weight(coeffs, 1)
         while not datum.atypicality(lam).is_typical:
             lam = vadd(lam, datum.tau)
         text = _text(datum, numerator(datum, lam))

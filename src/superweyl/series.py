@@ -282,10 +282,6 @@ class Poly:
         return Poly({EMPTY_MONO: ONE}, ztrunc)
 
     @staticmethod
-    def constant(c: Fraction | int, ztrunc: int | None = None) -> "Poly":
-        return Poly({EMPTY_MONO: Fraction(c)}, ztrunc)
-
-    @staticmethod
     def x_monomial(
         mono: Mono, coeff: Fraction | ZSeries = ONE, ztrunc: int | None = None
     ) -> "Poly":

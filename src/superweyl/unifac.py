@@ -17,9 +17,9 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterator, Sequence
 
-from .errors import NoSecondComponent
+from .errors import NoSecondComponent, invariant
 from .numerator import factor_numerator, x_signature
-from .rootdata import RootDatum, Weight, as_weight, vadd, vscale, zero_weight
+from .rootdata import RootDatum, Weight, as_weight, vadd, zero_weight
 from .series import Poly
 
 # Steps the search raises a quadruple's tau multiplier before skipping it.
@@ -103,7 +103,10 @@ def match_factors(
                 all_matched = False
                 continue
             unmatched.remove(hit)
-            assert lhs_factors[i][comp - 1] == rhs_factors[hit][comp - 1]
+            invariant(
+                lhs_factors[i][comp - 1] == rhs_factors[hit][comp - 1],
+                "same signature, other factor",
+            )
             pairing.append(FactorMatch(comp, i, hit, sig))
         if unmatched:
             all_matched = False
@@ -181,16 +184,6 @@ class Counterexample:
     report: MatchReport
 
 
-def _coefficient_weight(
-    datum: RootDatum, coeffs: Sequence[int], tau_multiplier: int
-) -> Weight:
-    lam = vscale(tau_multiplier, datum.tau)
-    for i, c in enumerate(coeffs, start=1):
-        if c:
-            lam = vadd(lam, vscale(c, datum.fundamental_weight(i)))
-    return lam
-
-
 def iter_counterexamples(
     datum: RootDatum,
     signature_bound: int,
@@ -221,7 +214,7 @@ def iter_counterexamples(
     def leg(coeffs: tuple, mult: int) -> tuple[Weight, bool]:
         key = (coeffs, mult)
         if key not in memo:
-            w = _coefficient_weight(datum, coeffs, mult)
+            w = datum.coefficient_weight(coeffs, mult)
             memo[key] = (w, datum.is_typical(w))
         return memo[key]
 
@@ -240,23 +233,11 @@ def iter_counterexamples(
                 quad = [w for w, _ in legs]
                 lhs, rhs = (quad[0], quad[1]), (quad[2], quad[3])
                 report = verify_tensor_isomorphism(datum, lhs, rhs)
-                assert (
-                    report.module_level_conclusion is Conclusion.CROSS_MATCHED
+                invariant(
+                    report.module_level_conclusion is Conclusion.CROSS_MATCHED,
+                    "search hit is not a cross-matched counterexample",
                 )
                 yield Counterexample(
                     lhs=lhs, rhs=rhs, tau_multiplier=mult, report=report
                 )
                 break
-
-
-def search_counterexamples(
-    datum: RootDatum,
-    signature_bound: int,
-    tau_multiplier: int,
-    limit: int | None = None,
-) -> list[Counterexample]:
-    """Collect counterexamples, stopping after ``limit`` hits if given."""
-    gen = iter_counterexamples(datum, signature_bound, tau_multiplier)
-    if limit is None:
-        return list(gen)
-    return list(itertools.islice(gen, limit))

@@ -12,7 +12,8 @@ deduplicating by label tuple.  The element w = s_{k_1} ... s_{k_L} keeps
 its lexicographically first reduced word (k_1, ..., k_L) and its parent,
 the element of the word without its last letter; elements are ordered by
 (length, word).  Orbit sums are one pass down this tree
-(:func:`orbit_drops`).
+(:func:`orbit_drops`), which takes the labels ``datum.labels(eta)`` of the
+weight in place of the weight itself.
 
 Three generating sets matter downstream: all generators (the full even Weyl
 group), the generators that are themselves simple roots (the subgroup used
@@ -29,7 +30,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import GroupTooLarge, IndexOutOfRange
-from .rootdata import RootDatum, Weight
+from .rootdata import RootDatum
 
 DEFAULT_MAX_GROUP = 1_000_000
 MAX_GROUP_ENV = "SUPERWEYL_MAX_GROUP"
@@ -160,12 +161,15 @@ def generate(datum: RootDatum, gids: Sequence[int] | None = None) -> WeylGroup:
     return group
 
 
-def orbit_drops(group: WeylGroup, eta: Weight) -> list[tuple]:
+def orbit_drops(group: WeylGroup, labels: Sequence[Fraction]) -> list[tuple]:
     """Simple-root coordinates of eta - w^-1 eta, element by element.
 
-    One pass down the element tree: a child with last letter k gets
-    drop(child) = drop(parent) + a_k(parent) * expand_simple(g_k), where
-    a(parent) are the labels of the parent's image of eta.  Labels with a
+    ``labels`` are the labels <eta, g^vee> of eta for every generator of
+    the datum, in gid order (``datum.labels(eta)``); the group reads the
+    ones of its own generators.  One pass down the element tree: a child
+    with last letter k gets drop(child) = drop(parent) + a_k(parent) *
+    expand_simple(g_k), where a(parent) are the labels of the parent's
+    image of eta.  Labels with a
     common denominator D > 1 (at the extra generator of G(3)) are carried
     scaled by D and the drops come back as Fractions, which
     :func:`~superweyl.series.weight_monomial` checks; otherwise they are
@@ -173,7 +177,7 @@ def orbit_drops(group: WeylGroup, eta: Weight) -> list[tuple]:
     the list indexes an orbit sum by the group's elements.
     """
     datum = group.datum
-    labels = [datum.pairing(eta, datum.generators[g].vector) for g in group.gids]
+    labels = [labels[g] for g in group.gids]
     scale = math.lcm(*(x.denominator for x in labels))
     rows = _cartan_rows(datum, group.gids)
     coords = [datum.generator_coords[g] for g in group.gids]

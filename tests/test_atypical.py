@@ -17,10 +17,10 @@ from superweyl.atypical import (
     coefficient_oracle,
     enumeration_coefficient,
     shift_to_type,
-    _block_images,
     _grouping_counts,
     _movers,
     _partition_factor,
+    _transport,
 )
 from superweyl.errors import (
     IndexNotInterior,
@@ -39,7 +39,7 @@ from superweyl.partitions import (
     k_partition_counts,
     tree_graph_gpq,
 )
-from superweyl.rootdata import build_b0, build_f4, build_g3, build_osp2, build_sl, vscale
+from superweyl.rootdata import build_b0, build_f4, build_g3, build_osp2, build_sl, vadd, vscale, vsub
 from superweyl.series import EMPTY_MONO, Poly, ZSeries
 from superweyl.unifac import Conclusion
 from superweyl.weyl import pi0_group
@@ -66,7 +66,7 @@ def atypical_weight(datum, idx, coeff_bound=3):
     for coeffs in candidates:
         lam = shift_to_type(datum, weight_from_coeffs(datum, coeffs), idx)
         marks = datum.atypicality(lam)
-        if marks.is_singly_atypical and marks.vanishing[0] == idx:
+        if marks.vanishing == (idx,):
             return lam
     raise AssertionError(f"no singly atypical weight of type {idx} found")
 
@@ -334,7 +334,7 @@ def test_oracle_matches_enumeration_on_random_weights(coeffs, idx):
     datum = build_sl(3, 2)
     lam = shift_to_type(datum, weight_from_coeffs(datum, coeffs), idx)
     marks = datum.atypicality(lam)
-    if not (marks.is_singly_atypical and marks.vanishing[0] == idx):
+    if marks.vanishing != (idx,):
         return
     ctx = atypical_context(datum, lam, z_truncation=2)
     assert coefficient_oracle(ctx).value == enumeration_coefficient(ctx).value
@@ -400,10 +400,10 @@ class TestInteriorSum:
         # the decomposition into counted families is the unique one
         ctx = self.ctx
         datum = self.datum
-        deltas = _block_images(datum, ctx.gamma, _movers(datum, ctx.gamma))
+        movers = mover_positions(ctx)
         comp_one = set(datum.components[0])
-        alphas = sorted(p for p in deltas if p in comp_one)
-        betas = sorted(p for p in deltas if p not in comp_one)
+        alphas = sorted(p for p in movers if p in comp_one)
+        betas = sorted(p for p in movers if p not in comp_one)
         patterns = [
             ((alphas[0], betas[0]), (alphas[1], betas[1])),
             ((alphas[0], betas[1]), (alphas[1], betas[0])),
@@ -411,12 +411,16 @@ class TestInteriorSum:
             ((alphas[0], betas[1]), (alphas[1],), (betas[0],)),
             ((alphas[1], betas[0]), (alphas[0],), (betas[1],)),
             ((alphas[1], betas[1]), (alphas[0],), (betas[0],)),
-            tuple((p,) for p in sorted(deltas)),
+            tuple((p,) for p in sorted(movers)),
         ]
-        series = [_partition_factor(ctx, deltas, pattern) for pattern in patterns]
+        series = [_partition_factor(ctx, pattern) for pattern in patterns]
         monos = sorted({m for s in series for m in s.terms})
         rows = [[s.terms.get(m, F(0)) for m in monos] for s in series]
         assert fraction_rank(rows) == 7
+
+
+def mover_positions(ctx):
+    return frozenset(g.pi_index for g in _movers(ctx.datum, ctx.gamma))
 
 
 def grouping(part, members):
@@ -428,12 +432,12 @@ def reference_enumeration(ctx):
     """The partition sum with one series product per ordered partition."""
     graph = graph_of_datum(ctx.datum)
     total = len(graph)
-    deltas = _block_images(ctx.datum, ctx.gamma, _movers(ctx.datum, ctx.gamma))
+    movers = mover_positions(ctx)
     t = ctx.z_truncation
     acc = ZSeries.zero(t)
     for k in range(1, total + 1):
         for part in iter_ordered_partitions(graph, k):
-            factor = _partition_factor(ctx, deltas, grouping(part, frozenset(deltas)))
+            factor = _partition_factor(ctx, grouping(part, movers))
             acc = acc + ZSeries.constant(Fraction((-1) ** (total + k), k), t) * factor
     return acc
 
@@ -442,17 +446,17 @@ def reference_r_counts(ctx):
     """A-sum counts r2, r3, r4 from one pattern of each shape, per partition."""
     datum = ctx.datum
     graph = graph_of_datum(datum)
-    deltas = _block_images(datum, ctx.gamma, _movers(datum, ctx.gamma))
-    a = sorted(p for p in deltas if p in datum.components[0])
-    b = sorted(p for p in deltas if p not in datum.components[0])
+    movers = mover_positions(ctx)
+    a = sorted(p for p in movers if p in datum.components[0])
+    b = sorted(p for p in movers if p not in datum.components[0])
     patterns = [
         {frozenset({a[0], b[0]}), frozenset({a[1], b[1]})},
         {frozenset({a[0], b[0]}), frozenset({a[1]}), frozenset({b[1]})},
-        {frozenset({p}) for p in deltas},
+        {frozenset({p}) for p in movers},
     ]
     r = ([], [], [])
     for k in range(2, len(graph) + 1):
-        seen = Counter(grouping(part, frozenset(deltas)) for part in iter_ordered_partitions(graph, k))
+        seen = Counter(grouping(part, movers) for part in iter_ordered_partitions(graph, k))
         for counts, pattern in zip(r, patterns):
             counts.append(seen[frozenset(pattern)])
     return tuple(tuple(c) for c in r)
@@ -509,7 +513,7 @@ class TestMatching:
         ):
             lam = shift_to_type(self.datum, weight_from_coeffs(self.datum, coeffs), 0)
             marks = self.datum.atypicality(lam)
-            if marks.is_singly_atypical and marks.vanishing[0] == 0 and lam not in found:
+            if marks.vanishing == (0,) and lam not in found:
                 found.append(lam)
             if len(found) == 3:
                 break
@@ -559,9 +563,7 @@ class TestMatching:
                 key=lambda c: (sum(c), c),
             )
             for w in [shift_to_type(datum, weight_from_coeffs(datum, c), 1)]
-            if datum.atypicality(w).is_singly_atypical
-            and datum.atypicality(w).vanishing[0] == 1
-            and w != nu
+            if datum.atypicality(w).vanishing == (1,) and w != nu
         )
         report = atypical_match(datum, [nu], [mu], gamma)
         assert report.module_level_conclusion is Conclusion.PRODUCTS_UNEQUAL
@@ -584,7 +586,7 @@ class TestMatching:
             self.datum, weight_from_coeffs(self.datum, (1, 2, 1)), 4
         )
         marks = self.datum.atypicality(other)
-        assert marks.is_singly_atypical and marks.vanishing[0] == 4
+        assert marks.vanishing == (4,)
         with pytest.raises(MixedAtypicalityTypes):
             atypical_match(self.datum, [self.w1], [other], self.gamma)
 
@@ -602,3 +604,40 @@ class TestMatching:
         typical = weight_from_coeffs(self.datum, (1, 1, 1), tau_mult=1)
         with pytest.raises(NotSinglyAtypical):
             atypical_match(self.datum, [typical], [typical], self.gamma)
+
+
+ATYPICAL_BUILDERS = [
+    lambda: build_sl(2, 1),
+    lambda: build_sl(3, 2),
+    lambda: build_sl(4, 3),
+    lambda: build_sl(5, 1),
+    lambda: build_osp2(3),
+    build_g3,
+    build_f4,
+]
+
+
+@pytest.mark.parametrize(
+    "builder",
+    ATYPICAL_BUILDERS,
+    ids=["sl(2,1)", "sl(3,2)", "sl(4,3)", "sl(5,1)", "osp(2,6)", "G(3)", "F(4)"],
+)
+def test_transport_is_the_vector_reflection(builder):
+    datum = builder()
+    pi0 = [g for g in datum.generators if g.pi_index is not None]
+
+    def reflect(g, v):
+        return vsub(v, vscale(ref.pairing(datum, v, g.vector), g.vector))
+
+    for idx, delta in enumerate(datum.positive_odd):
+        for g in pi0:
+            image = reflect(g, delta.vector)
+            assert datum.positive_odd[_transport(datum, idx, (g.gid,))].vector == image
+        # movers sharing a partition block are orthogonal: their reflections
+        # commute and add their single changes to the root
+        for g, h in itertools.combinations(pi0, 2):
+            if datum.inner(g.vector, h.vector) != 0:
+                continue
+            summed = vsub(vadd(reflect(g, delta.vector), reflect(h, delta.vector)), delta.vector)
+            for order in ((g.gid, h.gid), (h.gid, g.gid)):
+                assert datum.positive_odd[_transport(datum, idx, order)].vector == summed

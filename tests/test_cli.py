@@ -497,3 +497,15 @@ class TestInternalErrorMapping:
         captured = capsys.readouterr()
         assert code == EXIT_INTERNAL
         assert "internal error" in captured.err
+
+    def test_failed_invariant_maps_to_internal_exit(self, capsys, monkeypatch):
+        import superweyl.cli as cli
+        from superweyl.series import Poly
+
+        # a numerator that does not start at 1 breaks a library invariant
+        monkeypatch.setattr(Poly, "constant_term", lambda self: 0)
+        argv = ["numerator", "--family", "sl", "--m", "3", "--n", "2", "--weight", "omega[1] + tau"]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL
+        assert captured.err == "internal error: numerator does not start at 1\n"

@@ -1,8 +1,9 @@
 """The library raises only its own error classes.
 
 Every failure a caller can handle derives from ``SuperweylError``; a
-builtin exception escaping the library is a bug.  ``AssertionError`` is
-left to the invariant checks.
+builtin exception escaping the library is a bug.  Internal checks raise
+``InternalInvariant``, never ``assert``, so that they also run under
+``python -O``.
 """
 
 import ast
@@ -18,10 +19,21 @@ def builtin_raises(path):
             continue
         exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
         name = exc.id if isinstance(exc, ast.Name) else None
-        if name != "AssertionError" and isinstance(getattr(builtins, name or "", None), type):
+        if isinstance(getattr(builtins, name or "", None), type):
             yield f"{path.name}:{node.lineno} raises {name}"
+
+
+def asserts(path):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Assert):
+            yield f"{path.name}:{node.lineno} asserts"
 
 
 def test_library_raises_no_builtin_exceptions():
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in builtin_raises(path)]
+    assert found == []
+
+
+def test_library_has_no_assert_statements():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in asserts(path)]
     assert found == []

@@ -1,12 +1,13 @@
 """Root datum construction, invariants, and the datum file format."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from superweyl.errors import (
+    DimensionMismatch,
     IndexOutOfRange,
-    IsotropicRoot,
     MalformedDatumFile,
     UnsupportedFamily,
 )
@@ -25,6 +26,7 @@ from superweyl.rootdata import (
     vscale,
     zero_weight,
 )
+from weyl_reference import pairing
 
 F = Fraction
 
@@ -158,7 +160,7 @@ def test_fundamental_weights_sl32():
     for i, w in enumerate((w1, w2, w3), start=1):
         for j in range(1, 4):
             expected = 1 if i == j else 0
-            assert d.pairing(w, d.simple_roots[d.even_positions[j - 1]].vector) == expected
+            assert pairing(d, w, d.simple_roots[d.even_positions[j - 1]].vector) == expected
     with pytest.raises(IndexOutOfRange):
         d.fundamental_weight(4)
     with pytest.raises(IndexOutOfRange):
@@ -171,7 +173,7 @@ def test_fundamental_weights_all_builtins():
             w = d.fundamental_weight(i)
             for j in range(1, d.even_simple_count + 1):
                 alpha = d.simple_roots[d.even_positions[j - 1]].vector
-                assert d.pairing(w, alpha) == (1 if i == j else 0)
+                assert pairing(d, w, alpha) == (1 if i == j else 0)
 
 
 def test_dominance_tri_state():
@@ -190,8 +192,7 @@ def test_atypicality_sl21():
     d = build_sl(2, 1)
     at = d.atypicality(zero_weight(3))
     assert not at.is_typical
-    assert at.is_singly_atypical
-    assert at.gamma_index == 1
+    assert at.vanishing == (1,)
     assert d.positive_odd[1].vector == as_weight((0, 1, -1))
     # tau itself is atypical here; twice tau is typical
     assert not d.is_typical(d.tau)
@@ -202,14 +203,44 @@ def test_typicality_osp24():
     d = build_osp2(2)
     lam = zero_weight(3)
     at = d.atypicality(lam)
-    assert at.count == 1
-    assert d.positive_odd[at.gamma_index].vector == as_weight((1, -1, 0))
+    assert len(at.vanishing) == 1
+    assert d.positive_odd[at.vanishing[0]].vector == as_weight((1, -1, 0))
 
 
-def test_pairing_rejects_isotropic():
-    d = build_sl(2, 1)
-    with pytest.raises(IsotropicRoot):
-        d.pairing(d.rho, d.positive_odd[0].vector)
+@pytest.mark.parametrize(
+    "builder",
+    [
+        lambda: build_sl(2, 1),
+        lambda: build_sl(3, 2),
+        lambda: build_sl(4, 3),
+        lambda: build_b0(3),
+        lambda: build_osp2(3),
+        build_g3,
+        build_f4,
+        lambda: datum_from_text(A3_TEXT),
+    ],
+    ids=["sl(2,1)", "sl(3,2)", "sl(4,3)", "B(0,3)", "osp(2,6)", "G(3)", "F(4)", "A3 file"],
+)
+def test_label_map_matches_the_gram_pairing(builder):
+    d = builder()
+    rng = random.Random(13)
+    vectors = [d.rho, d.tau] + [r.vector for r in d.positive_odd]
+    vectors += [
+        tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d.dim)) for _ in range(20)
+    ]
+    for v in vectors:
+        labels = d.labels(v)
+        assert len(labels) == len(d.generators)
+        for g, a in zip(d.generators, labels):
+            assert a == pairing(d, v, g.vector)
+    for k, g in enumerate(d.generators):
+        assert d.labels(g.vector) == d.generator_cartan[k]
+
+
+def test_labels_reject_wrong_length():
+    d = build_sl(3, 2)
+    with pytest.raises(DimensionMismatch):
+        d.labels(zero_weight(d.dim + 1))
 
 
 def test_labels():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -14,7 +15,6 @@ from superweyl.unifac import (
     FactorMatch,
     iter_counterexamples,
     match_factors,
-    search_counterexamples,
     verify_tensor_isomorphism,
 )
 
@@ -142,7 +142,7 @@ def test_permutation_and_perturbation_trials():
 class TestSearch:
     def test_first_hit_at_smallest_bound(self):
         d = build_sl(3, 2)
-        hits = search_counterexamples(d, 1, 1, limit=1)
+        hits = list(islice(iter_counterexamples(d, 1, 1), 1))
         assert len(hits) == 1
         hit = hits[0]
         assert hit.report.module_level_conclusion is Conclusion.CROSS_MATCHED
@@ -155,8 +155,8 @@ class TestSearch:
 
     def test_limit_and_determinism(self):
         d = build_sl(3, 2)
-        two = search_counterexamples(d, 1, 1, limit=2)
-        all_hits = search_counterexamples(d, 1, 1)
+        two = list(islice(iter_counterexamples(d, 1, 1), 2))
+        all_hits = list(iter_counterexamples(d, 1, 1))
         assert len(two) == 2
         assert all_hits[:2] == two
         assert 1 <= len(all_hits) <= 6
@@ -180,9 +180,9 @@ class TestSearch:
 
     def test_single_component_family_has_no_search_space(self):
         with pytest.raises(NoSecondComponent):
-            search_counterexamples(build_sl(3, 1), 3, 1)
+            next(iter_counterexamples(build_sl(3, 1), 3, 1))
         with pytest.raises(NoSecondComponent):
-            search_counterexamples(build_g3(), 3, 1)
+            next(iter_counterexamples(build_g3(), 3, 1))
 
 
 @pytest.mark.parametrize(

@@ -149,7 +149,7 @@ def test_rho_drop_is_nonnegative_integral():
             tuple(d.expand_simple(vsub(d.rho, ref.act(m, d.rho))))
             for _, m in ref.reference_group(d, pi0)
         )
-        drops = orbit_drops(pi0_group(d), d.rho)
+        drops = orbit_drops(pi0_group(d), d.labels(d.rho))
         assert sorted(drops) == expected, d.label
         assert all(c >= 0 for drop in drops for c in drop), d.label
 

@@ -19,13 +19,18 @@ from superweyl.series import Poly, weight_monomial
 MAX_ORDER = 720
 
 
+def pairing(datum, v, alpha):
+    """2 (v, alpha) / (alpha, alpha) straight from the Gram form, alpha non-isotropic."""
+    return 2 * datum.inner(v, alpha) / datum.inner(alpha, alpha)
+
+
 def reflection_matrix(datum, alpha):
     """Matrix (by rows) of the reflection in a non-isotropic root."""
     dim = datum.dim
     images = []
     for j in range(dim):
         e = tuple(Fraction(int(k == j)) for k in range(dim))
-        c = datum.pairing(e, alpha)
+        c = pairing(datum, e, alpha)
         images.append(tuple(e[i] - c * alpha[i] for i in range(dim)))
     return tuple(tuple(images[j][i] for j in range(dim)) for i in range(dim))
 
@@ -90,7 +95,7 @@ def orbit_sum(datum, elements, eta):
 def dominant_representative(datum, eta):
     for _, m in reference_group(datum):
         image = act(m, eta)
-        if all(datum.pairing(image, g.vector) > 0 for g in datum.generators):
+        if all(pairing(datum, image, g.vector) > 0 for g in datum.generators):
             return image
     raise NotDominant("shifted weight lies on a wall of the even Weyl chambers")
 
