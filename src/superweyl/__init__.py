@@ -49,7 +49,6 @@ from .unifac import (
     FactorMatch,
     MatchReport,
     iter_counterexamples,
-    match_factors,
     verify_tensor_isomorphism,
 )
 from .weyl import WeylElement, WeylGroup, component_group, full_group, pi0_group
@@ -95,7 +94,6 @@ __all__ = [
     "iter_counterexamples",
     "iter_ordered_partitions",
     "k_partition_counts",
-    "match_factors",
     "neg_log",
     "normalized_character",
     "numerator",

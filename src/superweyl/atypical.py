@@ -29,7 +29,6 @@ of tensor products of singly atypical modules of one common type.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
@@ -358,10 +357,11 @@ def _m_form(ctx: AtypicalContext) -> CoefficientValue:
         raise UnsupportedCase(
             f"two-term closed form needs 2 or 3 simple even roots, found {len(simples)}"
         )
+    adj = datum.adjacency()
     pairs = [
         (i, j)
         for i, j in itertools.combinations(range(3), 2)
-        if datum.inner(simples[i].vector, simples[j].vector) == 0
+        if simples[j].pi_index not in adj[simples[i].pi_index]
     ]
     if len(pairs) != 1:
         raise UnsupportedCase(
@@ -402,15 +402,13 @@ def _grouping_counts(graph: SimpleGraph, members: frozenset) -> Counter:
 
     A partition's grouping is the frozenset of its nonempty block cuts by
     ``members``; the partition sums below see a partition only through k
-    and its grouping.  This is the one walk over ordered partitions.
+    and its grouping.  This is the one walk over ordered partitions: its
+    orderings are merged by block set, then each block set is cut once.
     """
-    cut = functools.partial(map, members.intersection)
     tally: Counter = Counter()
     for k in range(1, len(graph) + 1):
-        # cheap per-partition keys that keep the empty cut, merged per key
-        keys = map(frozenset, map(cut, iter_ordered_partitions(graph, k)))
-        for cuts, count in Counter(keys).items():
-            tally[k, cuts - {frozenset()}] += count
+        for blocks, count in Counter(map(frozenset, iter_ordered_partitions(graph, k))).items():
+            tally[k, frozenset(map(members.intersection, blocks)) - {frozenset()}] += count
     return tally
 
 

@@ -70,6 +70,10 @@ EXIT_INTERNAL = 70
 # -- weight grammar ----------------------------------------------------------
 
 
+# ASCII only: str.isdigit() also accepts characters such as "²" that int() rejects.
+_DIGITS = frozenset("0123456789")
+
+
 class _Scanner:
     def __init__(self, src: str):
         self.src = src
@@ -102,12 +106,12 @@ class _Scanner:
         start = self.pos
         if self.peek() == "-":
             self.pos += 1
-        while self.pos < len(self.src) and self.src[self.pos].isdigit():
+        while self.pos < len(self.src) and self.src[self.pos] in _DIGITS:
             self.pos += 1
-        text = self.src[start : self.pos]
-        if not text.lstrip("-"):
-            raise WeightParseError("expected an integer", start)
-        return int(text)
+        try:
+            return int(self.src[start : self.pos])
+        except ValueError:  # no digits, or more than int() will convert
+            raise WeightParseError("expected an integer", start) from None
 
     def rational(self) -> Fraction:
         num = self.integer()
@@ -170,7 +174,7 @@ def _term(scanner: _Scanner, datum: RootDatum) -> Weight:
         scanner.take()
         coeff = scanner.rational()
         scanner.expect(")")
-    elif ch.isdigit() or ch == "-":
+    elif ch in _DIGITS or ch == "-":
         coeff = scanner.rational()
     else:
         return _atom(scanner, datum)

@@ -64,7 +64,7 @@ class NotInvertible(SuperweylError):
 
 
 class NegativeExponentAfterCollapse(SuperweylError):
-    """Collapsing odd-root symbols produced a negative exponent."""
+    """``series.weight_monomial`` was given a negative exponent."""
 
 
 class NonIntegralExponent(SuperweylError):
@@ -96,7 +96,7 @@ class IndexNotInterior(SuperweylError):
 
 
 class TruncationTooSmall(SuperweylError):
-    """Requested series comparison exceeds the available truncation order."""
+    """A ``ZSeries`` or ``AtypicalContext`` was given a negative truncation order."""
 
 
 class UnsupportedCase(SuperweylError):

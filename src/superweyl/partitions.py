@@ -11,11 +11,19 @@ is 1 when G is connected and 0 otherwise.  This module computes the
 counts c_k exactly, enumerates the partitions themselves, and builds the
 fused "pair graph" used by the closed-form coefficient formulas for
 two-block atypicality patterns.
+
+Counting and enumeration rest on one step over vertex bit masks: strip
+the independent block that holds the lowest remaining vertex.  The counts
+run it as a subset dynamic program; the enumeration recurses with it to
+list each unordered partition once, then emits its k! orderings.  The
+diagram's edges, here and in the fused graph, come from
+:meth:`RootDatum.adjacency`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Iterator
@@ -27,7 +35,7 @@ from .errors import (
     WrongFamily,
     invariant,
 )
-from .rootdata import RootDatum, Weight
+from .rootdata import RootDatum
 
 # Partition counting is exponential in the vertex count; diagrams in
 # practice have at most a handful of vertices.
@@ -61,9 +69,6 @@ class SimpleGraph:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def __contains__(self, v: Vertex) -> bool:
-        return v in self._index
-
     def index(self, v: Vertex) -> int:
         if v not in self._index:
             raise InvalidGraph(f"unknown vertex {v!r}")
@@ -77,20 +82,8 @@ class SimpleGraph:
 
     def edges(self) -> tuple[tuple[Vertex, Vertex], ...]:
         """Edges as pairs ordered by vertex position, deterministic."""
-        out = []
-        for i, a in enumerate(self.vertices):
-            for b in self.vertices[i + 1 :]:
-                if self.adjacent(a, b):
-                    out.append((a, b))
-        return tuple(out)
-
-    def is_independent(self, subset: Iterable[Vertex]) -> bool:
-        """True when no two members of ``subset`` are adjacent."""
-        members = list(subset)
-        for a, b in itertools.combinations(members, 2):
-            if self.adjacent(a, b):
-                return False
-        return True
+        vs = self.vertices
+        return tuple((a, b) for i, a in enumerate(vs) for b in vs[i + 1 :] if b in self._adj[a])
 
     def induced(self, subset: Iterable[Vertex]) -> "SimpleGraph":
         """Subgraph on ``subset``, keeping the ambient vertex order."""
@@ -139,6 +132,25 @@ class PartitionReport:
     k_value: Fraction
 
 
+def _neighbour_masks(graph: SimpleGraph) -> list[int]:
+    """Bit mask of each vertex's neighbours, by vertex position."""
+    return [sum(1 << graph._index[w] for w in graph._adj[v]) for v in graph.vertices]
+
+
+def _independent_blocks(nbr: list[int], mask: int, v: int) -> Iterator[int]:
+    """Independent subsets of ``mask`` that contain its lowest vertex ``v``."""
+    rest = mask & ~((1 << (v + 1)) - 1) & ~nbr[v]
+    stack = [(1 << v, rest)]
+    while stack:
+        block, avail = stack.pop()
+        yield block
+        while avail:
+            low = avail & -avail
+            avail &= avail - 1
+            w = low.bit_length() - 1
+            stack.append((block | low, avail & ~nbr[w]))
+
+
 def k_partition_counts(graph: SimpleGraph) -> PartitionReport:
     """Count ordered partitions into k independent blocks for each k.
 
@@ -152,31 +164,13 @@ def k_partition_counts(graph: SimpleGraph) -> PartitionReport:
     if n == 0:
         return PartitionReport(counts=(), k_value=Fraction(0))
 
-    nbr_mask = [0] * n
-    for a, b in graph.edges():
-        i, j = graph.index(a), graph.index(b)
-        nbr_mask[i] |= 1 << j
-        nbr_mask[j] |= 1 << i
-
-    def independent_blocks(mask: int, v: int) -> Iterator[int]:
-        # Independent subsets of ``mask`` containing vertex ``v``.
-        rest = mask & ~((1 << (v + 1)) - 1) & ~nbr_mask[v]
-        stack = [(1 << v, rest)]
-        while stack:
-            block, avail = stack.pop()
-            yield block
-            while avail:
-                low = avail & -avail
-                avail &= avail - 1
-                w = low.bit_length() - 1
-                stack.append((block | low, avail & ~nbr_mask[w]))
-
+    nbr = _neighbour_masks(graph)
     full = (1 << n) - 1
     table: dict[int, list[int]] = {0: [1] + [0] * n}
     for mask in range(1, full + 1):
         v = (mask & -mask).bit_length() - 1
         row = [0] * (n + 1)
-        for block in independent_blocks(mask, v):
+        for block in _independent_blocks(nbr, mask, v):
             sub = table[mask ^ block]
             for k in range(n):
                 if sub[k]:
@@ -184,53 +178,45 @@ def k_partition_counts(graph: SimpleGraph) -> PartitionReport:
         table[mask] = row
 
     unordered = table[full]
-    factorial = [1] * (n + 1)
-    for k in range(1, n + 1):
-        factorial[k] = factorial[k - 1] * k
-    counts = tuple(unordered[k] * factorial[k] for k in range(1, n + 1))
+    counts = tuple(unordered[k] * math.factorial(k) for k in range(1, n + 1))
 
-    total = sum(
-        Fraction((-1) ** k * counts[k - 1], k) for k in range(1, n + 1)
-    )
+    total = sum(Fraction((-1) ** k * counts[k - 1], k) for k in range(1, n + 1))
     k_value = Fraction((-1) ** n) * total
     return PartitionReport(counts=counts, k_value=k_value)
 
 
 def iter_ordered_partitions(graph: SimpleGraph, k: int) -> Iterator[tuple[tuple[Vertex, ...], ...]]:
-    """Yield every ordered k-partition into independent blocks.
+    """Iterate over every ordered k-partition into independent blocks.
 
-    Blocks are tuples in ambient vertex order.  Unordered partitions are
-    generated with blocks sorted by their lowest vertex, then every
-    arrangement of the blocks is emitted, so the stream is deterministic.
+    Blocks are tuples in ambient vertex order.  The unordered partitions
+    come from the same block recursion as :func:`k_partition_counts`, with
+    blocks sorted by their lowest vertex; every arrangement of each one is
+    emitted in turn, so the stream is deterministic.  This returns an
+    iterator rather than being a generator, so the vertex cap is checked
+    (and :class:`GraphTooLarge` raised) on the call itself.
     """
     _check_size(graph)
     n = len(graph)
-    if k <= 0 or k > n:
-        return
+    if not 0 < k <= n:
+        return iter(())
+    verts, nbr = graph.vertices, _neighbour_masks(graph)
 
-    nbr = {v: graph.neighbors(v) for v in graph.vertices}
+    def block(mask: int) -> tuple[Vertex, ...]:
+        return tuple(verts[i] for i in range(n) if mask >> i & 1)
 
-    def split(remaining: list[Vertex], blocks: list[tuple[Vertex, ...]]):
-        if not remaining:
-            if len(blocks) == k:
-                yield from itertools.permutations(blocks)
+    def split(mask: int, left: int) -> Iterator[tuple[tuple[Vertex, ...], ...]]:
+        # unordered partitions of ``mask`` into ``left`` blocks, lowest vertex first
+        if not left or mask.bit_count() < left:
+            if not (left or mask):
+                yield ()
             return
-        if len(blocks) == k:
-            return
-        head, rest = remaining[0], remaining[1:]
-        others = [u for u in rest if u not in nbr[head]]
-        # All independent subsets of ``others`` join ``head`` in its block.
-        for r in range(len(others) + 1):
-            for extra in itertools.combinations(others, r):
-                if not graph.is_independent(extra):
-                    continue
-                block = (head, *extra)
-                used = set(extra)
-                blocks.append(block)
-                yield from split([u for u in rest if u not in used], blocks)
-                blocks.pop()
+        v = (mask & -mask).bit_length() - 1
+        for head in _independent_blocks(nbr, mask, v):
+            for rest in split(mask ^ head, left - 1):
+                yield (block(head), *rest)
 
-    yield from split(list(graph.vertices), [])
+    unordered = split((1 << n) - 1, k)
+    return itertools.chain.from_iterable(map(itertools.permutations, unordered))
 
 
 def tree_graph_gpq(datum: RootDatum, p: int, q: int) -> SimpleGraph:
@@ -261,33 +247,27 @@ def tree_graph_gpq(datum: RootDatum, p: int, q: int) -> SimpleGraph:
             f" ({m}, {n})"
         )
 
-    def avec(i: int) -> Weight:
-        return datum.simple_roots[alphas[i - 1]].vector
-
-    def bvec(j: int) -> Weight:
-        return datum.simple_roots[betas[j - 1]].vector
-
+    adj = datum.adjacency()
     fused = {
-        "nu1": (avec(p - 1), bvec(q - 1)),
-        "nu2": (avec(p), bvec(q)),
+        "nu1": (alphas[p - 2], betas[q - 2]),
+        "nu2": (alphas[p - 1], betas[q - 1]),
     }
-    survivors: list[tuple[str, Weight]] = []
-    for i in range(1, m + 1):
-        if i not in (p - 1, p):
-            survivors.append((f"a{i}", avec(i)))
-    for j in range(1, n + 1):
-        if j not in (q - 1, q):
-            survivors.append((f"b{j}", bvec(j)))
+    survivors = [
+        (f"a{i}", pos) for i, pos in enumerate(alphas, 1) if i not in (p - 1, p)
+    ] + [(f"b{j}", pos) for j, pos in enumerate(betas, 1) if j not in (q - 1, q)]
 
     verts = [name for name, _ in survivors] + ["nu1", "nu2"]
-    edges: list[tuple[str, str]] = []
-    for (na, va), (nb, vb) in itertools.combinations(survivors, 2):
-        if datum.inner(va, vb) != 0:
-            edges.append((na, nb))
-    for name, vec in survivors:
-        for nu, members in fused.items():
-            if any(datum.inner(vec, w) != 0 for w in members):
-                edges.append((name, nu))
+    edges = [
+        (na, nb)
+        for (na, pa), (nb, pb) in itertools.combinations(survivors, 2)
+        if pb in adj[pa]
+    ]
+    edges += [
+        (name, nu)
+        for name, pos in survivors
+        for nu, members in fused.items()
+        if adj[pos].intersection(members)
+    ]
     edges.append(("nu1", "nu2"))
 
     graph = SimpleGraph(verts, edges)

@@ -320,10 +320,10 @@ class RootDatum:
 
     def _split_components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components of the even simple diagram, by smallest index."""
-        verts = list(self.even_positions)
+        adj = self.adjacency()
         seen: set[int] = set()
         comps: list[tuple[int, ...]] = []
-        for v in verts:
+        for v in self.even_positions:
             if v in seen:
                 continue
             stack, comp = [v], []
@@ -331,14 +331,10 @@ class RootDatum:
             while stack:
                 u = stack.pop()
                 comp.append(u)
-                for w in verts:
-                    if w not in seen and self.inner(
-                        self.simple_roots[u].vector, self.simple_roots[w].vector
-                    ) != 0:
-                        seen.add(w)
-                        stack.append(w)
+                fresh = adj[u] - seen
+                seen |= fresh
+                stack.extend(fresh)
             comps.append(tuple(sorted(comp)))
-        comps.sort(key=lambda c: c[0])
         return tuple(comps)
 
     def _coroot_row(self, alpha: Weight) -> tuple[tuple[int, Fraction], ...]:
@@ -470,7 +466,7 @@ class RootDatum:
         return len(self.even_positions)
 
     def adjacency(self) -> dict[int, set[int]]:
-        """Non-orthogonality graph on the even simple positions."""
+        """Non-orthogonality graph on the even simple positions, the only source of edges."""
         adj: dict[int, set[int]] = {i: set() for i in self.even_positions}
         for i, j in itertools.combinations(self.even_positions, 2):
             if self.inner(self.simple_roots[i].vector, self.simple_roots[j].vector) != 0:

@@ -63,7 +63,7 @@ def _cached_analysis(
     return cache[lam]
 
 
-def match_factors(
+def _match_factors(
     datum: RootDatum,
     lhs: Sequence[Weight],
     rhs: Sequence[Weight],
@@ -75,10 +75,9 @@ def match_factors(
     power, so the smallest factor on one side must reappear on the other).
     The sigma hypothesis holds when one permutation aligns the weights
     across all components at once, which happens exactly when the full
-    signature tuples agree as multisets.
+    signature tuples agree as multisets.  The weights arrive coerced by
+    :func:`verify_tensor_isomorphism`.
     """
-    lhs = [as_weight(w) for w in lhs]
-    rhs = [as_weight(w) for w in rhs]
     lhs_data = [_cached_analysis(datum, w) for w in lhs]
     rhs_data = [_cached_analysis(datum, w) for w in rhs]
     lhs_factors = [factors for factors, _ in lhs_data]
@@ -144,7 +143,7 @@ def verify_tensor_isomorphism(
     """
     lhs = [as_weight(w) for w in lhs]
     rhs = [as_weight(w) for w in rhs]
-    report = match_factors(datum, lhs, rhs)
+    report = _match_factors(datum, lhs, rhs)
     if report.module_level_conclusion is Conclusion.PRODUCTS_UNEQUAL:
         return report
 

@@ -44,6 +44,7 @@ from superweyl.series import EMPTY_MONO, Poly, ZSeries
 from superweyl.unifac import Conclusion
 from superweyl.weyl import pi0_group
 
+import partition_reference
 import weyl_reference as ref
 from test_numerator import weight_from_coeffs
 
@@ -483,18 +484,19 @@ def graphs_with_members(draw):
     pairs = list(itertools.combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     members = draw(st.frozensets(st.integers(0, n - 1))) if n else frozenset()
-    return SimpleGraph(range(n), edges), members
+    return n, edges, members
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=graphs_with_members())
 def test_grouping_counts_match_brute_force(case):
-    graph, members = case
+    n, edges, members = case
+    graph = SimpleGraph(range(n), edges)
     tally = _grouping_counts(graph, members)
     brute = Counter(
         (k, grouping(part, members))
-        for k in range(1, len(graph) + 1)
-        for part in iter_ordered_partitions(graph, k)
+        for k in range(1, n + 1)
+        for part in partition_reference.ordered_partitions(range(n), edges, k)
     )
     assert tally == dict(brute)
     per_k = [0] * len(graph)

@@ -134,6 +134,16 @@ class TestWeightGrammar:
         with pytest.raises(WeightParseError):
             parse_weight("1/0*tau", self.d)
 
+    @pytest.mark.parametrize(
+        "src",
+        ["²*tau", "omega[١]", "1" * 5000 + "*tau"],
+        ids=["superscript", "arabic-indic", "5000-digits"],
+    )
+    def test_only_ascii_integers_of_convertible_length(self, src):
+        # str.isdigit() accepts "²" and "١", and int() refuses over 4300 digits
+        with pytest.raises(WeightParseError):
+            parse_weight(src, self.d)
+
 
 class TestDatumCommand:
     def test_summary_lines(self, capsys):

@@ -1,6 +1,7 @@
 """Tests for independent-set partition counting and diagram partitions."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,8 @@ from superweyl.partitions import (
     tree_graph_gpq,
 )
 
+import partition_reference as ref
+
 
 def path_graph(n):
     return SimpleGraph(range(n), [(i, i + 1) for i in range(n - 1)])
@@ -35,6 +38,10 @@ def path_graph(n):
 
 def empty_graph(n):
     return SimpleGraph(range(n))
+
+
+def independent(graph, block):
+    return not any(graph.adjacent(a, b) for a, b in itertools.combinations(block, 2))
 
 
 class TestSimpleGraph:
@@ -72,12 +79,6 @@ class TestSimpleGraph:
         assert not empty_graph(2).is_connected()
         assert empty_graph(1).is_connected()
         assert SimpleGraph([]).is_connected()
-
-    def test_independence(self):
-        g = path_graph(3)
-        assert g.is_independent([0, 2])
-        assert not g.is_independent([0, 1])
-        assert g.is_independent([])
 
 
 class TestDiagramGraphs:
@@ -183,7 +184,7 @@ def test_enumeration_matches_counts(builder):
             union = [v for part in parts for v in part]
             assert sorted(union) == sorted(graph.vertices)
             for part in parts:
-                assert part and graph.is_independent(part)
+                assert part and independent(graph, part)
 
 
 class TestIterOrderedPartitions:
@@ -198,7 +199,44 @@ class TestIterOrderedPartitions:
     def test_adjacent_vertices_never_share_a_block(self):
         for parts in iter_ordered_partitions(path_graph(4), 3):
             for part in parts:
-                assert path_graph(4).is_independent(part)
+                assert independent(path_graph(4), part)
+
+    def test_vertex_cap_is_checked_on_the_call(self):
+        graph = empty_graph(DEFAULT_MAX_VERTICES + 1)
+        with pytest.raises(GraphTooLarge):
+            list(iter_ordered_partitions(graph, 1))
+        with pytest.raises(GraphTooLarge):
+            iter_ordered_partitions(graph, 1)
+
+
+def random_edges(seed):
+    """A seeded graph on range(seed % 7) with a random edge density."""
+    rng = random.Random(seed)
+    density = rng.random()
+    pairs = itertools.combinations(range(seed % 7), 2)
+    return tuple(range(seed % 7)), [p for p in pairs if rng.random() < density]
+
+
+REFERENCE_CASES = [
+    (graph.vertices, list(graph.edges()))
+    for graph in (graph_of_datum(builder()) for builder in FAMILY_BUILDERS)
+] + [random_edges(seed) for seed in range(40)]
+
+
+@pytest.mark.parametrize("vertices,edges", REFERENCE_CASES)
+def test_enumeration_matches_the_brute_force_reference(vertices, edges):
+    assert len(vertices) <= 6
+    graph = SimpleGraph(vertices, edges)
+    for k in range(len(vertices) + 2):
+        expected = ref.ordered_partitions(vertices, edges, k) if k else set()
+        assert set(iter_ordered_partitions(graph, k)) == expected
+
+
+def test_brute_force_reference_on_small_cases():
+    assert ref.ordered_partitions(range(3), [(0, 1), (1, 2)], 2) == {((0, 2), (1,)), ((1,), (0, 2))}
+    assert ref.ordered_partitions(range(3), [(0, 1), (1, 2)], 1) == set()
+    # ordered set partitions of 4 points into k blocks: 1, 14, 36, 24
+    assert [len(ref.ordered_partitions(range(4), [], k)) for k in range(1, 5)] == [1, 14, 36, 24]
 
 
 class TestTreeGraph:

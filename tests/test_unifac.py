@@ -13,8 +13,8 @@ from superweyl.rootdata import as_weight, vadd, vscale
 from superweyl.unifac import (
     Conclusion,
     FactorMatch,
+    _match_factors,
     iter_counterexamples,
-    match_factors,
     verify_tensor_isomorphism,
 )
 
@@ -58,7 +58,7 @@ class TestCrossMatchedPair:
         )
 
     def test_match_factors_alone_flags_cross(self):
-        report = match_factors(self.d, self.lhs, self.rhs)
+        report = _match_factors(self.d, self.lhs, self.rhs)
         assert report.module_level_conclusion is Conclusion.CROSS_MATCHED
 
 
@@ -221,7 +221,7 @@ class TestErrors:
         d = build_sl(3, 2)
         bad = vscale(-2, d.fundamental_weight(1))
         with pytest.raises(NotDominant):
-            match_factors(d, [bad], [bad])
+            _match_factors(d, [bad], [bad])
 
     def test_length_mismatch(self):
         d = build_sl(3, 2)
@@ -234,7 +234,7 @@ class TestErrors:
         d = build_sl(3, 2)
         lhs = [weight_from_coeffs(d, (1, 2, 3), tau_mult=1)]
         rhs = [weight_from_coeffs(d, (2, 2, 3), tau_mult=1)]
-        report = match_factors(d, lhs, rhs)
+        report = _match_factors(d, lhs, rhs)
         assert report.module_level_conclusion is Conclusion.PRODUCTS_UNEQUAL
         # The second component still matches; the first does not.
         assert [m.component for m in report.pairing] == [2]
