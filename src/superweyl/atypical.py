@@ -284,12 +284,22 @@ def coefficient_oracle(ctx: AtypicalContext) -> CoefficientValue:
     """Coefficient of X^lambda in -log U(lambda), by direct expansion.
 
     Multiplies U by the inverse of its constant coefficient so the series
-    logarithm applies, then reads off the target monomial.  No closed form
-    is consulted; this is the reference the closed forms are tested against.
+    logarithm applies, then reads off the target monomial.  No closed form,
+    partition count or tally is consulted; this is the reference the closed
+    forms are tested against.
+
+    Only divisors of X^lambda are expanded.  Every X exponent of U is a
+    non-negative drop of lambda + rho (``weight_monomial`` refuses a
+    negative one), so with Q = 1 - U each term of Q^(k+1) = Q^k Q is a term
+    of Q^k times a monomial with non-negative exponents.  A term of Q^k
+    that does not divide X^lambda exceeds its exponent on some variable,
+    and so does every product it enters: it never contributes to X^lambda.
+    So U is cut to its divisors before it is normalized, and -log keeps
+    only divisors in every power (``neg_log`` with a cap).
     """
-    u = atypical_numerator(ctx)
     target = x_lambda(ctx.datum, ctx.lam)
-    series = neg_log(u.scale(_normalizer(ctx)), mono_degree(target) + 1)
+    u = atypical_numerator(ctx).dividing(target)
+    series = neg_log(u.scale(_normalizer(ctx)), mono_degree(target) + 1, target)
     return CoefficientValue(
         value=series.coefficient(target),
         tag=None,

@@ -96,7 +96,7 @@ class IndexNotInterior(SuperweylError):
 
 
 class TruncationTooSmall(SuperweylError):
-    """A ``ZSeries`` or ``AtypicalContext`` was given a negative truncation order."""
+    """A ``ZSeries``, ``AtypicalContext`` or ``neg_log`` was given a negative truncation order."""
 
 
 class UnsupportedCase(SuperweylError):

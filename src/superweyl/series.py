@@ -27,6 +27,7 @@ from .errors import (
     NotInvertible,
     RingMismatch,
     TruncationTooSmall,
+    invariant,
 )
 
 Mono = tuple[tuple[int, int], ...]
@@ -50,7 +51,7 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
         return b
     if not b:
         return a
-    return mono_from_pairs(list(a) + list(b))
+    return mono_from_pairs(a + b)
 
 
 def mono_degree(m: Mono) -> int:
@@ -95,6 +96,18 @@ class ZSeries:
                     clean[m] = Fraction(c)
         self.terms = clean
 
+    @classmethod
+    def _exact(cls, trunc: int, terms: dict[Mono, Fraction]) -> "ZSeries":
+        """Series from ``Fraction`` terms already within ``trunc``; drops zeros only.
+
+        The ring operations build their results here: their terms come from
+        validated series, so only cancellation can leave anything to clean.
+        """
+        out = object.__new__(cls)
+        out.trunc = trunc
+        out.terms = {m: c for m, c in terms.items() if c}
+        return out
+
     # -- constructors -----------------------------------------------------
 
     @staticmethod
@@ -126,33 +139,34 @@ class ZSeries:
         terms = dict(self.terms)
         for m, c in other.terms.items():
             terms[m] = terms.get(m, ZERO) + c
-        return ZSeries(self.trunc, terms)
+        return ZSeries._exact(self.trunc, terms)
 
     def __sub__(self, other: "ZSeries") -> "ZSeries":
         self._check(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
             terms[m] = terms.get(m, ZERO) - c
-        return ZSeries(self.trunc, terms)
+        return ZSeries._exact(self.trunc, terms)
 
     def __neg__(self) -> "ZSeries":
-        return ZSeries(self.trunc, {m: -c for m, c in self.terms.items()})
+        return ZSeries._exact(self.trunc, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "ZSeries") -> "ZSeries":
         self._check(other)
+        right = [(m2, c2, mono_degree(m2)) for m2, c2 in other.terms.items()]
         out: dict[Mono, Fraction] = {}
         for m1, c1 in self.terms.items():
-            d1 = mono_degree(m1)
-            for m2, c2 in other.terms.items():
-                if d1 + mono_degree(m2) > self.trunc:
-                    continue
-                m = mono_mul(m1, m2)
-                out[m] = out.get(m, ZERO) + c1 * c2
-        return ZSeries(self.trunc, out)
+            room = self.trunc - mono_degree(m1)
+            for m2, c2, d2 in right:
+                if d2 <= room:
+                    m = mono_mul(m1, m2)
+                    cur = out.get(m)
+                    out[m] = c1 * c2 if cur is None else cur + c1 * c2
+        return ZSeries._exact(self.trunc, out)
 
     def scale(self, c: Fraction | int) -> "ZSeries":
         c = Fraction(c)
-        return ZSeries(self.trunc, {m: c * v for m, v in self.terms.items()})
+        return ZSeries._exact(self.trunc, {m: c * v for m, v in self.terms.items()})
 
     def inverse(self) -> "ZSeries":
         """Geometric inverse; the constant term must be nonzero."""
@@ -327,9 +341,19 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         return self.mul_trunc(other, None)
 
-    def mul_trunc(self, other: "Poly", bound: int | None) -> "Poly":
-        """Product, optionally dropping X monomials of degree above bound."""
+    def mul_trunc(
+        self, other: "Poly", bound: int | None, cap: Mono | None = None
+    ) -> "Poly":
+        """Product, optionally dropping X monomials of degree above bound.
+
+        With ``cap``, the product also keeps only the monomials that divide
+        X^cap, and a pair of terms whose product would not divide is skipped
+        before its coefficients are multiplied.  Both factors must then have
+        non-negative X exponents.
+        """
         self._coerce(other)
+        if cap is not None:
+            return self._mul_capped(other, bound, cap)
         out: dict[Mono, Fraction | ZSeries] = {}
         for m1, c1 in self.terms.items():
             d1 = mono_degree(m1)
@@ -340,6 +364,34 @@ class Poly:
                 prod = c1 * c2
                 cur = out.get(m)
                 out[m] = prod if cur is None else cur + prod
+        return Poly(out, self.ztrunc)
+
+    def _mul_capped(self, other: "Poly", bound: int | None, cap: Mono) -> "Poly":
+        _require_non_negative(self, other)
+        room = dict(cap)
+        if bound is None:
+            bound = mono_degree(cap)
+        right = [(m2, c2, mono_degree(m2)) for m2, c2 in other.terms.items()]
+        out: dict[Mono, Fraction | ZSeries] = {}
+        for m1, c1 in self.terms.items():
+            # a pair is tested on the variables of m2 alone, so m1 must divide
+            if not _divides(m1, room):
+                continue
+            left = dict(room)
+            for v, e in m1:
+                left[v] = left.get(v, 0) - e
+            d1 = bound - mono_degree(m1)
+            for m2, c2, d2 in right:
+                if d2 > d1:
+                    continue
+                for v, e in m2:
+                    if e > left.get(v, 0):
+                        break
+                else:
+                    m = mono_mul(m1, m2)
+                    prod = c1 * c2
+                    cur = out.get(m)
+                    out[m] = prod if cur is None else cur + prod
         return Poly(out, self.ztrunc)
 
     def scale(self, c: Fraction | int | ZSeries) -> "Poly":
@@ -389,6 +441,14 @@ class Poly:
             self.ztrunc,
         )
 
+    def dividing(self, cap: Mono) -> "Poly":
+        """Keep the terms whose X monomial divides X^cap."""
+        room = dict(cap)
+        return Poly(
+            {m: c for m, c in self.terms.items() if _divides(m, room)},
+            self.ztrunc,
+        )
+
     def sorted_terms(self, nvars: int) -> list[tuple[Mono, Fraction | ZSeries]]:
         return sorted(self.terms.items(), key=lambda kv: mono_key(kv[0], nvars))
 
@@ -412,6 +472,18 @@ class Poly:
         return _render_terms(items, lambda i: f"X[{names(i)}]")
 
 
+def _divides(m: Mono, room: Mapping[int, int]) -> bool:
+    """Whether X^m divides the monomial whose exponents ``room`` maps."""
+    return all(e <= room.get(v, 0) for v, e in m)
+
+
+def _require_non_negative(*polys: Poly) -> None:
+    invariant(
+        all(e >= 0 for p in polys for m in p.terms for _, e in m),
+        "a divisor cap needs non-negative X exponents",
+    )
+
+
 def theta(poly: Poly, support: Iterable[int]) -> Poly:
     """Projection onto the terms whose variable support is exactly ``support``.
 
@@ -424,21 +496,33 @@ def theta(poly: Poly, support: Iterable[int]) -> Poly:
     )
 
 
-def neg_log(poly: Poly, bound: int) -> Poly:
+def neg_log(poly: Poly, bound: int, cap: Mono | None = None) -> Poly:
     """Formal -log of a polynomial with constant term one.
 
     Expands -log(1 - Q) = sum Q^k / k with Q = 1 - poly, keeping X degrees
     up to ``bound``.  Q has no constant term, so the sum stops at k = bound.
+
+    With ``cap``, only the terms whose X monomial divides X^cap are kept,
+    and the rest are never computed.  Every X exponent of ``poly`` must then
+    be non-negative.  Multiplying by a term of Q then never lowers an
+    exponent, so a term of Q^k that does not divide X^cap reaches no divisor
+    in Q^(k+1) = Q^k Q.  Q is cut to its divisors once, and each product
+    skips every pair of terms whose product does not divide.
     """
+    if bound < 0:
+        raise TruncationTooSmall(f"-log bound must be >= 0, got {bound}")
     if poly.constant_term() != poly._one_coeff():
         raise ConstantTermNotOne(
             "formal -log needs a polynomial with constant term 1"
         )
+    if cap is not None:
+        _require_non_negative(poly)
+        poly = poly.dividing(cap)
     q = Poly.one(poly.ztrunc) - poly.truncate_x(bound)
     acc = Poly.zero(poly.ztrunc)
     power = Poly.one(poly.ztrunc)
     for k in range(1, bound + 1):
-        power = power.mul_trunc(q, bound)
+        power = power.mul_trunc(q, bound, cap)
         if power.is_zero():
             break
         acc = acc + power.scale(Fraction(1, k))

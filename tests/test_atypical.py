@@ -19,6 +19,7 @@ from superweyl.atypical import (
     shift_to_type,
     _grouping_counts,
     _movers,
+    _normalizer,
     _partition_factor,
     _transport,
 )
@@ -40,7 +41,8 @@ from superweyl.partitions import (
     tree_graph_gpq,
 )
 from superweyl.rootdata import build_b0, build_f4, build_g3, build_osp2, build_sl, vadd, vscale, vsub
-from superweyl.series import EMPTY_MONO, Poly, ZSeries
+from superweyl.numerator import x_lambda
+from superweyl.series import EMPTY_MONO, Poly, ZSeries, mono_degree, neg_log
 from superweyl.unifac import Conclusion
 from superweyl.weyl import pi0_group
 
@@ -311,6 +313,32 @@ class TestCoefficientAgreement:
         expected = ZSeries.constant(kval, 0)
         assert coefficient_oracle(ctx).value == expected
         assert closed_form_coefficient(ctx).value == expected
+
+    @pytest.mark.parametrize(
+        "builder,idx,special",
+        [case[1:4] for case in ORACLE_CASES],
+        ids=[case[0] for case in ORACLE_CASES],
+    )
+    def test_oracle_matches_the_unpruned_expansion(self, builder, idx, special):
+        ctx = oracle_case_context(builder, idx, special)
+        target = x_lambda(ctx.datum, ctx.lam)
+        u = atypical_numerator(ctx).scale(_normalizer(ctx))
+        unpruned = neg_log(u, mono_degree(target) + 1).coefficient(target)
+        assert coefficient_oracle(ctx).value == unpruned
+
+    @pytest.mark.parametrize(
+        "idx,movers,tag",
+        [(0, 2, "enumeration"), (1, 3, "enumeration"), (4, 4, "A-sum")],
+        ids=["corner", "edge", "interior"],
+    )
+    def test_sl53_oracle_matches_closed_form_and_enumeration(self, idx, movers, tag):
+        ctx = oracle_case_context(lambda: build_sl(5, 3), idx, False)
+        assert len(_movers(ctx.datum, ctx.gamma)) == movers
+        oracle = coefficient_oracle(ctx)
+        closed = closed_form_coefficient(ctx)
+        assert closed.tag == tag
+        assert oracle.value == closed.value
+        assert oracle.value == enumeration_coefficient(ctx).value
 
     def test_rank_one_sign_is_positive(self):
         # single even reflection: the coefficient is the plain ratio with

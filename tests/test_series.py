@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from superweyl.errors import (
     ConstantTermNotOne,
+    InternalInvariant,
     NegativeExponentAfterCollapse,
     NonIntegralExponent,
     NotInvertible,
@@ -94,6 +95,33 @@ def test_neg_log_requires_constant_one():
         neg_log(xvar(0), 3)
     with pytest.raises(ConstantTermNotOne):
         neg_log(Poly.one().scale(2), 3)
+
+
+def test_neg_log_refuses_a_negative_bound():
+    with pytest.raises(TruncationTooSmall):
+        neg_log(Poly.one() + xvar(0), -1)
+    assert neg_log(Poly.one() + xvar(0), 0) == Poly.zero()
+
+
+def test_divisor_cap_refuses_negative_exponents():
+    # the pruning is sound only when no product lowers an exponent; the
+    # X term given to neg_log does not divide the cap, so only its input
+    # check sees it
+    inverse_x = Poly({((0, -1),): F(1)})
+    with pytest.raises(InternalInvariant):
+        neg_log(Poly.one() + inverse_x * xvar(1, 3), 3, ((0, 2),))
+    with pytest.raises(InternalInvariant):
+        xvar(0).mul_trunc(inverse_x, None, ((0, 2),))
+
+
+def test_capped_neg_log_keeps_only_divisors():
+    p = Poly.one() - xvar(0) - xvar(1)
+    cap = ((0, 2),)
+    out = neg_log(p, 4, cap)
+    assert out == xvar(0) + xvar(0, 2).scale(F(1, 2))
+    assert out == neg_log(p, 4).dividing(cap)
+    # a left term that does not divide the cap must not pair with any term
+    assert xvar(0, 2).mul_trunc(xvar(1), None, ((0, 1), (1, 1))) == Poly.zero()
 
 
 def test_zseries_inverse():
@@ -216,3 +244,37 @@ def test_zseries_inverse_round_trip(d):
     if s.constant_term() == 0:
         return
     assert s * s.inverse() == ZSeries.one(3)
+
+
+def xmonos(max_exp=2):
+    return st.lists(
+        st.tuples(st.integers(0, 2), st.integers(1, max_exp)), min_size=0, max_size=3
+    ).map(mono_from_pairs)
+
+
+def unit_polys(coefficient, ztrunc=None):
+    """Small polynomials with constant term one and the given coefficients."""
+    return st.dictionaries(xmonos(), coefficient, max_size=5).map(
+        lambda d: Poly.one(ztrunc)
+        + Poly({m: c for m, c in d.items() if m != EMPTY_MONO}, ztrunc)
+    )
+
+
+zcoeffs = st.dictionaries(zmonos(), coeffs, max_size=3).map(
+    lambda d: ZSeries(2, {m: F(c) for m, c in d.items()})
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(unit_polys(coeffs.map(F)), unit_polys(coeffs.map(F))),
+        st.tuples(unit_polys(zcoeffs, 2), unit_polys(zcoeffs, 2)),
+    ),
+    xmonos(3),
+    st.integers(0, 6),
+)
+def test_capped_neg_log_is_the_uncapped_one_on_divisors(polys, cap, bound):
+    poly, other = polys
+    assert neg_log(poly, bound, cap) == neg_log(poly, bound).dividing(cap)
+    assert poly.mul_trunc(other, bound, cap) == poly.mul_trunc(other, bound).dividing(cap)
