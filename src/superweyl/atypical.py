@@ -290,12 +290,12 @@ def coefficient_oracle(ctx: AtypicalContext) -> CoefficientValue:
 
     Only divisors of X^lambda are expanded.  Every X exponent of U is a
     non-negative drop of lambda + rho (``weight_monomial`` refuses a
-    negative one), so with Q = 1 - U each term of Q^(k+1) = Q^k Q is a term
-    of Q^k times a monomial with non-negative exponents.  A term of Q^k
-    that does not divide X^lambda exceeds its exponent on some variable,
-    and so does every product it enters: it never contributes to X^lambda.
-    So U is cut to its divisors before it is normalized, and -log keeps
-    only divisors in every power (``neg_log`` with a cap).
+    negative one).  The -log recurrence writes the coefficient of a
+    monomial m through those of m/t, for the terms t of U below m; since
+    no exponent is negative, m/t divides X^lambda whenever m does.  So the
+    coefficients on the divisors of X^lambda depend only on the divisors:
+    U is cut to them before it is normalized, and ``neg_log`` with a cap
+    visits no other monomial.
     """
     target = x_lambda(ctx.datum, ctx.lam)
     u = atypical_numerator(ctx).dividing(target)

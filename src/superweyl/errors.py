@@ -56,7 +56,11 @@ class RingMismatch(SuperweylError):
 
 
 class ConstantTermNotOne(SuperweylError):
-    """A logarithm was requested of a series whose constant term is not 1."""
+    """A logarithm was requested of a series whose degree-0 part is not 1.
+
+    The constant term must be 1, and every other term must have positive
+    X degree.
+    """
 
 
 class NotInvertible(SuperweylError):

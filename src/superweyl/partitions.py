@@ -7,10 +7,13 @@ alternating sum
 
     k(G) = (-1)^{|V|} * sum_k (-1)^k c_k / k
 
-is 1 when G is connected and 0 otherwise.  This module computes the
-counts c_k exactly, enumerates the partitions themselves, and builds the
-fused "pair graph" used by the closed-form coefficient formulas for
-two-block atypicality patterns.
+is (-1)^{|V|+1} times the linear coefficient of the chromatic polynomial
+of G (Greene and Zaslavsky): 1 on a tree, 0 on a disconnected graph, 2 on
+a triangle and 6 on K4.  Diagrams are forests, so there it is 1 exactly
+when G is connected.  This module computes the counts c_k exactly,
+enumerates the partitions themselves, and builds the fused "pair graph"
+used by the closed-form coefficient formulas for two-block atypicality
+patterns.
 
 Counting and enumeration rest on one step over vertex bit masks: strip
 the independent block that holds the lowest remaining vertex.  The counts

@@ -341,19 +341,9 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         return self.mul_trunc(other, None)
 
-    def mul_trunc(
-        self, other: "Poly", bound: int | None, cap: Mono | None = None
-    ) -> "Poly":
-        """Product, optionally dropping X monomials of degree above bound.
-
-        With ``cap``, the product also keeps only the monomials that divide
-        X^cap, and a pair of terms whose product would not divide is skipped
-        before its coefficients are multiplied.  Both factors must then have
-        non-negative X exponents.
-        """
+    def mul_trunc(self, other: "Poly", bound: int | None) -> "Poly":
+        """Product, optionally dropping X monomials of degree above bound."""
         self._coerce(other)
-        if cap is not None:
-            return self._mul_capped(other, bound, cap)
         out: dict[Mono, Fraction | ZSeries] = {}
         for m1, c1 in self.terms.items():
             d1 = mono_degree(m1)
@@ -364,34 +354,6 @@ class Poly:
                 prod = c1 * c2
                 cur = out.get(m)
                 out[m] = prod if cur is None else cur + prod
-        return Poly(out, self.ztrunc)
-
-    def _mul_capped(self, other: "Poly", bound: int | None, cap: Mono) -> "Poly":
-        _require_non_negative(self, other)
-        room = dict(cap)
-        if bound is None:
-            bound = mono_degree(cap)
-        right = [(m2, c2, mono_degree(m2)) for m2, c2 in other.terms.items()]
-        out: dict[Mono, Fraction | ZSeries] = {}
-        for m1, c1 in self.terms.items():
-            # a pair is tested on the variables of m2 alone, so m1 must divide
-            if not _divides(m1, room):
-                continue
-            left = dict(room)
-            for v, e in m1:
-                left[v] = left.get(v, 0) - e
-            d1 = bound - mono_degree(m1)
-            for m2, c2, d2 in right:
-                if d2 > d1:
-                    continue
-                for v, e in m2:
-                    if e > left.get(v, 0):
-                        break
-                else:
-                    m = mono_mul(m1, m2)
-                    prod = c1 * c2
-                    cur = out.get(m)
-                    out[m] = prod if cur is None else cur + prod
         return Poly(out, self.ztrunc)
 
     def scale(self, c: Fraction | int | ZSeries) -> "Poly":
@@ -477,13 +439,6 @@ def _divides(m: Mono, room: Mapping[int, int]) -> bool:
     return all(e <= room.get(v, 0) for v, e in m)
 
 
-def _require_non_negative(*polys: Poly) -> None:
-    invariant(
-        all(e >= 0 for p in polys for m in p.terms for _, e in m),
-        "a divisor cap needs non-negative X exponents",
-    )
-
-
 def theta(poly: Poly, support: Iterable[int]) -> Poly:
     """Projection onto the terms whose variable support is exactly ``support``.
 
@@ -497,17 +452,22 @@ def theta(poly: Poly, support: Iterable[int]) -> Poly:
 
 
 def neg_log(poly: Poly, bound: int, cap: Mono | None = None) -> Poly:
-    """Formal -log of a polynomial with constant term one.
+    """Formal -log of a polynomial f with constant term one, to X degree ``bound``.
 
-    Expands -log(1 - Q) = sum Q^k / k with Q = 1 - poly, keeping X degrees
-    up to ``bound``.  Q has no constant term, so the sum stops at k = bound.
+    With the Euler operator D (multiply the coefficient of m by deg m),
+    L = log f satisfies D(L) f = D(f).  So for each monomial m, in degree
+    order,
 
-    With ``cap``, only the terms whose X monomial divides X^cap are kept,
-    and the rest are never computed.  Every X exponent of ``poly`` must then
-    be non-negative.  Multiplying by a term of Q then never lowers an
-    exponent, so a term of Q^k that does not divide X^cap reaches no divisor
-    in Q^(k+1) = Q^k Q.  Q is cut to its divisors once, and each product
-    skips every pair of terms whose product does not divide.
+        deg(m) L_m = deg(m) f_m - sum_t deg(m/t) L_{m/t} f_t
+
+    over the non-constant terms t of f with deg t < deg m (Brent and Kung,
+    J. ACM 1978).  Only products of f's non-constant terms are visited.
+    Those terms must have positive X degree, or the division by deg(m)
+    fails; a term of degree <= 0 belongs to the degree-0 part of f.
+
+    With ``cap``, only the monomials that divide X^cap are kept, and the
+    rest are never computed.  Every X exponent of ``poly`` must then be
+    non-negative, so that m/t divides X^cap whenever m does.
     """
     if bound < 0:
         raise TruncationTooSmall(f"-log bound must be >= 0, got {bound}")
@@ -515,18 +475,43 @@ def neg_log(poly: Poly, bound: int, cap: Mono | None = None) -> Poly:
         raise ConstantTermNotOne(
             "formal -log needs a polynomial with constant term 1"
         )
+    terms = [(t, c, mono_degree(t)) for t, c in poly.terms.items() if t]
+    if any(d <= 0 for _, _, d in terms):
+        raise ConstantTermNotOne(
+            "formal -log needs every non-constant term of positive X degree"
+        )
+    room = None
     if cap is not None:
-        _require_non_negative(poly)
-        poly = poly.dividing(cap)
-    q = Poly.one(poly.ztrunc) - poly.truncate_x(bound)
-    acc = Poly.zero(poly.ztrunc)
-    power = Poly.one(poly.ztrunc)
-    for k in range(1, bound + 1):
-        power = power.mul_trunc(q, bound, cap)
-        if power.is_zero():
-            break
-        acc = acc + power.scale(Fraction(1, k))
-    return acc
+        invariant(
+            all(e >= 0 for t, _, _ in terms for _, e in t),
+            "a divisor cap needs non-negative X exponents",
+        )
+        room = dict(cap)
+        terms = [tm for tm in terms if _divides(tm[0], room)]
+    terms = sorted((tm for tm in terms if tm[2] <= bound), key=lambda tm: tm[2])
+    zero = poly._zero_coeff()
+    scale = (lambda c, k: c * k) if poly.ztrunc is None else (lambda c, k: c.scale(k))
+    # levels[d] accumulates D(L)_m for the monomials m of degree d; it is
+    # complete once every lower level has been walked
+    levels: list[dict[Mono, Fraction | ZSeries]] = [{} for _ in range(bound + 1)]
+    for t, c, d in terms:
+        levels[d][t] = scale(c, d)
+    out: dict[Mono, Fraction | ZSeries] = {}
+    for d in range(1, bound + 1):
+        for m, dl in levels[d].items():
+            if dl == zero:
+                continue
+            out[m] = scale(dl, Fraction(-1, d))
+            for t, c, dt in terms:
+                if d + dt > bound:
+                    break
+                n = mono_mul(m, t)
+                if room is not None and not _divides(n, room):
+                    continue
+                level = levels[d + dt]
+                cur = level.get(n)
+                level[n] = -(dl * c) if cur is None else cur - dl * c
+    return Poly(out, poly.ztrunc)
 
 
 def weight_monomial(coeffs: Iterable[Fraction]) -> Mono:

@@ -47,6 +47,7 @@ from superweyl.unifac import Conclusion
 from superweyl.weyl import pi0_group
 
 import partition_reference
+import series_reference
 import weyl_reference as ref
 from test_numerator import weight_from_coeffs
 
@@ -323,8 +324,21 @@ class TestCoefficientAgreement:
         ctx = oracle_case_context(builder, idx, special)
         target = x_lambda(ctx.datum, ctx.lam)
         u = atypical_numerator(ctx).scale(_normalizer(ctx))
-        unpruned = neg_log(u, mono_degree(target) + 1).coefficient(target)
-        assert coefficient_oracle(ctx).value == unpruned
+        bound = mono_degree(target) + 1
+        unpruned = series_reference.power_loop_neg_log(u, bound)
+        assert coefficient_oracle(ctx).value == unpruned.coefficient(target)
+        assert neg_log(u, bound) == unpruned
+
+    @pytest.mark.parametrize("idx", range(15))
+    def test_sl53_capped_neg_log_matches_the_power_loop(self, idx):
+        # every isotropic type; one Z degree keeps the power loop cheap
+        ctx = oracle_case_context(lambda: build_sl(5, 3), idx, False, z_truncation=1)
+        target = x_lambda(ctx.datum, ctx.lam)
+        u = atypical_numerator(ctx).scale(_normalizer(ctx))
+        bound = mono_degree(target) + 1
+        assert neg_log(u, bound, target) == series_reference.power_loop_neg_log(
+            u, bound, target
+        )
 
     @pytest.mark.parametrize(
         "idx,movers,tag",

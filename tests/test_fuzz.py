@@ -1,7 +1,9 @@
-"""Fuzzing of the two text inputs: datum files and CLI weight arguments.
+"""Fuzzing of the two text inputs, datum files and CLI weight arguments,
+and of the series ``-log``.
 
 A datum file may fail to parse, but only with a ``SuperweylError``; a CLI
 run may fail, but only with a documented exit code and no traceback.
+``neg_log`` may refuse a polynomial, but only with a ``SuperweylError``.
 """
 
 import contextlib
@@ -12,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from superweyl.cli import EXIT_INTERNAL, EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE, main
 from superweyl.errors import SuperweylError
 from superweyl.rootdata import datum_from_text
+from superweyl.series import Poly, ZSeries, mono_from_pairs, neg_log
 
 from test_rootdata import A3_TEXT, NON_INTEGRAL_CARTAN_TEXT
 
@@ -110,3 +113,37 @@ def test_cli_weight_arguments_exit_with_a_documented_code(argv):
             code = exc.code
     assert code in (EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE, EXIT_INTERNAL), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+# any integer exponents, so terms of negative and of zero X degree occur
+monos = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(-2, 3)), max_size=3
+).map(mono_from_pairs)
+fraction_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+series_coeffs = st.dictionaries(
+    st.lists(st.tuples(st.integers(0, 1), st.integers(1, 2)), max_size=2).map(mono_from_pairs),
+    fraction_coeffs,
+    max_size=3,
+).map(lambda d: ZSeries(2, d))
+
+
+@st.composite
+def neg_log_inputs(draw):
+    ztrunc = draw(st.sampled_from((None, 2)))
+    coeff = fraction_coeffs if ztrunc is None else series_coeffs
+    terms = draw(st.dictionaries(monos, coeff, max_size=5))
+    poly = Poly(terms, ztrunc)
+    if draw(st.booleans()):
+        # half the cases get a unit constant term, so the recurrence runs
+        poly = Poly.one(ztrunc) + Poly({m: c for m, c in terms.items() if m}, ztrunc)
+    return poly, draw(st.integers(0, 6)), draw(st.one_of(st.none(), monos))
+
+
+@settings(max_examples=200, deadline=None)
+@given(neg_log_inputs())
+def test_neg_log_raises_only_library_errors(case):
+    poly, bound, cap = case
+    try:
+        neg_log(poly, bound, cap)
+    except SuperweylError:
+        pass

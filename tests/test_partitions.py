@@ -209,12 +209,13 @@ class TestIterOrderedPartitions:
             iter_ordered_partitions(graph, 1)
 
 
-def random_edges(seed):
-    """A seeded graph on range(seed % 7) with a random edge density."""
+def random_edges(seed, max_vertices=6):
+    """A seeded graph on range(seed % (max_vertices + 1)) with a random edge density."""
     rng = random.Random(seed)
     density = rng.random()
-    pairs = itertools.combinations(range(seed % 7), 2)
-    return tuple(range(seed % 7)), [p for p in pairs if rng.random() < density]
+    n = seed % (max_vertices + 1)
+    pairs = itertools.combinations(range(n), 2)
+    return tuple(range(n)), [p for p in pairs if rng.random() < density]
 
 
 REFERENCE_CASES = [
@@ -237,6 +238,29 @@ def test_brute_force_reference_on_small_cases():
     assert ref.ordered_partitions(range(3), [(0, 1), (1, 2)], 1) == set()
     # ordered set partitions of 4 points into k blocks: 1, 14, 36, 24
     assert [len(ref.ordered_partitions(range(4), [], k)) for k in range(1, 5)] == [1, 14, 36, 24]
+
+
+@pytest.mark.parametrize(
+    "vertices,edges,expected",
+    [
+        (range(3), [(0, 1), (1, 2), (0, 2)], 2),
+        (range(4), [(0, 1), (1, 2), (2, 3)], 1),
+        (range(4), [(0, 1), (1, 2), (2, 3), (3, 0)], 3),
+        (range(4), list(itertools.combinations(range(4), 2)), 6),
+        (range(4), [(0, 1), (2, 3)], 0),
+    ],
+    ids=["triangle", "P4", "C4", "K4", "two-edges"],
+)
+def test_k_value_on_small_graphs(vertices, edges, expected):
+    assert ref.k_value(vertices, edges) == expected
+    assert k_partition_counts(SimpleGraph(vertices, edges)).k_value == expected
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_k_value_matches_the_chromatic_polynomial(seed):
+    vertices, edges = random_edges(seed, max_vertices=8)
+    expected = ref.k_value(vertices, edges)
+    assert k_partition_counts(SimpleGraph(vertices, edges)).k_value == expected
 
 
 class TestTreeGraph:
