@@ -61,7 +61,7 @@ from .rootdata import (
     vsub,
 )
 from .series import Mono, Poly, ZSeries, mono_degree, neg_log, weight_monomial
-from .unifac import Conclusion, FactorMatch, MatchReport
+from .unifac import Conclusion, FactorMatch, MatchReport, pair_by_key
 from .weyl import orbit_drops, pi0_group
 
 ATYPICAL_FAMILIES = ("sl", "osp", "G3", "F4")
@@ -649,19 +649,11 @@ def atypical_match(
     products_equal = product(lhs_factors) == product(rhs_factors)
 
     pairing: list[FactorMatch] = []
-    used = [False] * len(rhs_factors)
-    for i, sig in enumerate(lhs_sigs):
-        for j, other in enumerate(rhs_sigs):
-            if used[j] or other != sig:
-                continue
-            # same signature forces the same numerator
-            invariant(lhs_factors[i] == rhs_factors[j], "same signature, other numerator")
-            used[j] = True
-            # whole numerators pair up at once; report them on component 1
-            pairing.append(
-                FactorMatch(component=1, lhs_index=i, rhs_index=j, signature=sig)
-            )
-            break
+    for i, j in pair_by_key(lhs_sigs, rhs_sigs):
+        # same signature forces the same numerator
+        invariant(lhs_factors[i] == rhs_factors[j], "same signature, other numerator")
+        # whole numerators pair up at once; report them on component 1
+        pairing.append(FactorMatch(1, i, j, lhs_sigs[i]))
 
     r_equals_s = len(lhs) == len(rhs)
     complete = r_equals_s and len(pairing) == len(lhs)

@@ -80,9 +80,6 @@ class SimpleGraph:
     def neighbors(self, v: Vertex) -> frozenset[Vertex]:
         return self._adj[self.vertices[self.index(v)]]
 
-    def adjacent(self, a: Vertex, b: Vertex) -> bool:
-        return b in self.neighbors(a)
-
     def edges(self) -> tuple[tuple[Vertex, Vertex], ...]:
         """Edges as pairs ordered by vertex position, deterministic."""
         vs = self.vertices

@@ -27,8 +27,10 @@ checked integral at construction.  The structure of a datum is fixed at
 construction, but three private caches on it fill lazily:
 ``_fundamental_cache`` (even fundamental weights), ``_group_cache`` (Weyl
 groups per generator set, see :func:`superweyl.weyl.generate`) and
-``_factor_cache`` (component factors and signatures per weight, see
-:mod:`superweyl.unifac`).  Nothing guards them against concurrent writers.
+``_match_key_cache`` (per weight, the factor-matching key of each
+component, written once the weight's factor law has been checked; no
+factor polynomial is kept, see :mod:`superweyl.unifac`).  Nothing guards
+them against concurrent writers.
 """
 
 from __future__ import annotations
@@ -247,7 +249,7 @@ class RootDatum:
         }
         self._fundamental_cache: dict[int, Weight] = {}
         self._group_cache: dict[object, object] = {}
-        self._factor_cache: dict[Weight, object] = {}
+        self._match_key_cache: dict[Weight, tuple] = {}
 
         self._validate(expected_components)
 

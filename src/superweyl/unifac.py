@@ -8,19 +8,28 @@ isomorphic, and whether the factorization is unique: when the matched
 factors cannot be aligned by a single permutation of the original weights
 the pair of products is a cross-matched counterexample to unique
 factorization.
+
+Factors are matched by key, never by polynomial.  Factor k of a weight is
+the orbit sum of the labels its group reads: on one component the
+dominant labels on every generator, on two components the component's own
+labels.  Its key is (signature_k, those labels), so equal keys mean equal
+factors.  The signature alone is not enough: on G(3), F(4) and B(0, n) it
+leaves out the extra generator, and ``tau`` and ``2*tau`` share it.  The
+labels alone are not used either: on B(0, n) a shifted weight with a
+negative label at the extra generator is reflected to another weight's
+dominant labels, and the two are kept apart by their signatures.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
 
 from .errors import NoSecondComponent, invariant
-from .numerator import factor_numerator, x_signature
-from .rootdata import RootDatum, Weight, as_weight, vadd, zero_weight
-from .series import Poly
+from .numerator import _dominant_representative, factor_numerator, x_signature
+from .rootdata import ZERO, RootDatum, Weight, as_weight, vadd
 
 # Steps the search raises a quadruple's tau multiplier before skipping it.
 MAX_BUMP = 10
@@ -50,80 +59,41 @@ class MatchReport:
     module_level_conclusion: Conclusion
 
 
-def _cached_analysis(
-    datum: RootDatum, lam: Weight
-) -> tuple[tuple[Poly, ...], tuple[tuple[int, ...], ...]]:
-    """Factors and signature of ``lam``, memoized on the datum."""
-    cache = datum._factor_cache
-    if lam not in cache:
-        cache[lam] = (
-            tuple(factor_numerator(datum, lam)),
-            x_signature(datum, lam),
-        )
-    return cache[lam]
+def pair_by_key(lhs_keys: Sequence, rhs_keys: Sequence) -> list[tuple[int, int]]:
+    """Index pairs (i, j): each lhs i in order takes the first unpaired rhs j of equal key."""
+    free = list(range(len(rhs_keys)))
+    pairs = []
+    for i, key in enumerate(lhs_keys):
+        j = next((j for j in free if rhs_keys[j] == key), None)
+        if j is not None:
+            free.remove(j)
+            pairs.append((i, j))
+    return pairs
 
 
-def _match_factors(
-    datum: RootDatum,
-    lhs: Sequence[Weight],
-    rhs: Sequence[Weight],
-) -> MatchReport:
-    """Match component factors of two numerator products by signature.
+def _match_keys(datum: RootDatum, lam: Weight) -> tuple[tuple, ...]:
+    """Per-component keys (signature_k, labels factor k reads) of ``lam``.
 
-    Factors inside each component are peeled in order of increasing degree
-    (the unique lowest-degree monomial of a factor is minus its signature
-    power, so the smallest factor on one side must reappear on the other).
-    The sigma hypothesis holds when one permutation aligns the weights
-    across all components at once, which happens exactly when the full
-    signature tuples agree as multisets.  The weights arrive coerced by
-    :func:`verify_tensor_isomorphism`.
+    Memoized on the datum, and written only after :func:`factor_numerator`
+    has checked the factor law for ``lam``, so that law is checked once per
+    weight.  The labels are read off the label map, not off a group.
     """
-    lhs_data = [_cached_analysis(datum, w) for w in lhs]
-    rhs_data = [_cached_analysis(datum, w) for w in rhs]
-    lhs_factors = [factors for factors, _ in lhs_data]
-    rhs_factors = [factors for factors, _ in rhs_data]
-    lhs_sigs = [sig for _, sig in lhs_data]
-    rhs_sigs = [sig for _, sig in rhs_data]
+    keys = datum._match_key_cache.get(lam)
+    if keys is None:
+        factor_numerator(datum, lam)
+        sigs = x_signature(datum, lam)
+        if len(sigs) == 1:
+            read = (_dominant_representative(datum, datum.labels(vadd(lam, datum.rho))),)
+        else:
+            # every generator is a simple root, so component k reads sig_k
+            read = sigs
+        keys = tuple(zip(sigs, read))
+        datum._match_key_cache[lam] = keys
+    return keys
 
-    pairing: list[FactorMatch] = []
-    all_matched = True
-    for comp in range(1, len(datum.components) + 1):
-        order = sorted(
-            range(len(lhs)),
-            key=lambda i: (sum(lhs_sigs[i][comp - 1]), lhs_sigs[i][comp - 1], i),
-        )
-        unmatched = list(range(len(rhs)))
-        for i in order:
-            sig = lhs_sigs[i][comp - 1]
-            hit = next(
-                (j for j in unmatched if rhs_sigs[j][comp - 1] == sig), None
-            )
-            if hit is None:
-                all_matched = False
-                continue
-            unmatched.remove(hit)
-            invariant(
-                lhs_factors[i][comp - 1] == rhs_factors[hit][comp - 1],
-                "same signature, other factor",
-            )
-            pairing.append(FactorMatch(comp, i, hit, sig))
-        if unmatched:
-            all_matched = False
 
-    products_equal = all_matched and len(lhs) == len(rhs)
-    sigma = sorted(lhs_sigs) == sorted(rhs_sigs)
-    if not products_equal:
-        conclusion = Conclusion.PRODUCTS_UNEQUAL
-    elif sigma:
-        conclusion = Conclusion.UNIQUE_FACTORIZATION
-    else:
-        conclusion = Conclusion.CROSS_MATCHED
-    return MatchReport(
-        r_equals_s=len(lhs) == len(rhs),
-        pairing=tuple(pairing),
-        sigma_hypothesis_holds=sigma,
-        module_level_conclusion=conclusion,
-    )
+def _weight_sum(weights: Sequence[Weight]) -> Weight:
+    return tuple(sum(column, ZERO) for column in zip(*weights))
 
 
 def verify_tensor_isomorphism(
@@ -133,43 +103,46 @@ def verify_tensor_isomorphism(
 ) -> MatchReport:
     """Decide whether two tensor products of typical modules agree.
 
-    On top of the factor matching this checks that the weight sums agree,
-    since the product characters carry the total weight as a prefactor.
-    When the products agree, the conclusion distinguishes a genuine
-    permutation of the weights from a cross-matched counterexample (the
-    factors align component by component but no single permutation of the
-    weights does, or the weights differ in a direction the even pairings
-    cannot see).
+    Per component, each lhs factor is paired with the first unpaired rhs
+    factor of equal key (see the module docstring), and the pairs are
+    reported in peel order: increasing degree of the lowest term, then
+    signature, then lhs index.  The products agree when every factor on
+    both sides is paired and the weight sums agree, since the product
+    characters carry the total weight as a prefactor.  Equal weight
+    multisets conclude unique factorization; otherwise the pair is a
+    cross-matched counterexample (the factors align component by component
+    but no single permutation of the weights does, or the weights differ in
+    a direction the even pairings cannot see).
+
+    What each call verifies: the factor law of each new weight (once per
+    weight and datum, through :func:`factor_numerator`), the keys, the
+    weight sums and the weight multisets.  No factor polynomial is compared.
     """
     lhs = [as_weight(w) for w in lhs]
     rhs = [as_weight(w) for w in rhs]
-    report = _match_factors(datum, lhs, rhs)
-    if report.module_level_conclusion is Conclusion.PRODUCTS_UNEQUAL:
-        return report
+    lhs_keys = [_match_keys(datum, w) for w in lhs]
+    rhs_keys = [_match_keys(datum, w) for w in rhs]
 
-    dim = len(datum.rho)
-    lhs_sum = zero_weight(dim)
-    for w in lhs:
-        lhs_sum = vadd(lhs_sum, w)
-    rhs_sum = zero_weight(dim)
-    for w in rhs:
-        rhs_sum = vadd(rhs_sum, w)
-    if lhs_sum != rhs_sum:
-        return replace(
-            report,
-            sigma_hypothesis_holds=False,
-            module_level_conclusion=Conclusion.PRODUCTS_UNEQUAL,
-        )
+    pairing: list[FactorMatch] = []
+    all_paired = len(lhs) == len(rhs)
+    for k in range(len(datum.components)):
+        sigs = [key[k][0] for key in lhs_keys]
+        pairs = pair_by_key([key[k] for key in lhs_keys], [key[k] for key in rhs_keys])
+        all_paired = all_paired and len(pairs) == len(lhs)
+        pairs.sort(key=lambda pair: (sum(sigs[pair[0]]), sigs[pair[0]], pair[0]))
+        pairing.extend(FactorMatch(k + 1, i, j, sigs[i]) for i, j in pairs)
 
-    same_weights = sorted(lhs) == sorted(rhs)
-    return replace(
-        report,
-        sigma_hypothesis_holds=same_weights,
-        module_level_conclusion=(
-            Conclusion.UNIQUE_FACTORIZATION
-            if same_weights
-            else Conclusion.CROSS_MATCHED
-        ),
+    if not all_paired or _weight_sum(lhs) != _weight_sum(rhs):
+        conclusion = Conclusion.PRODUCTS_UNEQUAL
+    elif sorted(lhs) == sorted(rhs):
+        conclusion = Conclusion.UNIQUE_FACTORIZATION
+    else:
+        conclusion = Conclusion.CROSS_MATCHED
+    return MatchReport(
+        r_equals_s=len(lhs) == len(rhs),
+        pairing=tuple(pairing),
+        sigma_hypothesis_holds=conclusion is Conclusion.UNIQUE_FACTORIZATION,
+        module_level_conclusion=conclusion,
     )
 
 

@@ -366,6 +366,28 @@ class TestVerifyCommand:
         assert "conclusion: UniqueFactorization" in out
         assert "sigma_hypothesis: true" in out
 
+    @pytest.mark.parametrize(
+        "family, lhs, rhs, conclusion",
+        [
+            (["G3"], "tau; 2*tau", "2*tau; tau", "UniqueFactorization"),
+            (["G3"], "tau", "2*tau", "ProductsUnequal"),
+            # equal signature multisets and weight sums, yet no factor matches
+            (["G3"], "tau; 3*tau", "2*tau; 2*tau", "ProductsUnequal"),
+            (["F4"], "tau", "2*tau", "ProductsUnequal"),
+            (["b0", "--n", "2"], "delta[1]", "delta[1]+tau", "ProductsUnequal"),
+        ],
+        ids=["g3-reordered", "g3-tau-multiples", "g3-balanced", "f4-tau-multiples", "b02-tau-shift"],
+    )
+    def test_equal_signature_other_extra_label(self, capsys, family, lhs, rhs, conclusion):
+        # Equal signatures, but the labels at the extra even generator differ,
+        # so the factors differ and are not matched.
+        code, out, err = run_cli(
+            capsys, ["verify", "--family", *family, "--lhs", lhs, "--rhs", rhs]
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert f"conclusion: {conclusion}" in out
+        assert "r_equals_s: true" in out
+
     def test_empty_weight_in_list_is_precondition_error(self, capsys):
         code, _, err = run_cli(
             capsys,

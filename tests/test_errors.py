@@ -37,3 +37,29 @@ def test_library_raises_no_builtin_exceptions():
 def test_library_has_no_assert_statements():
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in asserts(path)]
     assert found == []
+
+
+def unused_imports(path):
+    """Module-level imports that the module never reads; ``__all__`` counts as a read."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= {e.value for e in node.value.elts}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | exported
+    for name, lineno in imported.items():
+        if name not in read:
+            yield f"{path.name}:{lineno} imports {name} and never uses it"
+
+
+def test_library_has_no_unused_imports():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in unused_imports(path)]
+    assert found == []

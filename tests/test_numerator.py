@@ -1,5 +1,6 @@
 """Tests for normalized numerators, factors, and expanded characters."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -107,21 +108,30 @@ class TestSignatures:
         lam = weight_from_coeffs(d, (1, 2, 3), tau_mult=1)
         assert x_lambda(d, lam) == mono_from_pairs([(0, 2), (1, 3), (3, 4)])
 
-    def test_signature_determines_factor(self):
-        d = build_sl(3, 2)
-        seen = {}
-        for c1 in range(3):
-            for c2 in range(3):
-                lam = weight_from_coeffs(d, (c1, c2, 1), tau_mult=1)
-                sig = x_signature(d, lam)[0]
-                factor_text = text(d, factor_numerator(d, lam)[0])
-                if sig in seen:
-                    assert seen[sig] == factor_text
-                else:
-                    for other, prior in seen.items():
-                        assert prior != factor_text or other == sig
-                    seen[sig] = factor_text
-        assert len(seen) == 9
+    @pytest.mark.parametrize("p,q", [(3, 2), (4, 3)])
+    def test_signature_determines_factor(self, p, q):
+        # Vary the component's own coefficients, the other component's and
+        # the tau multiple: equal signatures must give equal factors, and
+        # distinct signatures distinct factors, on both components.
+        d = build_sl(p, q)
+        rank = d.even_simple_count
+        for k, comp in enumerate(d.components):
+            seen, repeats = {}, 0
+            for coeffs in itertools.product(range(2), repeat=rank):
+                for mult in (1, 2):
+                    lam = weight_from_coeffs(d, coeffs, tau_mult=mult)
+                    if not d.atypicality(lam).is_typical:
+                        continue
+                    sig = x_signature(d, lam)[k]
+                    factor_text = text(d, factor_numerator(d, lam)[k])
+                    if sig in seen:
+                        assert seen[sig] == factor_text
+                        repeats += 1
+                    else:
+                        assert factor_text not in seen.values()
+                        seen[sig] = factor_text
+            assert len(seen) == 2 ** len(comp)
+            assert repeats > 0
 
     def test_non_integral_pairing_rejected(self):
         d = build_sl(3, 2)

@@ -1,19 +1,20 @@
 """Tests for factor matching, isomorphism checks, and the counterexample search."""
 
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 
-from superweyl import build_g3, build_sl
-from superweyl.errors import NoSecondComponent, NotDominant, NotTypical
-from superweyl.numerator import numerator, x_signature
+from superweyl import build_b0, build_f4, build_g3, build_osp2, build_sl
+from superweyl.errors import NoSecondComponent, NotDominant, NotTypical, SuperweylError
+from superweyl.numerator import factor_numerator, numerator, x_signature
 from superweyl.rootdata import as_weight, vadd, vscale
 from superweyl.unifac import (
     Conclusion,
     FactorMatch,
-    _match_factors,
+    MatchReport,
     iter_counterexamples,
     verify_tensor_isomorphism,
 )
@@ -56,10 +57,6 @@ class TestCrossMatchedPair:
             FactorMatch(2, 0, 0, (4,)),
             FactorMatch(2, 1, 1, (6,)),
         )
-
-    def test_match_factors_alone_flags_cross(self):
-        report = _match_factors(self.d, self.lhs, self.rhs)
-        assert report.module_level_conclusion is Conclusion.CROSS_MATCHED
 
 
 class TestWeightSumCheck:
@@ -221,7 +218,7 @@ class TestErrors:
         d = build_sl(3, 2)
         bad = vscale(-2, d.fundamental_weight(1))
         with pytest.raises(NotDominant):
-            _match_factors(d, [bad], [bad])
+            verify_tensor_isomorphism(d, [bad], [bad])
 
     def test_length_mismatch(self):
         d = build_sl(3, 2)
@@ -234,7 +231,157 @@ class TestErrors:
         d = build_sl(3, 2)
         lhs = [weight_from_coeffs(d, (1, 2, 3), tau_mult=1)]
         rhs = [weight_from_coeffs(d, (2, 2, 3), tau_mult=1)]
-        report = _match_factors(d, lhs, rhs)
+        report = verify_tensor_isomorphism(d, lhs, rhs)
         assert report.module_level_conclusion is Conclusion.PRODUCTS_UNEQUAL
         # The second component still matches; the first does not.
         assert [m.component for m in report.pairing] == [2]
+
+
+# -- against a reference that matches factor polynomials ----------------------
+
+
+def reference_report(datum, lhs, rhs):
+    """The report of verify_tensor_isomorphism, by polynomial equality.
+
+    Per component, lhs factors in peel order (lowest-term degree, signature,
+    index) each take the first unpaired rhs factor of equal signature and
+    equal polynomial.  The signature is compared too because on B(0, n) a
+    weight whose shifted weight is reflected at the extra generator shares
+    its numerator with a weight of another signature, and the library keeps
+    such factors apart.  The products agree when every factor is paired and
+    the weight sums agree; equal weight multisets then mean unique
+    factorization.
+    """
+    lf = [factor_numerator(datum, w) for w in lhs]
+    rf = [factor_numerator(datum, w) for w in rhs]
+    ls = [x_signature(datum, w) for w in lhs]
+    rs = [x_signature(datum, w) for w in rhs]
+    pairing = []
+    complete = len(lhs) == len(rhs)
+    for k in range(len(datum.components)):
+        free = list(range(len(rhs)))
+        for i in sorted(range(len(lhs)), key=lambda i: (sum(ls[i][k]), ls[i][k], i)):
+            j = next(
+                (j for j in free if (rs[j][k], rf[j][k]) == (ls[i][k], lf[i][k])), None
+            )
+            if j is None:
+                complete = False
+                continue
+            free.remove(j)
+            pairing.append(FactorMatch(k + 1, i, j, ls[i][k]))
+        complete = complete and not free
+    zero = tuple(Fraction(0) for _ in datum.rho)
+    lhs_sum, rhs_sum = zero, zero
+    for w in lhs:
+        lhs_sum = vadd(lhs_sum, w)
+    for w in rhs:
+        rhs_sum = vadd(rhs_sum, w)
+    if not complete or lhs_sum != rhs_sum:
+        conclusion = Conclusion.PRODUCTS_UNEQUAL
+    elif sorted(lhs) == sorted(rhs):
+        conclusion = Conclusion.UNIQUE_FACTORIZATION
+    else:
+        conclusion = Conclusion.CROSS_MATCHED
+    return MatchReport(
+        r_equals_s=len(lhs) == len(rhs),
+        pairing=tuple(pairing),
+        sigma_hypothesis_holds=conclusion is Conclusion.UNIQUE_FACTORIZATION,
+        module_level_conclusion=conclusion,
+    )
+
+
+DIFFERENTIAL_DATA = [
+    ("sl32", lambda: build_sl(3, 2)),
+    ("sl43", lambda: build_sl(4, 3)),
+    ("sl23", lambda: build_sl(2, 3)),
+    ("osp4", lambda: build_osp2(2)),
+    ("g3", build_g3),
+    ("f4", build_f4),
+    ("b02", lambda: build_b0(2)),
+    ("b03", lambda: build_b0(3)),
+]
+
+
+def is_valid(datum, lam):
+    try:
+        factor_numerator(datum, lam)
+    except SuperweylError:
+        return False
+    return True
+
+
+def weight_pool(datum, rng, size=12):
+    """Distinct valid weights: the valid ones of tau, 2 tau and 3 tau, then
+    fundamental-weight combinations shifted by half-integer tau multiples,
+    and ambient half-integer vectors (which vary the labels at the extra
+    generator of G(3), F(4) and B(0, n))."""
+    pool = [w for w in (vscale(k, datum.tau) for k in (1, 2, 3)) if is_valid(datum, w)]
+    while len(pool) < size:
+        if rng.random() < 0.5:
+            coeffs = [rng.randrange(3) for _ in range(datum.even_simple_count)]
+            tau_mult = Fraction(rng.randrange(-2, 7), 2)
+            lam = vadd(weight_from_coeffs(datum, coeffs), vscale(tau_mult, datum.tau))
+        else:
+            lam = tuple(Fraction(rng.randrange(-8, 9), 2) for _ in range(datum.dim))
+        if lam not in pool and is_valid(datum, lam):
+            pool.append(lam)
+    return pool
+
+
+def tuple_pairs(datum, pool, rng, count):
+    """Seeded (lhs, rhs) tuples of 1 to 3 valid weights each."""
+    n1 = len(datum.components[0])
+    while count:
+        r = rng.randrange(1, 4)
+        lhs = [rng.choice(pool) for _ in range(r)]
+        kind = rng.randrange(5)
+        if kind == 0:
+            rhs = rng.sample(lhs, r)
+        elif kind == 1:
+            rhs = [rng.choice(pool) for _ in range(rng.randrange(1, 4))]
+        elif kind == 2:
+            rhs = list(lhs)
+            rhs[rng.randrange(r)] = rng.choice(pool)
+        elif kind == 3:
+            # a balanced tau shift: invisible to the signatures
+            nu, k = lhs[0], Fraction(rng.randrange(1, 5), 2)
+            lhs = [nu, vadd(nu, vscale(2 * k, datum.tau))]
+            rhs = [vadd(nu, vscale(k, datum.tau))] * 2
+        else:
+            # swap the component parts of two coefficient vectors
+            rank = datum.even_simple_count
+            c1, c2 = ([rng.randrange(4) for _ in range(rank)] for _ in range(2))
+            mult = rng.randrange(1, 4)
+            lhs = [weight_from_coeffs(datum, c, mult) for c in (c1, c2)]
+            rhs = [
+                weight_from_coeffs(datum, c, mult)
+                for c in (c2[:n1] + c1[n1:], c1[:n1] + c2[n1:])
+            ]
+        if all(is_valid(datum, w) for w in lhs + rhs):
+            count -= 1
+            yield lhs, rhs
+
+
+@pytest.mark.parametrize(
+    "builder", [b for _, b in DIFFERENTIAL_DATA], ids=[n for n, _ in DIFFERENTIAL_DATA]
+)
+def test_matching_by_keys_equals_polynomial_reference(builder):
+    datum = builder()
+    rng = random.Random(1709)
+    pool = weight_pool(datum, rng)
+    seen = Counter()
+    for lhs, rhs in tuple_pairs(datum, pool, rng, 40):
+        report = verify_tensor_isomorphism(datum, lhs, rhs)
+        assert report == reference_report(datum, lhs, rhs), (lhs, rhs)
+        seen[report.module_level_conclusion] += 1
+    assert seen[Conclusion.UNIQUE_FACTORIZATION] and seen[Conclusion.PRODUCTS_UNEQUAL]
+    if len(datum.components) > 1:
+        assert seen[Conclusion.CROSS_MATCHED]
+    if any(g.pi_index is None for g in datum.generators):
+        # the pool has equal signatures with other factors, which a
+        # signature-only key would pair
+        assert any(
+            x_signature(datum, a) == x_signature(datum, b)
+            and factor_numerator(datum, a) != factor_numerator(datum, b)
+            for a, b in combinations(pool, 2)
+        )
