@@ -31,14 +31,17 @@ from .series import (
 from .weyl import WeylGroup, component_group, full_group, orbit_drops
 
 
-def _dominant_representative(datum: RootDatum, labels: tuple) -> tuple:
-    """Labels of the orbit element with every label <eta, g^vee> positive.
+def dominant_labels(datum: RootDatum, lam: Weight) -> tuple:
+    """Labels <eta+, g^vee>, in gid order, of eta = lam + rho's dominant representative.
 
+    These are the labels every orbit sum of the numerator reads: the full
+    sum all of them, a component or block factor those at its generators.
     Walks toward the dominant chamber on the labels alone, reflecting at
     the first negative label until none is left; the walk is finite because
     the group is.  Such an element exists exactly when eta is regular for
     the even root system, so a zero label (a chamber wall) is rejected.
     """
+    labels = datum.labels(vadd(as_weight(lam), datum.rho))
     while True:
         if any(a == 0 for a in labels):
             raise NotDominant(
@@ -75,8 +78,7 @@ def numerator(datum: RootDatum, lam: Weight) -> Poly:
     """Normalized numerator of the typical dominant weight ``lam``."""
     lam = _check_weight(datum, lam)
     group = full_group(datum)  # finite (or GroupTooLarge) before the walk
-    labels = _dominant_representative(datum, datum.labels(vadd(lam, datum.rho)))
-    poly = _orbit_sum(group, labels)
+    poly = _orbit_sum(group, dominant_labels(datum, lam))
     invariant(poly.constant_term() == 1, "numerator does not start at 1")
     return poly
 
@@ -95,8 +97,7 @@ def factor_numerator(datum: RootDatum, lam: Weight) -> list[Poly]:
         raise UnsupportedCase(
             "component factors need every generator to be a simple root"
         )
-    # With no extra generators the shifted weight is already dominant.
-    labels = datum.labels(vadd(as_weight(lam), datum.rho))
+    labels = dominant_labels(datum, lam)
     factors = [
         _orbit_sum(component_group(datum, k), labels)
         for k in range(1, len(comps) + 1)

@@ -23,14 +23,15 @@ generator goes through one label map: sparse coroot rows, built once after
 validation, make ``labels(v)`` (the <v, g^vee> in gid order) dot products.
 The integer data of the Weyl group walks (``generator_cartan``, the labels
 of the generators themselves, and ``generator_coords``) are plain ints,
-checked integral at construction.  The structure of a datum is fixed at
-construction, but three private caches on it fill lazily:
-``_fundamental_cache`` (even fundamental weights), ``_group_cache`` (Weyl
-groups per generator set, see :func:`superweyl.weyl.generate`) and
-``_match_key_cache`` (per weight, the factor-matching key of each
-component, written once the weight's factor law has been checked; no
-factor polynomial is kept, see :mod:`superweyl.unifac`).  Nothing guards
-them against concurrent writers.
+checked integral at construction; ``generator_blocks`` splits the
+generators into the irreducible blocks of that Cartan matrix.  The
+structure of a datum is fixed at construction, but three private caches on
+it fill lazily: ``_fundamental_cache`` (even fundamental weights),
+``_group_cache`` (Weyl groups per generator set, see
+:func:`superweyl.weyl.generate`) and ``_match_key_cache`` (per weight, its
+signature and the factor-matching key of each block, written once the
+weight's factor law has been checked; no factor polynomial is kept, see
+:mod:`superweyl.unifac`).  Nothing guards them against concurrent writers.
 """
 
 from __future__ import annotations
@@ -82,6 +83,15 @@ def vneg(v: Weight) -> Weight:
 def vscale(c: Fraction | int, v: Weight) -> Weight:
     c = Fraction(c)
     return tuple(c * a for a in v)
+
+
+def _linked_classes(nodes: Iterable[int], linked) -> tuple[tuple[int, ...], ...]:
+    """Connected components of the graph ``linked(u, v)`` on ``nodes``, by smallest node."""
+    classes: list[tuple[int, ...]] = []
+    for v in nodes:
+        joined = [c for c in classes if any(linked(u, v) for u in c)]
+        classes = [c for c in classes if c not in joined] + [tuple(sorted(sum(joined, (v,))))]
+    return tuple(sorted(classes))
 
 
 def _is_nonneg_int(x: Fraction) -> bool:
@@ -261,6 +271,14 @@ class RootDatum:
         self.generator_coords: tuple[tuple[int, ...], ...] = tuple(
             tuple(int(c) for c in self.expand_simple(g.vector)) for g in self.generators
         )
+        # Connected components of the Cartan matrix, as gids: the even Weyl
+        # group is the direct product of their subgroups, so the numerator
+        # is the product of one orbit sum per block.  G(3) and F(4) have two
+        # blocks on one diagram component (2 delta and delta are orthogonal
+        # to G_2 and B_3).
+        self.generator_blocks: tuple[tuple[int, ...], ...] = _linked_classes(
+            range(len(self.generators)), lambda u, v: self.generator_cartan[u][v] != 0
+        )
 
     # -- construction helpers ------------------------------------------------
 
@@ -323,21 +341,7 @@ class RootDatum:
     def _split_components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components of the even simple diagram, by smallest index."""
         adj = self.adjacency()
-        seen: set[int] = set()
-        comps: list[tuple[int, ...]] = []
-        for v in self.even_positions:
-            if v in seen:
-                continue
-            stack, comp = [v], []
-            seen.add(v)
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                fresh = adj[u] - seen
-                seen |= fresh
-                stack.extend(fresh)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
+        return _linked_classes(self.even_positions, lambda u, v: v in adj[u])
 
     def _coroot_row(self, alpha: Weight) -> tuple[tuple[int, Fraction], ...]:
         """alpha^vee = 2 alpha / (alpha, alpha) through the form, as (column, entry) pairs."""

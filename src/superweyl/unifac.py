@@ -9,15 +9,20 @@ factors cannot be aligned by a single permutation of the original weights
 the pair of products is a cross-matched counterexample to unique
 factorization.
 
-Factors are matched by key, never by polynomial.  Factor k of a weight is
-the orbit sum of the labels its group reads: on one component the
-dominant labels on every generator, on two components the component's own
-labels.  Its key is (signature_k, those labels), so equal keys mean equal
-factors.  The signature alone is not enough: on G(3), F(4) and B(0, n) it
-leaves out the extra generator, and ``tau`` and ``2*tau`` share it.  The
-labels alone are not used either: on B(0, n) a shifted weight with a
-negative label at the extra generator is reflected to another weight's
-dominant labels, and the two are kept apart by their signatures.
+Factors are matched by key, never by polynomial.  The even Weyl group is
+the product of the subgroups of its irreducible blocks of generators
+(``RootDatum.generator_blocks``), so a numerator is the product of one
+orbit sum per block, fixed by the block's part of
+:func:`~superweyl.numerator.dominant_labels`.  A block's key is (its part
+of the signature, those labels), so equal keys mean equal factors.  With
+two components the blocks are the components; G(3) and F(4) have one
+component but two blocks (the extra generator is orthogonal to G_2 and
+B_3), so their products can match block by block where no whole factor
+does.  The signature alone is not a key: it leaves out the extra
+generator, which ``tau`` and ``2*tau`` tell apart.  Nor are the labels
+alone: on B(0, n) a shifted weight with a negative label at the extra
+generator is reflected to another weight's dominant labels, and the two
+are kept apart by their signatures.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from enum import Enum
 from typing import Iterator, Sequence
 
 from .errors import NoSecondComponent, invariant
-from .numerator import _dominant_representative, factor_numerator, x_signature
+from .numerator import dominant_labels, factor_numerator, x_signature
 from .rootdata import ZERO, RootDatum, Weight, as_weight, vadd
 
 # Steps the search raises a quadruple's tau multiplier before skipping it.
@@ -71,25 +76,28 @@ def pair_by_key(lhs_keys: Sequence, rhs_keys: Sequence) -> list[tuple[int, int]]
     return pairs
 
 
-def _match_keys(datum: RootDatum, lam: Weight) -> tuple[tuple, ...]:
-    """Per-component keys (signature_k, labels factor k reads) of ``lam``.
+def _match_keys(datum: RootDatum, lam: Weight) -> tuple[tuple, tuple]:
+    """The signature of ``lam`` and the key of each of its block factors.
 
     Memoized on the datum, and written only after :func:`factor_numerator`
     has checked the factor law for ``lam``, so that law is checked once per
     weight.  The labels are read off the label map, not off a group.
     """
-    keys = datum._match_key_cache.get(lam)
-    if keys is None:
+    entry = datum._match_key_cache.get(lam)
+    if entry is None:
         factor_numerator(datum, lam)
-        sigs = x_signature(datum, lam)
-        if len(sigs) == 1:
-            read = (_dominant_representative(datum, datum.labels(vadd(lam, datum.rho))),)
-        else:
-            # every generator is a simple root, so component k reads sig_k
-            read = sigs
-        keys = tuple(zip(sigs, read))
-        datum._match_key_cache[lam] = keys
-    return keys
+        shifted = datum.labels(vadd(lam, datum.rho))
+        read = dominant_labels(datum, lam)
+        keys = tuple(
+            (
+                tuple(shifted[g] for g in block if datum.generators[g].pi_index is not None),
+                tuple(read[g] for g in block),
+            )
+            for block in datum.generator_blocks
+        )
+        entry = (x_signature(datum, lam), keys)
+        datum._match_key_cache[lam] = entry
+    return entry
 
 
 def _weight_sum(weights: Sequence[Weight]) -> Weight:
@@ -103,16 +111,18 @@ def verify_tensor_isomorphism(
 ) -> MatchReport:
     """Decide whether two tensor products of typical modules agree.
 
-    Per component, each lhs factor is paired with the first unpaired rhs
-    factor of equal key (see the module docstring), and the pairs are
-    reported in peel order: increasing degree of the lowest term, then
-    signature, then lhs index.  The products agree when every factor on
-    both sides is paired and the weight sums agree, since the product
-    characters carry the total weight as a prefactor.  Equal weight
-    multisets conclude unique factorization; otherwise the pair is a
-    cross-matched counterexample (the factors align component by component
-    but no single permutation of the weights does, or the weights differ in
-    a direction the even pairings cannot see).
+    The numerator products agree when both sides have as many weights and
+    each block has the same multiset of keys on both sides (see the module
+    docstring); the character products agree when the weight sums agree
+    too, as the total weight is their prefactor.  Equal weight multisets
+    then conclude unique factorization; otherwise the pair is a
+    cross-matched counterexample (the factors align block by block but no
+    single permutation of the weights does, or the weights differ in a
+    direction the even pairings cannot see).
+
+    The pairing is reported per component: each lhs factor takes the first
+    unpaired rhs factor whose blocks all have equal keys, listed in peel
+    order (degree of the lowest term, signature, lhs index).
 
     What each call verifies: the factor law of each new weight (once per
     weight and datum, through :func:`factor_numerator`), the keys, the
@@ -120,19 +130,28 @@ def verify_tensor_isomorphism(
     """
     lhs = [as_weight(w) for w in lhs]
     rhs = [as_weight(w) for w in rhs]
-    lhs_keys = [_match_keys(datum, w) for w in lhs]
-    rhs_keys = [_match_keys(datum, w) for w in rhs]
+    lhs_entries = [_match_keys(datum, w) for w in lhs]
+    rhs_entries = [_match_keys(datum, w) for w in rhs]
 
+    block_pairs = [
+        pair_by_key([keys[b] for _, keys in lhs_entries], [keys[b] for _, keys in rhs_entries])
+        for b in range(len(datum.generator_blocks))
+    ]
+    products_equal = len(lhs) == len(rhs) and all(len(p) == len(lhs) for p in block_pairs)
+
+    if len(datum.components) > 1:
+        # every generator is a simple root (factor_numerator checks it), so
+        # the blocks are the components
+        comp_pairs = block_pairs
+    else:
+        comp_pairs = [pair_by_key([keys for _, keys in lhs_entries], [keys for _, keys in rhs_entries])]
     pairing: list[FactorMatch] = []
-    all_paired = len(lhs) == len(rhs)
-    for k in range(len(datum.components)):
-        sigs = [key[k][0] for key in lhs_keys]
-        pairs = pair_by_key([key[k] for key in lhs_keys], [key[k] for key in rhs_keys])
-        all_paired = all_paired and len(pairs) == len(lhs)
+    for k, pairs in enumerate(comp_pairs):
+        sigs = [sig[k] for sig, _ in lhs_entries]
         pairs.sort(key=lambda pair: (sum(sigs[pair[0]]), sigs[pair[0]], pair[0]))
         pairing.extend(FactorMatch(k + 1, i, j, sigs[i]) for i, j in pairs)
 
-    if not all_paired or _weight_sum(lhs) != _weight_sum(rhs):
+    if not products_equal or _weight_sum(lhs) != _weight_sum(rhs):
         conclusion = Conclusion.PRODUCTS_UNEQUAL
     elif sorted(lhs) == sorted(rhs):
         conclusion = Conclusion.UNIQUE_FACTORIZATION

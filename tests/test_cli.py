@@ -375,8 +375,15 @@ class TestVerifyCommand:
             (["G3"], "tau; 3*tau", "2*tau; 2*tau", "ProductsUnequal"),
             (["F4"], "tau", "2*tau", "ProductsUnequal"),
             (["b0", "--n", "2"], "delta[1]", "delta[1]+tau", "ProductsUnequal"),
+            # tau is orthogonal to G_2 and B_3, so the products agree block
+            # by block although no whole factor matches
+            (["G3"], "tau; omega[1]+2*tau", "2*tau; omega[1]+tau", "CrossMatchedCounterexample"),
+            (["F4"], "tau; omega[1]+2*tau", "2*tau; omega[1]+tau", "CrossMatchedCounterexample"),
         ],
-        ids=["g3-reordered", "g3-tau-multiples", "g3-balanced", "f4-tau-multiples", "b02-tau-shift"],
+        ids=[
+            "g3-reordered", "g3-tau-multiples", "g3-balanced", "f4-tau-multiples",
+            "b02-tau-shift", "g3-swapped-across-blocks", "f4-swapped-across-blocks",
+        ],
     )
     def test_equal_signature_other_extra_label(self, capsys, family, lhs, rhs, conclusion):
         # Equal signatures, but the labels at the extra even generator differ,

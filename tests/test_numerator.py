@@ -108,16 +108,17 @@ class TestSignatures:
         lam = weight_from_coeffs(d, (1, 2, 3), tau_mult=1)
         assert x_lambda(d, lam) == mono_from_pairs([(0, 2), (1, 3), (3, 4)])
 
-    @pytest.mark.parametrize("p,q", [(3, 2), (4, 3)])
-    def test_signature_determines_factor(self, p, q):
-        # Vary the component's own coefficients, the other component's and
-        # the tau multiple: equal signatures must give equal factors, and
-        # distinct signatures distinct factors, on both components.
+    @pytest.mark.parametrize("p,q,top", [(3, 2, 2), (4, 3, 1)])
+    def test_signature_determines_factor(self, p, q, top):
+        # Vary the component's own coefficients (0..top), the other
+        # component's and the tau multiple: equal signatures must give equal
+        # factors, and distinct signatures distinct factors, on both
+        # components.
         d = build_sl(p, q)
         rank = d.even_simple_count
         for k, comp in enumerate(d.components):
             seen, repeats = {}, 0
-            for coeffs in itertools.product(range(2), repeat=rank):
+            for coeffs in itertools.product(range(top + 1), repeat=rank):
                 for mult in (1, 2):
                     lam = weight_from_coeffs(d, coeffs, tau_mult=mult)
                     if not d.atypicality(lam).is_typical:
@@ -130,7 +131,7 @@ class TestSignatures:
                     else:
                         assert factor_text not in seen.values()
                         seen[sig] = factor_text
-            assert len(seen) == 2 ** len(comp)
+            assert len(seen) == (top + 1) ** len(comp)
             assert repeats > 0
 
     def test_non_integral_pairing_rejected(self):
@@ -356,6 +357,27 @@ def test_numerator_and_factors_match_the_matrix_reference(builder):
         assert got == outcome(ref.numerator, datum, lam), lam
         if isinstance(got, Poly) and len(datum.components) > 1:
             assert factor_numerator(datum, lam) == ref.factors(datum, lam), lam
+
+
+@pytest.mark.parametrize(
+    "builder", [b for _, b in REFERENCE_DATA], ids=[n for n, _ in REFERENCE_DATA]
+)
+def test_numerator_is_the_product_of_its_block_orbit_sums(builder):
+    # Factor matching compares weights block by block of generator_blocks,
+    # so the numerator must be one orbit sum per block, multiplied.
+    datum = builder()
+    checked = 0
+    for lam in seeded_weights(datum, 3 if datum.label == "sl(4,3)" else 8, seed=11):
+        whole = outcome(numerator, datum, lam)
+        if not isinstance(whole, Poly):
+            continue
+        eta_plus = ref.dominant_representative(datum, vadd(lam, datum.rho))
+        product = Poly.one()
+        for block in datum.generator_blocks:
+            product = product * ref.orbit_sum(datum, ref.reference_group(datum, block), eta_plus)
+        assert product == whole, lam
+        checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize(

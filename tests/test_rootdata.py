@@ -41,6 +41,7 @@ def test_sl32_basic_data():
     assert d.even_positions == (0, 1, 3)
     assert d.odd_position == 2
     assert d.components == ((0, 1), (3,))
+    assert d.generator_blocks == ((0, 1), (2,))
     assert [g.label for g in d.generators] == ["s1", "s2", "s3"]
     assert all(g.pi_index is not None for g in d.generators)
 
@@ -99,6 +100,7 @@ def test_b02_structure():
     labels = [(g.label, g.pi_index) for g in d.generators]
     assert labels == [("s1", 0), ("s2", None)]
     assert d.generators[1].vector == as_weight((0, 2))
+    assert d.generator_blocks == ((0, 1),)
 
 
 def test_g3_structure():
@@ -114,6 +116,8 @@ def test_g3_structure():
     ]
     assert d.generators[2].pi_index is None
     assert d.components == ((0, 1),)
+    # 2 delta is orthogonal to G_2: one diagram component, two blocks
+    assert d.generator_blocks == ((0, 1), (2,))
 
 
 def test_f4_structure():
@@ -125,6 +129,7 @@ def test_f4_structure():
     assert len(d.generators) == 4
     assert d.generators[3].vector == as_weight((0, 0, 0, 1))
     assert d.generators[3].pi_index is None
+    assert d.generator_blocks == ((0, 1, 2), (3,))
     simple_odd = d.simple_roots[3]
     assert simple_odd.odd and simple_odd.isotropic
 
