@@ -270,12 +270,14 @@ def atypical_numerator(ctx: AtypicalContext) -> Poly:
         images.append(moved[key])
     drops = orbit_drops(group, datum.labels(vadd(ctx.lam, datum.rho)))
     terms: dict[Mono, ZSeries] = {}
-    prefactors: dict[int, ZSeries] = {}
+    # the prefactor of each image index, keyed by the element's sign
+    prefactors: dict[int, dict[int, ZSeries]] = {}
     for w, drop, idx in zip(group.elements, drops, images):
         if idx not in prefactors:
-            prefactors[idx] = _prefactor(ctx, idx)
+            p = _prefactor(ctx, idx)
+            prefactors[idx] = {1: p, -1: -p}
         mono = weight_monomial(drop)
-        coeff = prefactors[idx].scale(w.sign)
+        coeff = prefactors[idx][w.sign]
         terms[mono] = terms[mono] + coeff if mono in terms else coeff
     return Poly(terms, ctx.z_truncation)
 

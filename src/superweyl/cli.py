@@ -277,7 +277,7 @@ def _parse_weight_list(src: str, datum: RootDatum) -> list[Weight]:
 
 
 def _print_poly(prefix: str, datum: RootDatum, poly):
-    text = poly.to_text(len(datum.simple_roots), datum.x_label)
+    text = poly.to_text(datum.x_label)
     print(f"{prefix}: {text}")
 
 

@@ -95,7 +95,7 @@ def _atypical_weight(datum: RootDatum, idx: int, coeff_bound: int = 3) -> Weight
 
 
 def _text(datum: RootDatum, poly: Poly) -> str:
-    return poly.to_text(len(datum.simple_roots), datum.x_label)
+    return poly.to_text(datum.x_label)
 
 
 _EXAMPLE_COEFFS = {

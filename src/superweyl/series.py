@@ -1,6 +1,6 @@
 """Sparse exact polynomials and truncated power series.
 
-Two layers of arithmetic support the numerator machinery:
+Two rings support the numerator machinery:
 
 * ``ZSeries``: a power series in commuting symbols Z_1, ..., Z_m (one per
   positive odd root), truncated at a fixed total degree, with rational
@@ -10,6 +10,15 @@ Two layers of arithmetic support the numerator machinery:
 * ``Poly``: a polynomial in the variables X_1, ..., X_r (one per simple
   root) whose coefficients are either rationals or ``ZSeries`` over a common
   truncation.  Monomials use non-negative integer exponents.
+
+Both hold a dict {monomial: nonzero coefficient}, and one kernel, ``_Terms``,
+does their arithmetic: sum, difference, negation, scaling, the
+degree-bounded product, the zero test, equality, hash and the ring check.
+A ring is the class with its truncation (``trunc``, or ``ztrunc`` with None
+for rational coefficients); combining two rings raises ``RingMismatch``.
+The kernel asks a coefficient for ``+``, ``-`` and ``*`` within its ring, a
+rational scalar on the left and truthiness for zero; ``Fraction`` and
+``ZSeries`` both qualify.
 
 Monomials are sorted tuples of (variable index, exponent) pairs; the zero
 polynomial has no terms.  All operations are exact.
@@ -22,6 +31,7 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import (
     ConstantTermNotOne,
+    IndexOutOfRange,
     NegativeExponentAfterCollapse,
     NonIntegralExponent,
     NotInvertible,
@@ -76,37 +86,116 @@ def mono_key(m: Mono, nvars: int) -> tuple[int, tuple[int, ...]]:
     return (mono_degree(m), tuple(dense))
 
 
-class ZSeries:
+class _Terms:
+    """Sparse {monomial: coefficient} arithmetic over one ring.
+
+    ``_ring`` is the truncation that, with the class, names the ring.
+    Results are built by ``_new``, which only drops zero coefficients: their
+    terms come from operands already in the ring.
+    """
+
+    __slots__ = ("_ring", "terms")
+
+    def _new(self, terms: dict) -> _Terms:
+        out = object.__new__(type(self))
+        out._ring = self._ring
+        out.terms = {m: c for m, c in terms.items() if c}
+        return out
+
+    def _check(self, other: object) -> None:
+        if type(other) is not type(self) or other._ring != self._ring:
+            raise RingMismatch(
+                f"cannot combine {type(self).__name__} over {self._ring} with "
+                f"{type(other).__name__} over {getattr(other, '_ring', None)}"
+            )
+
+    def __add__(self, other: _Terms) -> _Terms:
+        self._check(other)
+        terms = dict(self.terms)
+        for m, c in other.terms.items():
+            cur = terms.get(m)
+            terms[m] = c if cur is None else cur + c
+        return self._new(terms)
+
+    def __sub__(self, other: _Terms) -> _Terms:
+        self._check(other)
+        terms = dict(self.terms)
+        for m, c in other.terms.items():
+            cur = terms.get(m)
+            terms[m] = -c if cur is None else cur - c
+        return self._new(terms)
+
+    def __neg__(self) -> _Terms:
+        return self._new({m: -c for m, c in self.terms.items()})
+
+    def _scaled(self, c: Fraction | ZSeries) -> _Terms:
+        """Every coefficient times ``c``, a scalar already checked for this ring."""
+        return self._new({m: c * v for m, v in self.terms.items()})
+
+    def _product(self, other: _Terms, bound: int | None) -> _Terms:
+        """Product keeping the monomials of total degree at most ``bound`` (None: all)."""
+        self._check(other)
+        right = [(m, c, mono_degree(m)) for m, c in other.terms.items()]
+        if bound is None:
+            bound = max(map(mono_degree, self.terms), default=0) + max(
+                (d for _, _, d in right), default=0
+            )
+        out: dict = {}
+        for m1, c1 in self.terms.items():
+            room = bound - mono_degree(m1)
+            for m2, c2, d2 in right:
+                if d2 <= room:
+                    m = mono_mul(m1, m2)
+                    cur = out.get(m)
+                    out[m] = c1 * c2 if cur is None else cur + c1 * c2
+        return self._new(out)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._ring == other._ring and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self._ring, frozenset(self.terms.items())))
+
+
+def _scalar(c: object, ztrunc: int | None) -> Fraction | ZSeries:
+    """``c`` checked as a scalar over ``ztrunc``: a rational, or a series truncated there."""
+    if isinstance(c, (int, Fraction)):
+        return Fraction(c)
+    if not isinstance(c, ZSeries) or c.trunc != ztrunc:
+        raise RingMismatch(f"{type(c).__name__} is no scalar over ztrunc={ztrunc}")
+    return c
+
+
+class ZSeries(_Terms):
     """Truncated multivariate power series with rational coefficients.
 
     Instances are immutable; arithmetic keeps only terms of total degree at
     most ``trunc``.  Two series must share a truncation to combine.
     """
 
-    __slots__ = ("trunc", "terms")
+    __slots__ = ()
 
     def __init__(self, trunc: int, terms: Mapping[Mono, Fraction] | None = None):
         if trunc < 0:
             raise TruncationTooSmall("truncation must be non-negative")
-        self.trunc = trunc
-        clean: dict[Mono, Fraction] = {}
-        if terms:
-            for m, c in terms.items():
-                if c != 0 and mono_degree(m) <= trunc:
-                    clean[m] = Fraction(c)
-        self.terms = clean
+        self._ring = trunc
+        self.terms = {}
+        for m, c in (terms or {}).items():
+            c = _scalar(c, None)
+            if c and mono_degree(m) <= trunc:
+                self.terms[m] = c
 
-    @classmethod
-    def _exact(cls, trunc: int, terms: dict[Mono, Fraction]) -> "ZSeries":
-        """Series from ``Fraction`` terms already within ``trunc``; drops zeros only.
-
-        The ring operations build their results here: their terms come from
-        validated series, so only cancellation can leave anything to clean.
-        """
-        out = object.__new__(cls)
-        out.trunc = trunc
-        out.terms = {m: c for m, c in terms.items() if c}
-        return out
+    @property
+    def trunc(self) -> int:
+        return self._ring
 
     # -- constructors -----------------------------------------------------
 
@@ -120,64 +209,33 @@ class ZSeries:
 
     @staticmethod
     def constant(c: Fraction | int, trunc: int) -> "ZSeries":
-        return ZSeries(trunc, {EMPTY_MONO: Fraction(c)})
+        return ZSeries(trunc, {EMPTY_MONO: c})
 
     @staticmethod
     def var(index: int, trunc: int) -> "ZSeries":
+        if index < 0:
+            raise IndexOutOfRange(f"Z variable index {index} is negative")
         return ZSeries(trunc, {((index, 1),): ONE})
 
     # -- ring operations ---------------------------------------------------
 
-    def _check(self, other: "ZSeries") -> None:
-        if self.trunc != other.trunc:
-            raise RingMismatch(
-                f"series truncations differ: {self.trunc} vs {other.trunc}"
-            )
-
-    def __add__(self, other: "ZSeries") -> "ZSeries":
-        self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, ZERO) + c
-        return ZSeries._exact(self.trunc, terms)
-
-    def __sub__(self, other: "ZSeries") -> "ZSeries":
-        self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, ZERO) - c
-        return ZSeries._exact(self.trunc, terms)
-
-    def __neg__(self) -> "ZSeries":
-        return ZSeries._exact(self.trunc, {m: -c for m, c in self.terms.items()})
-
     def __mul__(self, other: "ZSeries") -> "ZSeries":
-        self._check(other)
-        right = [(m2, c2, mono_degree(m2)) for m2, c2 in other.terms.items()]
-        out: dict[Mono, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            room = self.trunc - mono_degree(m1)
-            for m2, c2, d2 in right:
-                if d2 <= room:
-                    m = mono_mul(m1, m2)
-                    cur = out.get(m)
-                    out[m] = c1 * c2 if cur is None else cur + c1 * c2
-        return ZSeries._exact(self.trunc, out)
+        return self._product(other, self._ring)
+
+    def __rmul__(self, c: Fraction | int) -> "ZSeries":
+        return self.scale(c)
 
     def scale(self, c: Fraction | int) -> "ZSeries":
-        c = Fraction(c)
-        return ZSeries._exact(self.trunc, {m: c * v for m, v in self.terms.items()})
+        return self._scaled(_scalar(c, None))
 
     def inverse(self) -> "ZSeries":
         """Geometric inverse; the constant term must be nonzero."""
-        c0 = self.terms.get(EMPTY_MONO, ZERO)
+        c0 = self.constant_term()
         if c0 == 0:
             raise NotInvertible("series has no invertible constant term")
-        tail = ZSeries(self.trunc, {m: c for m, c in self.terms.items() if m})
-        n = tail.scale(-1 / c0)
-        acc = ZSeries.one(self.trunc)
-        power = ZSeries.one(self.trunc)
-        for _ in range(self.trunc):
+        n = self._new({m: c for m, c in self.terms.items() if m}).scale(-1 / c0)
+        acc = power = ZSeries.one(self._ring)
+        for _ in range(self._ring):
             power = power * n
             if power.is_zero():
                 break
@@ -186,104 +244,63 @@ class ZSeries:
 
     # -- queries ------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def constant_term(self) -> Fraction:
         return self.terms.get(EMPTY_MONO, ZERO)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ZSeries):
-            return NotImplemented
-        return self.trunc == other.trunc and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.trunc, frozenset(self.terms.items())))
-
     def __repr__(self) -> str:
-        return f"ZSeries(trunc={self.trunc}, {self.to_text()})"
+        return f"ZSeries(trunc={self._ring}, {self.to_text()})"
 
     def to_text(self, names: Callable[[int], str] | None = None) -> str:
         """Canonical rendering: by total degree, then exponent order."""
         if names is None:
             names = lambda i: f"g{i + 1}"
-        nvars = 1 + max((v for m in self.terms for v, _ in m), default=0)
-        return _render_terms(
-            sorted(self.terms.items(), key=lambda kv: mono_key(kv[0], nvars)),
-            lambda i: f"Z[{names(i)}]",
-        )
+        return _render_terms(self.terms, lambda i: f"Z[{names(i)}]")
 
 
-def _render_coeff_mono(c: Fraction, factors: str) -> tuple[str, str]:
-    """Split one term into (sign, body) for joining."""
-    sign = "-" if c < 0 else "+"
-    mag = abs(c)
-    if not factors:
-        body = str(mag)
-    elif mag == 1:
-        body = factors
-    else:
-        body = f"{mag}*{factors}"
-    return sign, body
-
-
-def _mono_text(m: Mono, name: Callable[[int], str]) -> str:
-    parts = []
-    for v, e in m:
-        parts.append(name(v) if e == 1 else f"{name(v)}^{e}")
-    return "*".join(parts)
-
-
-def _render_terms(
-    items: list[tuple[Mono, Fraction]], name: Callable[[int], str]
-) -> str:
-    if not items:
-        return "0"
+def _render_terms(terms: Mapping[Mono, Fraction], name: Callable[[int], str]) -> str:
+    """Canonical text of rational terms: by total degree, then exponent order."""
+    nvars = 1 + max((v for m in terms for v, _ in m), default=0)
     chunks: list[str] = []
-    for i, (m, c) in enumerate(items):
-        sign, body = _render_coeff_mono(c, _mono_text(m, name))
-        if i == 0:
-            chunks.append(body if sign == "+" else f"-{body}")
+    for m, c in sorted(terms.items(), key=lambda kv: mono_key(kv[0], nvars)):
+        body = "*".join(name(v) if e == 1 else f"{name(v)}^{e}" for v, e in m)
+        mag = abs(c)
+        if not body:
+            body = str(mag)
+        elif mag != 1:
+            body = f"{mag}*{body}"
+        if chunks:
+            chunks.append(f" {'-' if c < 0 else '+'} {body}")
         else:
-            chunks.append(f" {sign} {body}")
-    return "".join(chunks)
+            chunks.append(f"-{body}" if c < 0 else body)
+    return "".join(chunks) or "0"
 
 
-class Poly:
+class Poly(_Terms):
     """Sparse polynomial in the X variables.
 
     ``ztrunc`` is ``None`` for rational coefficients and the common series
     truncation when coefficients are ``ZSeries``.
     """
 
-    __slots__ = ("ztrunc", "terms")
+    __slots__ = ()
 
     def __init__(
         self,
         terms: Mapping[Mono, Fraction | ZSeries] | None = None,
         ztrunc: int | None = None,
     ):
-        self.ztrunc = ztrunc
-        clean: dict[Mono, Fraction | ZSeries] = {}
-        if terms:
-            for m, c in terms.items():
-                if isinstance(c, ZSeries):
-                    if ztrunc is None or c.trunc != ztrunc:
-                        raise RingMismatch(
-                            "series coefficient does not match the polynomial ring"
-                        )
-                    if not c.is_zero():
-                        clean[m] = c
-                else:
-                    if ztrunc is not None:
-                        c = ZSeries.constant(c, ztrunc)
-                        if not c.is_zero():
-                            clean[m] = c
-                    else:
-                        c = Fraction(c)
-                        if c != 0:
-                            clean[m] = c
-        self.terms = clean
+        self._ring = ztrunc
+        self.terms = {}
+        for m, c in (terms or {}).items():
+            c = _scalar(c, ztrunc)
+            if ztrunc is not None and not isinstance(c, ZSeries):
+                c = ZSeries.constant(c, ztrunc)
+            if c:
+                self.terms[m] = c
+
+    @property
+    def ztrunc(self) -> int | None:
+        return self._ring
 
     # -- constructors -----------------------------------------------------
 
@@ -296,142 +313,59 @@ class Poly:
         return Poly({EMPTY_MONO: ONE}, ztrunc)
 
     @staticmethod
-    def x_monomial(
-        mono: Mono, coeff: Fraction | ZSeries = ONE, ztrunc: int | None = None
-    ) -> "Poly":
-        if isinstance(coeff, ZSeries):
-            ztrunc = coeff.trunc
-        return Poly({mono: coeff}, ztrunc)
-
-    # -- ring helpers --------------------------------------------------------
-
-    def _coerce(self, other: "Poly") -> None:
-        if self.ztrunc != other.ztrunc:
-            raise RingMismatch(
-                f"polynomial rings differ: ztrunc {self.ztrunc} vs {other.ztrunc}"
-            )
-
-    def _zero_coeff(self) -> Fraction | ZSeries:
-        return ZERO if self.ztrunc is None else ZSeries.zero(self.ztrunc)
-
-    def _one_coeff(self) -> Fraction | ZSeries:
-        return ONE if self.ztrunc is None else ZSeries.one(self.ztrunc)
+    def x_monomial(mono: Mono) -> "Poly":
+        return Poly({mono: ONE})
 
     # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other: "Poly") -> "Poly":
-        self._coerce(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            cur = terms.get(m)
-            terms[m] = c if cur is None else cur + c
-        return Poly(terms, self.ztrunc)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        self._coerce(other)
-        terms: dict[Mono, Fraction | ZSeries] = dict(self.terms)
-        for m, c in other.terms.items():
-            cur = terms.get(m)
-            terms[m] = (-c) if cur is None else cur - c
-        return Poly(terms, self.ztrunc)
-
-    def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()}, self.ztrunc)
 
     def __mul__(self, other: "Poly") -> "Poly":
         return self.mul_trunc(other, None)
 
     def mul_trunc(self, other: "Poly", bound: int | None) -> "Poly":
         """Product, optionally dropping X monomials of degree above bound."""
-        self._coerce(other)
-        out: dict[Mono, Fraction | ZSeries] = {}
-        for m1, c1 in self.terms.items():
-            d1 = mono_degree(m1)
-            for m2, c2 in other.terms.items():
-                if bound is not None and d1 + mono_degree(m2) > bound:
-                    continue
-                m = mono_mul(m1, m2)
-                prod = c1 * c2
-                cur = out.get(m)
-                out[m] = prod if cur is None else cur + prod
-        return Poly(out, self.ztrunc)
+        return self._product(other, bound)
 
     def scale(self, c: Fraction | int | ZSeries) -> "Poly":
-        if isinstance(c, ZSeries):
-            if c.trunc != self.ztrunc:
-                raise RingMismatch("scalar series does not match the polynomial ring")
-            return Poly({m: v * c for m, v in self.terms.items()}, self.ztrunc)
-        c = Fraction(c)
-        return Poly(
-            {
-                m: (v.scale(c) if isinstance(v, ZSeries) else v * c)
-                for m, v in self.terms.items()
-            },
-            self.ztrunc,
-        )
+        return self._scaled(_scalar(c, self._ring))
 
     # -- queries --------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def constant_term(self) -> Fraction | ZSeries:
-        return self.terms.get(EMPTY_MONO, self._zero_coeff())
+        return self.coefficient(EMPTY_MONO)
 
     def coefficient(self, mono: Mono) -> Fraction | ZSeries:
-        return self.terms.get(mono, self._zero_coeff())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.ztrunc == other.ztrunc and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.ztrunc, frozenset(self.terms.items())))
+        c = self.terms.get(mono)
+        if c is None:
+            return ZERO if self._ring is None else ZSeries.zero(self._ring)
+        return c
 
     def __repr__(self) -> str:
-        if self.ztrunc is None:
+        if self._ring is None:
             return f"Poly({self.to_text()})"
-        return f"Poly(ztrunc={self.ztrunc}, terms={len(self.terms)})"
+        return f"Poly(ztrunc={self._ring}, terms={len(self.terms)})"
 
     # -- structure ---------------------------------------------------------
 
     def truncate_x(self, bound: int) -> "Poly":
         """Drop X monomials of total degree above bound."""
-        return Poly(
-            {m: c for m, c in self.terms.items() if mono_degree(m) <= bound},
-            self.ztrunc,
-        )
+        return self._new({m: c for m, c in self.terms.items() if mono_degree(m) <= bound})
 
     def dividing(self, cap: Mono) -> "Poly":
         """Keep the terms whose X monomial divides X^cap."""
         room = dict(cap)
-        return Poly(
-            {m: c for m, c in self.terms.items() if _divides(m, room)},
-            self.ztrunc,
-        )
+        return self._new({m: c for m, c in self.terms.items() if _divides(m, room)})
 
-    def sorted_terms(self, nvars: int) -> list[tuple[Mono, Fraction | ZSeries]]:
-        return sorted(self.terms.items(), key=lambda kv: mono_key(kv[0], nvars))
-
-    def to_text(
-        self,
-        nvars: int | None = None,
-        names: Callable[[int], str] | None = None,
-    ) -> str:
+    def to_text(self, names: Callable[[int], str] | None = None) -> str:
         """Canonical text: terms by total degree, then exponent order.
 
         Only rational-coefficient polynomials render; series coefficients
         have no canonical inline form here.
         """
-        if self.ztrunc is not None:
+        if self._ring is not None:
             raise RingMismatch("canonical text requires rational coefficients")
-        if nvars is None:
-            nvars = 1 + max((v for m in self.terms for v, _ in m), default=0)
         if names is None:
             names = lambda i: f"x{i + 1}"
-        items = self.sorted_terms(nvars)
-        return _render_terms(items, lambda i: f"X[{names(i)}]")
+        return _render_terms(self.terms, lambda i: f"X[{names(i)}]")
 
 
 def _divides(m: Mono, room: Mapping[int, int]) -> bool:
@@ -445,10 +379,7 @@ def theta(poly: Poly, support: Iterable[int]) -> Poly:
     theta(p, {}) is the constant term of p as a polynomial.
     """
     want = frozenset(support)
-    return Poly(
-        {m: c for m, c in poly.terms.items() if mono_support(m) == want},
-        poly.ztrunc,
-    )
+    return poly._new({m: c for m, c in poly.terms.items() if mono_support(m) == want})
 
 
 def neg_log(poly: Poly, bound: int, cap: Mono | None = None) -> Poly:
@@ -471,7 +402,7 @@ def neg_log(poly: Poly, bound: int, cap: Mono | None = None) -> Poly:
     """
     if bound < 0:
         raise TruncationTooSmall(f"-log bound must be >= 0, got {bound}")
-    if poly.constant_term() != poly._one_coeff():
+    if poly.constant_term() != Poly.one(poly.ztrunc).constant_term():
         raise ConstantTermNotOne(
             "formal -log needs a polynomial with constant term 1"
         )
@@ -489,19 +420,17 @@ def neg_log(poly: Poly, bound: int, cap: Mono | None = None) -> Poly:
         room = dict(cap)
         terms = [tm for tm in terms if _divides(tm[0], room)]
     terms = sorted((tm for tm in terms if tm[2] <= bound), key=lambda tm: tm[2])
-    zero = poly._zero_coeff()
-    scale = (lambda c, k: c * k) if poly.ztrunc is None else (lambda c, k: c.scale(k))
     # levels[d] accumulates D(L)_m for the monomials m of degree d; it is
     # complete once every lower level has been walked
     levels: list[dict[Mono, Fraction | ZSeries]] = [{} for _ in range(bound + 1)]
     for t, c, d in terms:
-        levels[d][t] = scale(c, d)
+        levels[d][t] = d * c
     out: dict[Mono, Fraction | ZSeries] = {}
     for d in range(1, bound + 1):
         for m, dl in levels[d].items():
-            if dl == zero:
+            if not dl:
                 continue
-            out[m] = scale(dl, Fraction(-1, d))
+            out[m] = Fraction(-1, d) * dl
             for t, c, dt in terms:
                 if d + dt > bound:
                     break
@@ -511,7 +440,7 @@ def neg_log(poly: Poly, bound: int, cap: Mono | None = None) -> Poly:
                 level = levels[d + dt]
                 cur = level.get(n)
                 level[n] = -(dl * c) if cur is None else cur - dl * c
-    return Poly(out, poly.ztrunc)
+    return poly._new(out)
 
 
 def weight_monomial(coeffs: Iterable[Fraction]) -> Mono:

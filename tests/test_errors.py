@@ -63,3 +63,42 @@ def unused_imports(path):
 def test_library_has_no_unused_imports():
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in unused_imports(path)]
     assert found == []
+
+
+def private_definitions(tree):
+    """(name, line) of each private function, class or assignment at module or class level."""
+    scopes = [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    for scope in scopes:
+        for node in scope.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                    yield name, node.lineno
+
+
+def test_library_has_no_orphaned_private_names():
+    """Every private (non-dunder) name defined in the library is read somewhere in it."""
+    defined = {}
+    read = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for name, lineno in private_definitions(tree):
+            defined.setdefault(name, f"{path.name}:{lineno}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    found = [
+        f"{where} defines {name}, which nothing reads"
+        for name, where in sorted(defined.items())
+        if name not in read
+    ]
+    assert found == []

@@ -38,7 +38,7 @@ def weight_from_coeffs(datum, coeffs, tau_mult=0):
 
 
 def text(datum, poly):
-    return poly.to_text(len(datum.simple_roots), datum.x_label)
+    return poly.to_text(datum.x_label)
 
 
 class TestKnownFactorizations:

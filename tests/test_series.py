@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from superweyl.errors import (
     ConstantTermNotOne,
+    IndexOutOfRange,
     InternalInvariant,
     NegativeExponentAfterCollapse,
     NonIntegralExponent,
@@ -27,7 +28,7 @@ from superweyl.series import (
     weight_monomial,
 )
 
-from series_reference import power_loop_neg_log
+from series_reference import flatten, naive_add, naive_mul, power_loop_neg_log
 
 F = Fraction
 
@@ -63,7 +64,7 @@ def test_poly_canonical_text_golden():
     )
     names = {0: "a1", 1: "a2"}.__getitem__
     assert (
-        p.to_text(2, names)
+        p.to_text(names)
         == "1 - X[a1]^2 - X[a2]^3 + X[a1]^2*X[a2]^5 + X[a1]^5*X[a2]^3 - X[a1]^5*X[a2]^5"
     )
 
@@ -173,12 +174,45 @@ def test_zseries_text():
 
 
 def test_ring_mismatch():
-    with pytest.raises(RingMismatch):
-        ZSeries.one(2) + ZSeries.one(3)
-    with pytest.raises(RingMismatch):
-        Poly.one(2) + Poly.one()
-    with pytest.raises(RingMismatch):
-        Poly.one(2).to_text()
+    z2, p2, p = ZSeries.one(2), Poly.one(2), Poly.one()
+    mixed = [
+        lambda: z2 + ZSeries.one(3),
+        lambda: p2 + p,
+        lambda: p + 1,
+        lambda: z2 + p2,
+        lambda: z2 - p2,
+        lambda: p2 - Poly.one(3),
+        lambda: z2 * 2,
+        lambda: z2 * ZSeries.one(3),
+        lambda: p2 * z2,
+        lambda: p * Poly.one(1),
+        lambda: p2.mul_trunc(Poly.one(3), 4),
+        lambda: p.mul_trunc(z2, 1),
+        lambda: p.scale(z2),
+        lambda: p2.scale(ZSeries.one(3)),
+        lambda: z2.scale(z2),
+        lambda: p.scale(p),
+        lambda: Poly({EMPTY_MONO: z2}),
+        lambda: Poly({EMPTY_MONO: z2}, 3),
+        lambda: ZSeries(2, {EMPTY_MONO: "0"}),
+        lambda: ZSeries(2, {EMPTY_MONO: 0.5}),
+        lambda: p2.to_text(),
+    ]
+    for combine in mixed:
+        with pytest.raises(RingMismatch):
+            combine()
+    # a ring element is never equal to an element of another ring
+    assert (p == 1) is False
+    assert (z2 == p2) is False
+    # a rational scalar multiplies from the left
+    assert 2 * z2 == ZSeries.constant(2, 2) == z2.scale(2)
+
+
+def test_text_reads_the_variable_count_from_the_terms():
+    assert Poly({((5, 1),): F(1)}).to_text() == "X[x6]"
+    assert (Poly.one() + xvar(3) + xvar(0, 2)).to_text() == "1 + X[x4] + X[x1]^2"
+    with pytest.raises(IndexOutOfRange):
+        ZSeries.var(-1, 2)
 
 
 def test_theta_keeps_exact_support():
@@ -286,3 +320,55 @@ def test_capped_neg_log_is_the_uncapped_one_on_divisors(poly, cap, bound):
     assert neg_log(poly, bound) == reference
     assert neg_log(poly, bound, cap) == reference.dividing(cap)
     assert neg_log(poly, bound, cap) == power_loop_neg_log(poly, bound, cap)
+
+
+def ring_element(draw, kind, trunc):
+    """A rational ``Poly``, a ``Poly`` over series truncated at ``trunc``, or such a series."""
+
+    def series():
+        terms = draw(st.dictionaries(zmonos(), coeffs, max_size=3))
+        return ZSeries(trunc, {m: F(c) for m, c in terms.items()})
+
+    if kind == "series":
+        return series()
+    monos = draw(st.lists(xmonos(), max_size=4))
+    if kind == "rational":
+        return Poly({m: F(draw(coeffs)) for m in monos})
+    return Poly({m: series() for m in monos}, trunc)
+
+
+def assert_no_zero_coefficient(x):
+    for c in x.terms.values():
+        assert c
+        if isinstance(c, ZSeries):
+            assert_no_zero_coefficient(c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_kernel_matches_the_naive_reference(data):
+    kind = data.draw(st.sampled_from(["rational", "series-coefficient", "series"]))
+    trunc = data.draw(st.integers(0, 3))
+    a, b = (ring_element(data.draw, kind, trunc) for _ in range(2))
+    cut = None if kind == "rational" else trunc
+    fa, fb = flatten(a), flatten(b)
+    results = {
+        "+": (a + b, naive_add(fa, fb)),
+        "-": (a - b, naive_add(fa, fb, -1)),
+        "neg": (-a, naive_add({}, fa, -1)),
+        "*": (a * b, naive_mul(fa, fb, cut)),
+    }
+    scalars = [F(data.draw(coeffs), data.draw(st.integers(1, 3)))]
+    if kind == "series-coefficient":
+        scalars.append(ring_element(data.draw, "series", trunc))
+    for i, c in enumerate(scalars):
+        results[f"scale {i}"] = (a.scale(c), naive_mul(fa, flatten(c), cut))
+    if kind != "series":
+        bound = data.draw(st.integers(0, 4))
+        results["mul_trunc"] = (a.mul_trunc(b, bound), naive_mul(fa, fb, cut, bound))
+    for op, (got, want) in results.items():
+        assert flatten(got) == want, op
+        assert_no_zero_coefficient(got)
+    assert (a == b) == (fa == fb)
+    assert a + b - b == a
+    assert hash(a + b - b) == hash(a)
