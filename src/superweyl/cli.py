@@ -404,8 +404,8 @@ def _cmd_search(args) -> int:
             if args.limit is not None and count >= args.limit:
                 break
     except NoSecondComponent:
-        # one even component: factor products are matched within a single
-        # group, so no cross-matched counterexamples exist
+        # the search swaps diagram-component parts, so one component leaves
+        # nothing to swap; block-crossed pairs (G(3), F(4)) stay unsearched
         print("note: single even diagram component; nothing to search")
     print(f"count: {count}")
     return EXIT_OK

@@ -17,6 +17,10 @@ Built-in families:
 Other data (``B(m, n)``, ``D(m, n)``, ...) can be supplied through datum
 files; see :func:`datum_from_text`.
 
+Builders and datum files hand the datum plain vectors: a root's parity is
+the list it is in (simple roots carry a declared parity, checked against
+those lists) and its isotropy is read off the form.
+
 Vectors, the form and every derived weight are exact
 :class:`fractions.Fraction` tuples.  Every pairing with a reflection
 generator goes through one label map: sparse coroot rows, built once after
@@ -100,7 +104,10 @@ def _is_nonneg_int(x: Fraction) -> bool:
 
 @dataclass(frozen=True)
 class Root:
-    """One root: its ambient coordinate vector, parity, and isotropy flag."""
+    """One root of a :class:`RootDatum`: its ambient vector, parity, and isotropy.
+
+    Only the datum builds roots, reading the isotropy off its own form.
+    """
 
     vector: Weight
     odd: bool
@@ -206,10 +213,14 @@ class RootDatum:
     """Root datum of one basic classical Lie superalgebra.
 
     Parameters mirror the datum file format: a Gram matrix for the invariant
-    form on the ambient space, the distinguished simple system (with
-    parities), and the positive even and odd roots.  The Weyl vector, the sum
-    of positive odd roots, the even-part reflection generators, and the
-    components of the even simple diagram are derived and validated here.
+    form on the ambient space, the distinguished simple system as
+    ``(vector, odd)`` pairs, and the positive even and odd roots as vectors.
+    The datum builds every :class:`Root` itself: a positive root's parity is
+    the list it is in, and each root is isotropic exactly when the form
+    vanishes on it.  Each declared simple parity is checked against the
+    positive lists.  The Weyl vector, the sum of positive odd roots, the
+    even-part reflection generators, and the components of the even simple
+    diagram are derived and validated here.
     """
 
     def __init__(
@@ -217,9 +228,9 @@ class RootDatum:
         family: str,
         label: str,
         gram: Sequence[Sequence[Fraction | int | str]],
-        simple_roots: Sequence[Root],
-        positive_even: Sequence[Root],
-        positive_odd: Sequence[Root],
+        simple_roots: Sequence[tuple[Weight, bool]],
+        positive_even: Sequence[Weight],
+        positive_odd: Sequence[Weight],
         basis_labels: Sequence[str] | None = None,
         type_one: bool = False,
         expected_components: int | None = None,
@@ -228,15 +239,19 @@ class RootDatum:
         self.label = label
         self.gram = tuple(tuple(Fraction(x) for x in row) for row in gram)
         self.dim = len(self.gram)
-        self.simple_roots = tuple(simple_roots)
-        self.positive_even = tuple(positive_even)
-        self.positive_odd = tuple(positive_odd)
         self.type_one = type_one
         if basis_labels is None:
             basis_labels = tuple(f"x{i + 1}" for i in range(self.dim))
         self.basis_labels = tuple(basis_labels)
 
-        self._validate_shapes()
+        self._validate_shapes([v for v, _ in simple_roots], positive_even, positive_odd)
+
+        def root(v: Weight, odd: bool) -> Root:
+            return Root(v, odd, self.inner(v, v) == 0)
+
+        self.simple_roots = tuple(root(v, odd) for v, odd in simple_roots)
+        self.positive_even = tuple(root(v, False) for v in positive_even)
+        self.positive_odd = tuple(root(v, True) for v in positive_odd)
 
         self.rho: Weight = self._half_sum()
         self.tau: Weight = self._sum_positive_odd()
@@ -244,8 +259,6 @@ class RootDatum:
         self.even_positions: tuple[int, ...] = tuple(
             i for i, r in enumerate(self.simple_roots) if not r.odd
         )
-        odd_positions = [i for i, r in enumerate(self.simple_roots) if r.odd]
-        self.odd_position: int | None = odd_positions[0] if odd_positions else None
 
         self._simple_solver = _SpanSolver([r.vector for r in self.simple_roots], "simple roots")
         self.generators: tuple[Generator, ...] = self._build_generators()
@@ -282,17 +295,18 @@ class RootDatum:
 
     # -- construction helpers ------------------------------------------------
 
-    def _validate_shapes(self) -> None:
+    def _validate_shapes(self, *vector_lists: Sequence[Weight]) -> None:
         if any(len(row) != self.dim for row in self.gram):
             raise MalformedDatumFile("gram matrix is not square")
         for i in range(self.dim):
             for j in range(self.dim):
                 if self.gram[i][j] != self.gram[j][i]:
                     raise MalformedDatumFile("gram matrix is not symmetric")
-        for r in itertools.chain(self.simple_roots, self.positive_even, self.positive_odd):
-            if len(r.vector) != self.dim:
+        for v in itertools.chain(*vector_lists):
+            if len(v) != self.dim:
                 raise DimensionMismatch(
-                    f"root {r} has length {len(r.vector)}, ambient dimension is {self.dim}"
+                    f"root {self.format_weight(v)} has length {len(v)}, "
+                    f"ambient dimension is {self.dim}"
                 )
         if len(self.basis_labels) != self.dim:
             raise MalformedDatumFile("basis label count does not match ambient dimension")
@@ -372,12 +386,6 @@ class RootDatum:
             if r.vector in seen_vectors:
                 raise MalformedDatumFile(f"duplicate positive root {r}")
             seen_vectors.add(r.vector)
-        for r in itertools.chain(self.simple_roots, self.positive_even, self.positive_odd):
-            iso = self.inner(r.vector, r.vector) == 0
-            if iso != r.isotropic:
-                raise MalformedDatumFile(
-                    f"isotropy flag of root {r} disagrees with the form"
-                )
         even_set = {r.vector for r in self.positive_even}
         odd_set = {r.vector for r in self.positive_odd}
         for i, r in enumerate(self.simple_roots):
@@ -585,13 +593,29 @@ def _diag_gram(diag: Sequence[Fraction | int]) -> list[list[Fraction]]:
     return [[Fraction(diag[i]) if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def _root(datum_gram: Sequence[Sequence[Fraction]], vector: Weight, odd: bool) -> Root:
-    norm = ZERO
-    for i, a in enumerate(vector):
-        if a == 0:
-            continue
-        norm += a * sum(datum_gram[i][j] * b for j, b in enumerate(vector) if b != 0)
-    return Root(vector, odd, norm == 0)
+def _chain(units: Sequence[Weight]) -> list[Weight]:
+    """v_i - v_{i+1} along the list: the simple roots of type A."""
+    return [vsub(u, v) for u, v in zip(units, units[1:])]
+
+
+def _differences(units: Sequence[Weight]) -> list[Weight]:
+    """v_i - v_j for i < j: the positive roots of type A."""
+    return [vsub(u, v) for u, v in itertools.combinations(units, 2)]
+
+
+def _sums(units: Sequence[Weight]) -> list[Weight]:
+    """v_i + v_j for i < j."""
+    return [vadd(u, v) for u, v in itertools.combinations(units, 2)]
+
+
+def _c_type(units: Sequence[Weight]) -> list[Weight]:
+    """v_i - v_j, then v_i + v_j (i < j), then 2 v_i: the positive roots of type C."""
+    return _differences(units) + _sums(units) + [vscale(2, u) for u in units]
+
+
+def _even(vectors: Iterable[Weight]) -> list[tuple[Weight, bool]]:
+    """The vectors as even simple roots, in the ``(vector, odd)`` form of RootDatum."""
+    return [(v, False) for v in vectors]
 
 
 def build_sl(p: int, q: int) -> RootDatum:
@@ -608,48 +632,21 @@ def build_sl(p: int, q: int) -> RootDatum:
         raise UnsupportedFamily("sl(1,1) is degenerate (no even simple roots)")
     if (p, q) == (2, 2):
         raise UnsupportedFamily("sl(2,2) is excluded from the supported families")
-    dim = p + q
-    gram = _diag_gram([_SL_EPS_NORM] * p + [_SL_DELTA_NORM] * q)
-
-    def eps(i: int) -> Weight:
-        return _unit(dim, i - 1)
-
-    def delta(j: int) -> Weight:
-        return _unit(dim, p + j - 1)
-
-    simple: list[Root] = []
-    for i in range(1, p):
-        simple.append(_root(gram, vsub(eps(i), eps(i + 1)), odd=False))
-    simple.append(_root(gram, vsub(eps(p), delta(1)), odd=True))
-    for j in range(1, q):
-        simple.append(_root(gram, vsub(delta(j), delta(j + 1)), odd=False))
-
-    pos_even = [
-        _root(gram, vsub(eps(i), eps(j)), odd=False)
-        for i in range(1, p + 1)
-        for j in range(i + 1, p + 1)
-    ] + [
-        _root(gram, vsub(delta(i), delta(j)), odd=False)
-        for i in range(1, q + 1)
-        for j in range(i + 1, q + 1)
-    ]
-    pos_odd = [
-        _root(gram, vsub(eps(i), delta(j)), odd=True)
-        for i in range(1, p + 1)
-        for j in range(1, q + 1)
-    ]
+    units = [_unit(p + q, i) for i in range(p + q)]
+    eps, delta = units[:p], units[p:]
     labels = [f"eps{i}" for i in range(1, p + 1)] + [f"delta{j}" for j in range(1, q + 1)]
-    expected = 2 if (p >= 2 and q >= 2) else 1
     return RootDatum(
         family="sl",
         label=f"sl({p},{q})",
-        gram=gram,
-        simple_roots=simple,
-        positive_even=pos_even,
-        positive_odd=pos_odd,
+        gram=_diag_gram([_SL_EPS_NORM] * p + [_SL_DELTA_NORM] * q),
+        simple_roots=(
+            _even(_chain(eps)) + [(vsub(eps[-1], delta[0]), True)] + _even(_chain(delta))
+        ),
+        positive_even=_differences(eps) + _differences(delta),
+        positive_odd=[vsub(e, d) for e in eps for d in delta],
         basis_labels=labels,
         type_one=True,
-        expected_components=expected,
+        expected_components=2 if (p >= 2 and q >= 2) else 1,
     )
 
 
@@ -665,38 +662,15 @@ def build_b0(n: int) -> RootDatum:
         raise UnsupportedFamily(
             f"B(0,{n}): need n >= 2 so the even simple diagram is nonempty"
         )
-    dim = n
-    gram = _diag_gram([Fraction(-1)] * n)
-
-    def delta(j: int) -> Weight:
-        return _unit(dim, j - 1)
-
-    simple = [
-        _root(gram, vsub(delta(j), delta(j + 1)), odd=False) for j in range(1, n)
-    ] + [_root(gram, delta(n), odd=True)]
-    pos_even = (
-        [
-            _root(gram, vsub(delta(i), delta(j)), odd=False)
-            for i in range(1, n + 1)
-            for j in range(i + 1, n + 1)
-        ]
-        + [
-            _root(gram, vadd(delta(i), delta(j)), odd=False)
-            for i in range(1, n + 1)
-            for j in range(i + 1, n + 1)
-        ]
-        + [_root(gram, vscale(2, delta(i)), odd=False) for i in range(1, n + 1)]
-    )
-    pos_odd = [_root(gram, delta(j), odd=True) for j in range(1, n + 1)]
-    labels = [f"delta{j}" for j in range(1, n + 1)]
+    delta = [_unit(n, j) for j in range(n)]
     return RootDatum(
         family="b0",
         label=f"B(0,{n})",
-        gram=gram,
-        simple_roots=simple,
-        positive_even=pos_even,
-        positive_odd=pos_odd,
-        basis_labels=labels,
+        gram=_diag_gram([-1] * n),
+        simple_roots=_even(_chain(delta)) + [(delta[-1], True)],
+        positive_even=_c_type(delta),
+        positive_odd=delta,
+        basis_labels=[f"delta{j}" for j in range(1, n + 1)],
         type_one=False,
         expected_components=1,
     )
@@ -713,44 +687,17 @@ def build_osp2(n: int) -> RootDatum:
     """
     if n < 1:
         raise UnsupportedFamily(f"osp(2,{2 * n}): need n >= 1")
-    dim = n + 1
-    gram = _diag_gram([Fraction(1)] + [Fraction(-1)] * n)
-    eps1 = _unit(dim, 0)
-
-    def delta(j: int) -> Weight:
-        return _unit(dim, j)
-
-    simple = [
-        _root(gram, vsub(delta(j), delta(j + 1)), odd=False) for j in range(1, n)
-    ] + [
-        _root(gram, vscale(2, delta(n)), odd=False),
-        _root(gram, vsub(eps1, delta(1)), odd=True),
-    ]
-    pos_even = (
-        [
-            _root(gram, vsub(delta(i), delta(j)), odd=False)
-            for i in range(1, n + 1)
-            for j in range(i + 1, n + 1)
-        ]
-        + [
-            _root(gram, vadd(delta(i), delta(j)), odd=False)
-            for i in range(1, n + 1)
-            for j in range(i + 1, n + 1)
-        ]
-        + [_root(gram, vscale(2, delta(i)), odd=False) for i in range(1, n + 1)]
-    )
-    pos_odd = [_root(gram, vsub(eps1, delta(j)), odd=True) for j in range(1, n + 1)] + [
-        _root(gram, vadd(eps1, delta(j)), odd=True) for j in range(1, n + 1)
-    ]
-    labels = ["eps1"] + [f"delta{j}" for j in range(1, n + 1)]
+    eps1, *delta = [_unit(n + 1, i) for i in range(n + 1)]
     return RootDatum(
         family="osp",
         label=f"osp(2,{2 * n})",
-        gram=gram,
-        simple_roots=simple,
-        positive_even=pos_even,
-        positive_odd=pos_odd,
-        basis_labels=labels,
+        gram=_diag_gram([1] + [-1] * n),
+        simple_roots=(
+            _even(_chain(delta) + [vscale(2, delta[-1])]) + [(vsub(eps1, delta[0]), True)]
+        ),
+        positive_even=_c_type(delta),
+        positive_odd=[vsub(eps1, d) for d in delta] + [vadd(eps1, d) for d in delta],
+        basis_labels=["eps1"] + [f"delta{j}" for j in range(1, n + 1)],
         type_one=True,
         expected_components=1,
     )
@@ -764,23 +711,16 @@ def build_g3() -> RootDatum:
     (delta, delta) = -2.  The even part is of type G_2 x A_1, so the even
     Weyl group needs the extra generator 2 delta.
     """
-    gram = [
-        [Fraction(2), Fraction(-1), ZERO],
-        [Fraction(-1), Fraction(2), ZERO],
-        [ZERO, ZERO, Fraction(-2)],
-    ]
     e1 = as_weight((1, 0, 0))
     e2 = as_weight((0, 1, 0))
     e3 = as_weight((-1, -1, 0))
     d = as_weight((0, 0, 1))
-    simple = [
-        _root(gram, e1, odd=False),
-        _root(gram, vsub(e2, e1), odd=False),
-        _root(gram, vadd(e3, d), odd=True),
-    ]
-    pos_even = [
-        _root(gram, v, odd=False)
-        for v in (
+    return RootDatum(
+        family="G3",
+        label="G(3)",
+        gram=[[2, -1, 0], [-1, 2, 0], [0, 0, -2]],
+        simple_roots=[(e1, False), (vsub(e2, e1), False), (vadd(e3, d), True)],
+        positive_even=[
             e1,
             e2,
             vadd(e1, e2),
@@ -788,11 +728,8 @@ def build_g3() -> RootDatum:
             vadd(vscale(2, e1), e2),
             vadd(e1, vscale(2, e2)),
             vscale(2, d),
-        )
-    ]
-    pos_odd = [
-        _root(gram, v, odd=True)
-        for v in (
+        ],
+        positive_odd=[
             vadd(e3, d),
             vsub(d, e2),
             vsub(d, e1),
@@ -800,15 +737,7 @@ def build_g3() -> RootDatum:
             vadd(e1, d),
             vadd(e2, d),
             vadd(vadd(e1, e2), d),
-        )
-    ]
-    return RootDatum(
-        family="G3",
-        label="G(3)",
-        gram=gram,
-        simple_roots=simple,
-        positive_even=pos_even,
-        positive_odd=pos_odd,
+        ],
         basis_labels=("eps1", "eps2", "delta1"),
         type_one=False,
         expected_components=1,
@@ -820,58 +749,23 @@ def build_f4() -> RootDatum:
 
     Ambient coordinates (eps_1, eps_2, eps_3, delta) with the Euclidean form
     on the eps block and (delta, delta) = -3.  The even part is of type
-    B_3 x A_1; the extra even generator is delta.
+    B_3 x A_1; the extra even generator is delta.  The odd roots are
+    (+-eps_1 +- eps_2 +- eps_3 + delta) / 2, and the odd simple root is the
+    one with all three signs negative.
     """
-    gram = _diag_gram([1, 1, 1, -3])
+    *eps, d = [_unit(4, i) for i in range(4)]
     half = Fraction(1, 2)
-
-    def eps(i: int) -> Weight:
-        return _unit(4, i - 1)
-
-    d = _unit(4, 3)
-    simple = [
-        _root(gram, vsub(eps(1), eps(2)), odd=False),
-        _root(gram, vsub(eps(2), eps(3)), odd=False),
-        _root(gram, eps(3), odd=False),
-        _root(
-            gram,
-            vscale(half, vadd(vneg(vadd(vadd(eps(1), eps(2)), eps(3))), d)),
-            odd=True,
-        ),
+    odd = [
+        as_weight((s1 * half, s2 * half, s3 * half, half))
+        for s1, s2, s3 in itertools.product((1, -1), repeat=3)
     ]
-    pos_even = (
-        [
-            _root(gram, vsub(eps(i), eps(j)), odd=False)
-            for i in range(1, 4)
-            for j in range(i + 1, 4)
-        ]
-        + [
-            _root(gram, vadd(eps(i), eps(j)), odd=False)
-            for i in range(1, 4)
-            for j in range(i + 1, 4)
-        ]
-        + [_root(gram, eps(i), odd=False) for i in range(1, 4)]
-        + [_root(gram, d, odd=False)]
-    )
-    pos_odd = []
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            for s3 in (1, -1):
-                v = vscale(
-                    half,
-                    vadd(
-                        vadd(vscale(s1, eps(1)), vscale(s2, eps(2))),
-                        vadd(vscale(s3, eps(3)), d),
-                    ),
-                )
-                pos_odd.append(_root(gram, v, odd=True))
     return RootDatum(
         family="F4",
         label="F(4)",
-        gram=gram,
-        simple_roots=simple,
-        positive_even=pos_even,
-        positive_odd=pos_odd,
+        gram=_diag_gram([1, 1, 1, -3]),
+        simple_roots=_even(_chain(eps) + [eps[-1]]) + [(odd[-1], True)],
+        positive_even=_differences(eps) + _sums(eps) + eps + [d],
+        positive_odd=odd,
         basis_labels=("eps1", "eps2", "eps3", "delta1"),
         type_one=False,
         expected_components=1,
@@ -994,7 +888,7 @@ def datum_from_text(text: str) -> RootDatum:
         )
     gram = [parse_row(ln, row, ambient) for ln, row in sections["gram"]]
 
-    simple: list[Root] = []
+    simple: list[tuple[Weight, bool]] = []
     if not sections["simple"]:
         raise MalformedDatumFile("missing 'simple' section")
     for ln, row in sections["simple"]:
@@ -1003,25 +897,15 @@ def datum_from_text(text: str) -> RootDatum:
             raise MalformedDatumFile(
                 "simple root rows must start with 'even' or 'odd'", ln
             )
-        vector = parse_row(ln, " ".join(parts[1:]), ambient)
-        simple.append(_root(gram, vector, odd=(parts[0] == "odd")))
-
-    def parse_roots(key: str, odd: bool) -> list[Root]:
-        return [
-            _root(gram, parse_row(ln, row, ambient), odd=odd)
-            for ln, row in sections[key]
-        ]
-
-    pos_even = parse_roots("positive_even", odd=False)
-    pos_odd = parse_roots("positive_odd", odd=True)
+        simple.append((parse_row(ln, " ".join(parts[1:]), ambient), parts[0] == "odd"))
 
     return RootDatum(
         family="custom",
         label=family,
         gram=gram,
         simple_roots=simple,
-        positive_even=pos_even,
-        positive_odd=pos_odd,
+        positive_even=[parse_row(ln, row, ambient) for ln, row in sections["positive_even"]],
+        positive_odd=[parse_row(ln, row, ambient) for ln, row in sections["positive_odd"]],
         type_one=False,
     )
 

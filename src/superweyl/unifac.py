@@ -188,6 +188,13 @@ def iter_counterexamples(
     multiplier is raised by at most ``MAX_BUMP`` steps until all four
     weights are typical; quadruples that stay atypical are skipped.  Each
     emitted hit has been re-verified as a cross-matched counterexample.
+
+    Only diagram-component parts are swapped, so a datum with one component
+    raises ``NoSecondComponent``.  That does not mean no counterexample
+    exists: on G(3) and F(4) the even Cartan matrix has two blocks on one
+    component, and pairs that swap block parts (such as tau, omega_1 + 2 tau
+    against 2 tau, omega_1 + tau) are cross-matched, but this search does not
+    reach them.
     """
     comps = datum.components
     if len(comps) < 2:

@@ -548,3 +548,18 @@ class TestInternalErrorMapping:
         captured = capsys.readouterr()
         assert code == EXIT_INTERNAL
         assert captured.err == "internal error: numerator does not start at 1\n"
+
+
+def test_readme_library_example_runs():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", block], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "1 - X[a1]^2 - X[a2]^3 + X[a1]^2*X[a2]^5 + X[a1]^5*X[a2]^3 - X[a1]^5*X[a2]^5",
+        "CrossMatchedCounterexample",
+    ]

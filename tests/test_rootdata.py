@@ -39,7 +39,7 @@ def test_sl32_basic_data():
     assert len(d.positive_even) == 4
     assert len(d.positive_odd) == 6
     assert d.even_positions == (0, 1, 3)
-    assert d.odd_position == 2
+    assert [i for i, r in enumerate(d.simple_roots) if r.odd] == [2]
     assert d.components == ((0, 1), (3,))
     assert d.generator_blocks == ((0, 1), (2,))
     assert [g.label for g in d.generators] == ["s1", "s2", "s3"]
@@ -132,6 +132,129 @@ def test_f4_structure():
     assert d.generator_blocks == ((0, 1, 2), (3,))
     simple_odd = d.simple_roots[3]
     assert simple_odd.odd and simple_odd.isotropic
+
+
+def root_fields(roots):
+    return [(r.vector, r.odd, r.isotropic) for r in roots]
+
+
+def vec(dim, *terms):
+    """The vector sum of c * e_i over (i, c) in terms, coordinates 0-based."""
+    v = [F(0)] * dim
+    for i, c in terms:
+        v[i] += F(c)
+    return tuple(v)
+
+
+def type_c(dim, coords):
+    """Positive roots of type C on coords: e_i - e_j, then e_i + e_j (i < j), then 2 e_i."""
+    roots = []
+    for sign in (-1, 1):
+        for a in range(len(coords)):
+            for b in range(a + 1, len(coords)):
+                roots.append((vec(dim, (coords[a], 1), (coords[b], sign)), False, False))
+    for i in coords:
+        roots.append((vec(dim, (i, 2)), False, False))
+    return roots
+
+
+def textbook_sl(p, q):
+    """eps_1..eps_p, delta_1..delta_q; the odd roots eps_i - delta_j are all isotropic."""
+    dim = p + q
+    simple = [(vec(dim, (i, 1), (i + 1, -1)), False) for i in range(p - 1)]
+    simple.append((vec(dim, (p - 1, 1), (p, -1)), True))
+    simple += [(vec(dim, (j, 1), (j + 1, -1)), False) for j in range(p, dim - 1)]
+    even = []
+    for block in (range(p), range(p, dim)):
+        for i in block:
+            for j in block:
+                if i < j:
+                    even.append((vec(dim, (i, 1), (j, -1)), False, False))
+    odd = [(vec(dim, (i, 1), (j, -1)), True, True) for i in range(p) for j in range(p, dim)]
+    return simple, even, odd
+
+
+def textbook_b0(n):
+    """delta_1..delta_n; the odd roots delta_j are not isotropic."""
+    simple = [(vec(n, (i, 1), (i + 1, -1)), False) for i in range(n - 1)]
+    simple.append((vec(n, (n - 1, 1)), True))
+    odd = [(vec(n, (j, 1)), True, False) for j in range(n)]
+    return simple, type_c(n, list(range(n))), odd
+
+
+def textbook_osp2(n):
+    """eps_1, delta_1..delta_n; the odd roots eps_1 -+ delta_j are all isotropic."""
+    dim = n + 1
+    simple = [(vec(dim, (j, 1), (j + 1, -1)), False) for j in range(1, n)]
+    simple.append((vec(dim, (n, 2)), False))
+    simple.append((vec(dim, (0, 1), (1, -1)), True))
+    odd = [(vec(dim, (0, 1), (j, sign)), True, True) for sign in (-1, 1) for j in range(1, dim)]
+    return simple, type_c(dim, list(range(1, dim))), odd
+
+
+def textbook_g3():
+    """(eps_1, eps_2, delta) with eps_3 = -eps_1 - eps_2: even G_2 and 2 delta; odd
+    eps_3 + delta, delta - eps_2, delta - eps_1, delta, eps_1 + delta, eps_2 + delta,
+    -eps_3 + delta, isotropic except delta itself."""
+    simple = [((1, 0, 0), False), ((-1, 1, 0), False), ((-1, -1, 1), True)]
+    even = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (-1, 1, 0), (2, 1, 0), (1, 2, 0), (0, 0, 2)]
+    odd = [(-1, -1, 1), (0, -1, 1), (-1, 0, 1), (0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
+    return (
+        [(as_weight(v), o) for v, o in simple],
+        [(as_weight(v), False, False) for v in even],
+        [(as_weight(v), True, v != (0, 0, 1)) for v in odd],
+    )
+
+
+def textbook_f4():
+    """(eps_1, eps_2, eps_3, delta): even B_3 and delta; odd (+-eps_1 +-eps_2 +-eps_3 +
+    delta)/2, all isotropic, the simple one with every sign negative."""
+    h = F(1, 2)
+    simple = [
+        (vec(4, (0, 1), (1, -1)), False),
+        (vec(4, (1, 1), (2, -1)), False),
+        (vec(4, (2, 1)), False),
+        ((-h, -h, -h, h), True),
+    ]
+    even = []
+    for sign in (-1, 1):
+        for i in range(3):
+            for j in range(i + 1, 3):
+                even.append(vec(4, (i, 1), (j, sign)))
+    even += [vec(4, (i, 1)) for i in range(3)] + [vec(4, (3, 1))]
+    odd = []
+    for s1 in (1, -1):
+        for s2 in (1, -1):
+            for s3 in (1, -1):
+                odd.append(((s1 * h, s2 * h, s3 * h, h), True, True))
+    return simple, [(v, False, False) for v in even], odd
+
+
+TEXTBOOK = {
+    "sl": (build_sl, textbook_sl),
+    "b0": (build_b0, textbook_b0),
+    "osp": (build_osp2, textbook_osp2),
+    "G3": (build_g3, textbook_g3),
+    "F4": (build_f4, textbook_f4),
+}
+TEXTBOOK_CASES = (
+    [("sl", (p, q)) for p in range(1, 5) for q in range(1, 5) if (p, q) not in ((1, 1), (2, 2))]
+    + [("b0", (n,)) for n in range(2, 5)]
+    + [("osp", (n,)) for n in range(1, 5)]
+    + [("G3", ()), ("F4", ())]
+)
+
+
+@pytest.mark.parametrize(
+    "family, args", TEXTBOOK_CASES, ids=[f"{f}{a}" for f, a in TEXTBOOK_CASES]
+)
+def test_builtin_roots_match_the_textbook_listing(family, args):
+    build, textbook = TEXTBOOK[family]
+    d = build(*args)
+    simple, even, odd = textbook(*args)
+    assert [(r.vector, r.odd) for r in d.simple_roots] == simple
+    assert root_fields(d.positive_even) == even
+    assert root_fields(d.positive_odd) == odd
 
 
 def test_rejected_families():
@@ -354,8 +477,8 @@ def test_datum_file_round_trip():
     for d in (build_sl(3, 2), build_osp2(2), build_g3(), build_f4(), build_b0(2)):
         d2 = datum_from_text(datum_file_text(d))
         assert d2.gram == d.gram
-        assert [r.vector for r in d2.simple_roots] == [r.vector for r in d.simple_roots]
-        assert [r.odd for r in d2.simple_roots] == [r.odd for r in d.simple_roots]
+        for name in ("simple_roots", "positive_even", "positive_odd"):
+            assert root_fields(getattr(d2, name)) == root_fields(getattr(d, name)), name
         assert d2.rho == d.rho
         assert d2.tau == d.tau
         assert [g.vector for g in d2.generators] == [g.vector for g in d.generators]
@@ -372,6 +495,11 @@ def test_datum_file_round_trip():
         (lambda t: t.replace("gram:", "metric:"), "unknown key"),
         (lambda t: t.replace("1 0 0 0\n", "", 1), "rows"),
         (lambda t: t.replace("even 0 0 1 -1", "even 1 0 -1 0"), "linearly dependent"),
+        # an odd simple root declared even is not in the even positive list
+        (
+            lambda _: datum_file_text(build_sl(2, 1)).replace("odd ", "even "),
+            "missing from the matching positive list",
+        ),
     ],
 )
 def test_datum_file_errors(mutation, fragment):
