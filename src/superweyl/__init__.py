@@ -29,7 +29,6 @@ from .partitions import (
 )
 from .rootdata import (
     AlgebraDescriptor,
-    Atypicality,
     Dominance,
     Root,
     RootDatum,
@@ -57,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraDescriptor",
-    "Atypicality",
     "AtypicalContext",
     "CoefficientValue",
     "Conclusion",

@@ -72,15 +72,17 @@ DEFAULT_Z_TRUNCATION = 3
 class AtypicalContext:
     """A validated singly atypical weight with its series truncation.
 
-    ``gamma`` is the atypicality type, ``gamma_index`` its position among
-    the positive odd roots (the index of its Z symbol).  ``special`` marks
-    the two flagged weights of G(3) and F(4) whose numerator carries the
-    modified prefactor; the flag is taken on trust and never inferred.
+    ``gamma_index`` is the position of the atypicality type among the
+    positive odd roots (the index of its Z symbol), and ``gamma`` is that
+    root.  ``special`` marks the two flagged weights of G(3) and F(4) whose
+    numerator carries the modified prefactor; the flag is taken on trust and
+    never inferred.  Construction is the only validation: the family, then
+    the vanishing pattern (exactly one pairing, at ``gamma_index``), then
+    ``special``, the truncation and the even dominance conditions.
     """
 
     datum: RootDatum
     lam: Weight
-    gamma: Root
     gamma_index: int
     special: bool
     z_truncation: int
@@ -91,6 +93,16 @@ class AtypicalContext:
             raise WrongFamily(
                 f"family {datum.family!r} has no singly atypical theory here; "
                 f"expected one of {ATYPICAL_FAMILIES}"
+            )
+        vanishing = datum.atypicality(self.lam)
+        if len(vanishing) != 1:
+            raise NotSinglyAtypical(
+                f"weight has {len(vanishing)} vanishing odd pairings; need exactly 1"
+            )
+        if vanishing[0] != self.gamma_index:
+            raise NotSinglyAtypical(
+                f"weight has atypicality type index {vanishing[0]}, "
+                f"context claims {self.gamma_index}"
             )
         if self.special and datum.family not in ("G3", "F4"):
             raise WrongFamily(
@@ -104,20 +116,10 @@ class AtypicalContext:
             raise NotDominant(
                 "weight fails the even dominance conditions"
             )
-        vanishing = datum.atypicality(self.lam).vanishing
-        if len(vanishing) != 1:
-            raise NotSinglyAtypical(
-                f"weight has {len(vanishing)} vanishing odd pairings; need exactly 1"
-            )
-        if vanishing[0] != self.gamma_index:
-            raise NotSinglyAtypical(
-                f"weight has atypicality type index {vanishing[0]}, "
-                f"context claims {self.gamma_index}"
-            )
-        if datum.positive_odd[self.gamma_index] is not self.gamma:
-            raise IndexOutOfRange(
-                "gamma is not the positive odd root at gamma_index"
-            )
+
+    @property
+    def gamma(self) -> Root:
+        return self.datum.positive_odd[self.gamma_index]
 
 
 def atypical_context(
@@ -128,25 +130,10 @@ def atypical_context(
 ) -> AtypicalContext:
     """Build a context for ``lam``, reading off its atypicality type."""
     lam = as_weight(lam)
-    if datum.family not in ATYPICAL_FAMILIES:
-        raise WrongFamily(
-            f"family {datum.family!r} has no singly atypical theory here; "
-            f"expected one of {ATYPICAL_FAMILIES}"
-        )
-    vanishing = datum.atypicality(lam).vanishing
-    if len(vanishing) != 1:
-        raise NotSinglyAtypical(
-            f"weight has {len(vanishing)} vanishing odd pairings; need exactly 1"
-        )
-    idx = vanishing[0]
-    return AtypicalContext(
-        datum=datum,
-        lam=lam,
-        gamma=datum.positive_odd[idx],
-        gamma_index=idx,
-        special=special,
-        z_truncation=z_truncation,
-    )
+    vanishing = datum.atypicality(lam)
+    # any pattern other than one vanishing pairing is rejected by the context
+    gamma_index = vanishing[0] if vanishing else -1
+    return AtypicalContext(datum, lam, gamma_index, special, z_truncation)
 
 
 @dataclass(frozen=True)

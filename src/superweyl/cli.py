@@ -150,7 +150,8 @@ def _atom(scanner: _Scanner, datum: RootDatum) -> Weight:
         return datum.tau
     if word == "rho":
         return datum.rho
-    if word in ("omega", "eps", "delta"):
+    # omega[i], or name[i] for an ambient coordinate (a basis label)
+    if word and (word in ("omega", "eps", "delta") or scanner.peek() == "["):
         scanner.expect("[")
         index = scanner.integer()
         scanner.expect("]")

@@ -56,7 +56,7 @@ def dominant_labels(datum: RootDatum, lam: Weight) -> tuple:
 
 def _check_weight(datum: RootDatum, lam: Weight) -> Weight:
     lam = as_weight(lam)
-    if not datum.atypicality(lam).is_typical:
+    if not datum.is_typical(lam):
         raise NotTypical(
             "weight pairs to zero with an isotropic odd root"
         )
@@ -146,11 +146,11 @@ def normalized_character(
     """
     result = numerator(datum, lam).truncate_x(bound)
     for root in datum.positive_odd:
-        mono = weight_monomial(datum.expand_simple(root.vector))
+        mono = weight_monomial(root.coords)
         factor = Poly.one() + Poly.x_monomial(mono)
         result = result.mul_trunc(factor, bound)
     for root in datum.positive_even:
-        mono = weight_monomial(datum.expand_simple(root.vector))
+        mono = weight_monomial(root.coords)
         step = max(1, mono_degree(mono))
         terms = {
             mono_pow(mono, j): Fraction(1)

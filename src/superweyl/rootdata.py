@@ -25,11 +25,19 @@ Vectors, the form and every derived weight are exact
 :class:`fractions.Fraction` tuples.  Every pairing with a reflection
 generator goes through one label map: sparse coroot rows, built once after
 validation, make ``labels(v)`` (the <v, g^vee> in gid order) dot products.
-The integer data of the Weyl group walks (``generator_cartan``, the labels
-of the generators themselves, and ``generator_coords``) are plain ints,
-checked integral at construction; ``generator_blocks`` splits the
-generators into the irreducible blocks of that Cartan matrix.  The
-structure of a datum is fixed at construction, but three private caches on
+The integer data are plain ints, each computed once at construction:
+
+* ``Root.coords``, a root's coordinates over the simple roots, solved when
+  the root is built and checked to be non-negative integers there;
+* ``Generator.coords``, the same for each even reflection generator (the
+  generators are even roots, so they carry their roots' coordinates);
+* ``generator_cartan``, the rows <g_k, g_i^vee>, checked integral;
+* the diagram, read off that Cartan matrix: for non-isotropic a and b,
+  (a, b) != 0 exactly when <a, b^vee> != 0, so ``adjacency()`` and
+  ``components`` (the even simple roots) and ``generator_blocks`` (all
+  generators) are its non-zero pattern and its connected components.
+
+The structure of a datum is fixed at construction, but three private caches on
 it fill lazily: ``_fundamental_cache`` (even fundamental weights),
 ``_group_cache`` (Weyl groups per generator set, see
 :func:`superweyl.weyl.generate`) and ``_match_key_cache`` (per weight, its
@@ -80,13 +88,16 @@ def vsub(u: Weight, v: Weight) -> Weight:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vneg(v: Weight) -> Weight:
-    return tuple(-a for a in v)
-
-
 def vscale(c: Fraction | int, v: Weight) -> Weight:
     c = Fraction(c)
     return tuple(c * a for a in v)
+
+
+def _vsum(dim: int, vectors: Iterable[Weight]) -> Weight:
+    total = zero_weight(dim)
+    for v in vectors:
+        total = vadd(total, v)
+    return total
 
 
 def _linked_classes(nodes: Iterable[int], linked) -> tuple[tuple[int, ...], ...]:
@@ -104,17 +115,17 @@ def _is_nonneg_int(x: Fraction) -> bool:
 
 @dataclass(frozen=True)
 class Root:
-    """One root of a :class:`RootDatum`: its ambient vector, parity, and isotropy.
+    """One root of a :class:`RootDatum`: its ambient vector, parity, isotropy, and
+    coordinates over the distinguished simple system.
 
-    Only the datum builds roots, reading the isotropy off its own form.
+    Only the datum builds roots, reading the isotropy off its own form and
+    solving the coordinates once (non-negative integers).
     """
 
     vector: Weight
     odd: bool
     isotropic: bool
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(c) for c in self.vector) + ")"
+    coords: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -123,13 +134,15 @@ class Generator:
 
     ``pi_index`` is the position in the distinguished simple system when the
     generator is itself a simple root, and ``None`` for the extra even-part
-    simple roots that occur in B(0, n), G(3), and F(4).
+    simple roots that occur in B(0, n), G(3), and F(4).  ``coords`` are the
+    simple-root coordinates of the even root it reflects in.
     """
 
     gid: int
     vector: Weight
     pi_index: int | None
     label: str
+    coords: tuple[int, ...]
 
 
 class Dominance(Enum):
@@ -143,21 +156,6 @@ class Dominance(Enum):
     NO = "no"
     YES = "yes"
     NECESSARY_ONLY = "necessary-only"
-
-
-@dataclass(frozen=True)
-class Atypicality:
-    """Vanishing pattern of (lambda + rho, gamma) over isotropic gamma > 0.
-
-    ``vanishing`` lists indices into ``datum.positive_odd`` of the isotropic
-    positive odd roots whose pairing with lambda + rho is zero.
-    """
-
-    vanishing: tuple[int, ...]
-
-    @property
-    def is_typical(self) -> bool:
-        return not self.vanishing
 
 
 # ---------------------------------------------------------------------------
@@ -232,40 +230,35 @@ class RootDatum:
         positive_even: Sequence[Weight],
         positive_odd: Sequence[Weight],
         basis_labels: Sequence[str] | None = None,
-        type_one: bool = False,
-        expected_components: int | None = None,
     ):
         self.family = family
         self.label = label
         self.gram = tuple(tuple(Fraction(x) for x in row) for row in gram)
         self.dim = len(self.gram)
-        self.type_one = type_one
         if basis_labels is None:
             basis_labels = tuple(f"x{i + 1}" for i in range(self.dim))
         self.basis_labels = tuple(basis_labels)
 
         self._validate_shapes([v for v, _ in simple_roots], positive_even, positive_odd)
+        self._simple_solver = _SpanSolver([v for v, _ in simple_roots], "simple roots")
 
-        def root(v: Weight, odd: bool) -> Root:
-            return Root(v, odd, self.inner(v, v) == 0)
+        self.simple_roots = tuple(self._root(v, odd) for v, odd in simple_roots)
+        self.positive_even = tuple(self._root(v, False) for v in positive_even)
+        self.positive_odd = tuple(self._root(v, True) for v in positive_odd)
 
-        self.simple_roots = tuple(root(v, odd) for v, odd in simple_roots)
-        self.positive_even = tuple(root(v, False) for v in positive_even)
-        self.positive_odd = tuple(root(v, True) for v in positive_odd)
-
-        self.rho: Weight = self._half_sum()
-        self.tau: Weight = self._sum_positive_odd()
+        # rho is half the sum of the positive even roots minus the odd ones
+        self.tau: Weight = _vsum(self.dim, (r.vector for r in self.positive_odd))
+        even_sum = _vsum(self.dim, (r.vector for r in self.positive_even))
+        self.rho: Weight = vscale(Fraction(1, 2), vsub(even_sum, self.tau))
 
         self.even_positions: tuple[int, ...] = tuple(
             i for i, r in enumerate(self.simple_roots) if not r.odd
         )
 
-        self._simple_solver = _SpanSolver([r.vector for r in self.simple_roots], "simple roots")
         self.generators: tuple[Generator, ...] = self._build_generators()
         self._generator_solver = _SpanSolver(
             [g.vector for g in self.generators], "even generators"
         )
-        self.components: tuple[tuple[int, ...], ...] = self._split_components()
 
         self._odd_index: dict[Weight, int] = {
             r.vector: i for i, r in enumerate(self.positive_odd)
@@ -274,16 +267,12 @@ class RootDatum:
         self._group_cache: dict[object, object] = {}
         self._match_key_cache: dict[Weight, tuple] = {}
 
-        self._validate(expected_components)
+        self._validate()
 
         # <v, g^vee> is a sparse dot product of v with the coroot row of g.
         self._coroot_rows = tuple(self._coroot_row(g.vector) for g in self.generators)
-        # Integer data for the label walks of superweyl.weyl: the Cartan
-        # rows <g_k, g_i^vee> and each generator over the simple roots.
+        # Integer Cartan rows <g_k, g_i^vee> for the label walks of superweyl.weyl.
         self.generator_cartan: tuple[tuple[int, ...], ...] = self._generator_cartan()
-        self.generator_coords: tuple[tuple[int, ...], ...] = tuple(
-            tuple(int(c) for c in self.expand_simple(g.vector)) for g in self.generators
-        )
         # Connected components of the Cartan matrix, as gids: the even Weyl
         # group is the direct product of their subgroups, so the numerator
         # is the product of one orbit sum per block.  G(3) and F(4) have two
@@ -292,8 +281,26 @@ class RootDatum:
         self.generator_blocks: tuple[tuple[int, ...], ...] = _linked_classes(
             range(len(self.generators)), lambda u, v: self.generator_cartan[u][v] != 0
         )
+        adj = self.adjacency()
+        self.components: tuple[tuple[int, ...], ...] = _linked_classes(
+            self.even_positions, lambda u, v: v in adj[u]
+        )
+        if len(self.components) not in (1, 2):
+            raise MalformedDatumFile(
+                f"even simple diagram has {len(self.components)} components; expected 1 or 2"
+            )
 
     # -- construction helpers ------------------------------------------------
+
+    def _root(self, v: Weight, odd: bool) -> Root:
+        """The root on v: isotropic when the form vanishes on it, coordinates solved once."""
+        coords = self.expand_simple(v)
+        if not all(_is_nonneg_int(c) for c in coords):
+            raise MalformedDatumFile(
+                f"positive root {self.format_weight(v)} is not a non-negative integer "
+                "combination of the simple roots"
+            )
+        return Root(v, odd, self.inner(v, v) == 0, tuple(map(int, coords)))
 
     def _validate_shapes(self, *vector_lists: Sequence[Weight]) -> None:
         if any(len(row) != self.dim for row in self.gram):
@@ -311,51 +318,35 @@ class RootDatum:
         if len(self.basis_labels) != self.dim:
             raise MalformedDatumFile("basis label count does not match ambient dimension")
 
-    def _half_sum(self) -> Weight:
-        half = Fraction(1, 2)
-        rho = zero_weight(self.dim)
-        for r in self.positive_even:
-            rho = vadd(rho, vscale(half, r.vector))
-        for r in self.positive_odd:
-            rho = vsub(rho, vscale(half, r.vector))
-        return rho
-
-    def _sum_positive_odd(self) -> Weight:
-        tau = zero_weight(self.dim)
-        for r in self.positive_odd:
-            tau = vadd(tau, r.vector)
-        return tau
-
     def _build_generators(self) -> tuple[Generator, ...]:
         """Simple system of the even root system.
 
         The even members of the distinguished system are always part of it;
         for B(0, n), G(3), and F(4) one extra indecomposable positive even
-        root appears (2 delta_n, 2 delta, and delta respectively).
+        root appears (2 delta_n, 2 delta, and delta respectively).  A root
+        decomposes when its coordinates minus another root's are a root's.
         """
-        vectors = [r.vector for r in self.positive_even]
-        vector_set = set(vectors)
-        indecomposable = []
-        for v in vectors:
-            if not any(vsub(v, w) in vector_set for w in vectors if w != v):
-                indecomposable.append(v)
-        simple_even = [self.simple_roots[i].vector for i in self.even_positions]
-        extras = sorted(
-            (v for v in indecomposable if v not in simple_even),
-            key=lambda v: tuple(v),
-        )
-        gens: list[Generator] = []
-        for k, pi in enumerate(self.even_positions):
-            gens.append(Generator(k, self.simple_roots[pi].vector, pi, f"s{k + 1}"))
-        for j, v in enumerate(extras):
-            gid = len(self.even_positions) + j
-            gens.append(Generator(gid, v, None, f"s{gid + 1}"))
-        return tuple(gens)
+        coords = {r.coords for r in self.positive_even}
 
-    def _split_components(self) -> tuple[tuple[int, ...], ...]:
-        """Connected components of the even simple diagram, by smallest index."""
-        adj = self.adjacency()
-        return _linked_classes(self.even_positions, lambda u, v: v in adj[u])
+        def decomposable(r: Root) -> bool:
+            return any(
+                tuple(a - b for a, b in zip(r.coords, s.coords)) in coords
+                for s in self.positive_even
+                if s.coords != r.coords
+            )
+
+        simple_even = [self.simple_roots[i] for i in self.even_positions]
+        simple_vectors = {r.vector for r in simple_even}
+        extras = sorted(
+            (r for r in self.positive_even
+             if r.vector not in simple_vectors and not decomposable(r)),
+            key=lambda r: r.vector,
+        )
+        pi_indices = self.even_positions + (None,) * len(extras)
+        return tuple(
+            Generator(gid, r.vector, pi, f"s{gid + 1}", r.coords)
+            for gid, (r, pi) in enumerate(zip(simple_even + extras, pi_indices))
+        )
 
     def _coroot_row(self, alpha: Weight) -> tuple[tuple[int, Fraction], ...]:
         """alpha^vee = 2 alpha / (alpha, alpha) through the form, as (column, entry) pairs."""
@@ -378,13 +369,13 @@ class RootDatum:
             rows.append(tuple(map(int, row)))
         return tuple(rows)
 
-    def _validate(self, expected_components: int | None) -> None:
+    def _validate(self) -> None:
         seen_vectors: set[Weight] = set()
         for r in itertools.chain(self.positive_even, self.positive_odd):
             if all(c == 0 for c in r.vector):
                 raise MalformedDatumFile("zero vector listed as a root")
             if r.vector in seen_vectors:
-                raise MalformedDatumFile(f"duplicate positive root {r}")
+                raise MalformedDatumFile(f"duplicate positive root {self.format_weight(r.vector)}")
             seen_vectors.add(r.vector)
         even_set = {r.vector for r in self.positive_even}
         odd_set = {r.vector for r in self.positive_odd}
@@ -403,19 +394,12 @@ class RootDatum:
         if not self.even_positions:
             raise MalformedDatumFile("no even simple roots; datum is degenerate")
 
-        for r in itertools.chain(self.positive_even, self.positive_odd):
-            coeffs = self.expand_simple(r.vector)
-            if not all(_is_nonneg_int(c) for c in coeffs):
-                raise MalformedDatumFile(
-                    f"positive root {r} is not a non-negative integer combination "
-                    "of the simple roots"
-                )
         for r in self.positive_even:
             coeffs = self._generator_solver.solve(r.vector)
             if coeffs is None or not all(_is_nonneg_int(c) for c in coeffs):
                 raise MalformedDatumFile(
-                    f"positive even root {r} does not lie in the non-negative "
-                    "integer span of the even reflection generators"
+                    f"positive even root {self.format_weight(r.vector)} does not lie in "
+                    "the non-negative integer span of the even reflection generators"
                 )
         for g in self.generators:
             if self.inner(g.vector, g.vector) == 0:
@@ -430,17 +414,6 @@ class RootDatum:
                     f"Weyl vector law fails on simple root #{i + 1}: "
                     f"(rho, b) = {lhs}, (b, b)/2 = {rhs}"
                 )
-
-        ncomp = len(self.components)
-        if ncomp not in (1, 2):
-            raise MalformedDatumFile(
-                f"even simple diagram has {ncomp} components; expected 1 or 2"
-            )
-        if expected_components is not None and ncomp != expected_components:
-            raise MalformedDatumFile(
-                f"even simple diagram has {ncomp} components; "
-                f"family table expects {expected_components}"
-            )
 
     # -- the form --------------------------------------------------------
 
@@ -480,13 +453,16 @@ class RootDatum:
         return len(self.even_positions)
 
     def adjacency(self) -> dict[int, set[int]]:
-        """Non-orthogonality graph on the even simple positions, the only source of edges."""
-        adj: dict[int, set[int]] = {i: set() for i in self.even_positions}
-        for i, j in itertools.combinations(self.even_positions, 2):
-            if self.inner(self.simple_roots[i].vector, self.simple_roots[j].vector) != 0:
-                adj[i].add(j)
-                adj[j].add(i)
-        return adj
+        """Non-orthogonality graph on the even simple positions, the only source of edges.
+
+        The even simple roots are the generators 0..n-1 in position order, and
+        non-isotropic roots a, b are orthogonal exactly when <a, b^vee> = 0.
+        """
+        pos = self.even_positions
+        return {
+            p: {q for q, c in zip(pos, self.generator_cartan[k]) if c and q != p}
+            for k, p in enumerate(pos)
+        }
 
     # -- weights ----------------------------------------------------------
 
@@ -510,33 +486,26 @@ class RootDatum:
             )
             for col in range(n):
                 coeffs = cartan.solve(_unit(n, col))
-                w = zero_weight(self.dim)
-                for k in range(n):
-                    w = vadd(w, vscale(coeffs[k], basis[k]))
-                self._fundamental_cache[col + 1] = w
+                self._fundamental_cache[col + 1] = _vsum(self.dim, map(vscale, coeffs, basis))
         return self._fundamental_cache[i]
 
     def coefficient_weight(self, coeffs: Sequence[int], tau_multiple: int = 0) -> Weight:
         """The weight sum_i coeffs[i-1] * omega_i + tau_multiple * tau."""
-        lam = vscale(tau_multiple, self.tau)
-        for i, c in enumerate(coeffs, start=1):
-            if c:
-                lam = vadd(lam, vscale(c, self.fundamental_weight(i)))
-        return lam
+        parts = [vscale(c, self.fundamental_weight(i)) for i, c in enumerate(coeffs, 1) if c]
+        return _vsum(self.dim, [vscale(tau_multiple, self.tau)] + parts)
 
-    def atypicality(self, lam: Weight) -> Atypicality:
-        """Vanishing pattern of (lam + rho, gamma) over isotropic gamma > 0."""
+    def atypicality(self, lam: Weight) -> tuple[int, ...]:
+        """Indices into ``positive_odd`` of the isotropic gamma with (lam + rho, gamma) = 0."""
         eta = vadd(lam, self.rho)
-        vanishing = tuple(
+        return tuple(
             idx
             for idx, r in enumerate(self.positive_odd)
             if r.isotropic and self.inner(eta, r.vector) == 0
         )
-        return Atypicality(vanishing)
 
     def is_typical(self, lam: Weight) -> bool:
         """True when (lam + rho, gamma) != 0 for every isotropic gamma > 0."""
-        return self.atypicality(lam).is_typical
+        return not self.atypicality(lam)
 
     def is_dominant_integral(self, lam: Weight) -> Dominance:
         """Dominance check against the even simple roots.
@@ -548,7 +517,7 @@ class RootDatum:
         for val in self.labels(lam)[: len(self.even_positions)]:
             if val.denominator != 1 or val < 0:
                 return Dominance.NO
-        return Dominance.YES if self.type_one else Dominance.NECESSARY_ONLY
+        return Dominance.YES if self.family in ("sl", "osp") else Dominance.NECESSARY_ONLY
 
     # -- printing -----------------------------------------------------------
 
@@ -645,8 +614,6 @@ def build_sl(p: int, q: int) -> RootDatum:
         positive_even=_differences(eps) + _differences(delta),
         positive_odd=[vsub(e, d) for e in eps for d in delta],
         basis_labels=labels,
-        type_one=True,
-        expected_components=2 if (p >= 2 and q >= 2) else 1,
     )
 
 
@@ -671,8 +638,6 @@ def build_b0(n: int) -> RootDatum:
         positive_even=_c_type(delta),
         positive_odd=delta,
         basis_labels=[f"delta{j}" for j in range(1, n + 1)],
-        type_one=False,
-        expected_components=1,
     )
 
 
@@ -698,8 +663,6 @@ def build_osp2(n: int) -> RootDatum:
         positive_even=_c_type(delta),
         positive_odd=[vsub(eps1, d) for d in delta] + [vadd(eps1, d) for d in delta],
         basis_labels=["eps1"] + [f"delta{j}" for j in range(1, n + 1)],
-        type_one=True,
-        expected_components=1,
     )
 
 
@@ -739,8 +702,6 @@ def build_g3() -> RootDatum:
             vadd(vadd(e1, e2), d),
         ],
         basis_labels=("eps1", "eps2", "delta1"),
-        type_one=False,
-        expected_components=1,
     )
 
 
@@ -767,8 +728,6 @@ def build_f4() -> RootDatum:
         positive_even=_differences(eps) + _sums(eps) + eps + [d],
         positive_odd=odd,
         basis_labels=("eps1", "eps2", "eps3", "delta1"),
-        type_one=False,
-        expected_components=1,
     )
 
 
@@ -906,7 +865,6 @@ def datum_from_text(text: str) -> RootDatum:
         simple_roots=simple,
         positive_even=[parse_row(ln, row, ambient) for ln, row in sections["positive_even"]],
         positive_odd=[parse_row(ln, row, ambient) for ln, row in sections["positive_odd"]],
-        type_one=False,
     )
 
 

@@ -71,7 +71,7 @@ def _random_typical(datum: RootDatum, count: int, rng: random.Random):
     while len(found) < count:
         coeffs = [rng.randrange(5) for _ in range(rank)]
         lam = datum.coefficient_weight(coeffs, rng.randrange(4))
-        if datum.atypicality(lam).is_typical:
+        if datum.is_typical(lam):
             found.append(lam)
     return found
 
@@ -88,8 +88,7 @@ def _atypical_weight(datum: RootDatum, idx: int, coeff_bound: int = 3) -> Weight
             lam = shift_to_type(datum, datum.coefficient_weight(coeffs), idx)
         except SuperweylError:
             continue
-        at = datum.atypicality(lam)
-        if at.vanishing == (idx,):
+        if datum.atypicality(lam) == (idx,):
             return lam
     raise InternalInvariant(f"no weight of type {idx} found on {datum.label}")
 
@@ -267,7 +266,7 @@ def _c8_distinct_numerators(seed: int):
     seen = {}
     for coeffs in itertools.product((1, 2, 3), repeat=3):
         lam = datum.coefficient_weight(coeffs, 1)
-        while not datum.atypicality(lam).is_typical:
+        while not datum.is_typical(lam):
             lam = vadd(lam, datum.tau)
         text = _text(datum, numerator(datum, lam))
         if text in seen:
@@ -291,7 +290,7 @@ def _c9_cases():
             cases.append((f"osp(2,{2 * n}) type {idx}", datum, idx, False))
     for builder, tag in ((build_g3, "G(3)"), (build_f4, "F(4)")):
         datum = builder()
-        idx = datum.atypicality(vscale(0, datum.tau)).vanishing[0]
+        idx = datum.atypicality(vscale(0, datum.tau))[0]
         cases.append((f"{tag} generic", datum, idx, False))
         cases.append((f"{tag} special", datum, idx, True))
     datum = build_sl(4, 3)

@@ -168,8 +168,8 @@ def orbit_drops(group: WeylGroup, labels: Sequence[Fraction]) -> list[tuple]:
     the datum, in gid order (``datum.labels(eta)``); the group reads the
     ones of its own generators.  One pass down the element tree: a child
     with last letter k gets drop(child) = drop(parent) + a_k(parent) *
-    expand_simple(g_k), where a(parent) are the labels of the parent's
-    image of eta.  Labels with a
+    g_k.coords (g_k over the simple roots), where a(parent) are the labels
+    of the parent's image of eta.  Labels with a
     common denominator D > 1 (at the extra generator of G(3)) are carried
     scaled by D and the drops come back as Fractions, which
     :func:`~superweyl.series.weight_monomial` checks; otherwise they are
@@ -180,7 +180,7 @@ def orbit_drops(group: WeylGroup, labels: Sequence[Fraction]) -> list[tuple]:
     labels = [labels[g] for g in group.gids]
     scale = math.lcm(*(x.denominator for x in labels))
     rows = _cartan_rows(datum, group.gids)
-    coords = [datum.generator_coords[g] for g in group.gids]
+    coords = [datum.generators[g].coords for g in group.gids]
     position = {g: p for p, g in enumerate(group.gids)}
     state = [(tuple(int(x * scale) for x in labels), (0,) * len(datum.simple_roots))]
     for w in group.elements[1:]:

@@ -70,7 +70,7 @@ def atypical_weight(datum, idx, coeff_bound=3):
     for coeffs in candidates:
         lam = shift_to_type(datum, weight_from_coeffs(datum, coeffs), idx)
         marks = datum.atypicality(lam)
-        if marks.vanishing == (idx,):
+        if marks == (idx,):
             return lam
     raise AssertionError(f"no singly atypical weight of type {idx} found")
 
@@ -101,18 +101,19 @@ class TestContextValidation:
     def test_rejects_multiply_atypical_weight(self):
         # two odd pairings vanish at zero for this datum
         datum = build_sl(3, 2)
-        assert len(datum.atypicality((0,) * datum.dim).vanishing) == 2
+        assert len(datum.atypicality((0,) * datum.dim)) == 2
         with pytest.raises(NotSinglyAtypical):
             atypical_context(datum, (0,) * datum.dim)
 
     def test_rejects_non_dominant_weight(self):
+        # singly atypical of type 0, so only the dominance check can fail
         datum = build_sl(2, 1)
-        lam = vscale(F(-1), datum.fundamental_weight(1))
+        lam = shift_to_type(datum, vscale(F(-2), datum.fundamental_weight(1)), 0)
+        assert datum.atypicality(lam) == (0,)
         with pytest.raises(NotDominant):
             AtypicalContext(
                 datum=datum,
                 lam=lam,
-                gamma=datum.positive_odd[0],
                 gamma_index=0,
                 special=False,
                 z_truncation=3,
@@ -125,22 +126,7 @@ class TestContextValidation:
             AtypicalContext(
                 datum=datum,
                 lam=good.lam,
-                gamma=good.gamma,
                 gamma_index=1 - good.gamma_index,
-                special=False,
-                z_truncation=3,
-            )
-
-    def test_rejects_alien_gamma_object(self):
-        datum = build_sl(2, 1)
-        good = atypical_context(datum, (0, 0, 0))
-        other = datum.positive_odd[1 - good.gamma_index]
-        with pytest.raises(IndexOutOfRange):
-            AtypicalContext(
-                datum=datum,
-                lam=good.lam,
-                gamma=other,
-                gamma_index=good.gamma_index,
                 special=False,
                 z_truncation=3,
             )
@@ -151,7 +137,7 @@ class TestShiftToType:
     def test_lands_on_requested_type(self, idx):
         datum = build_sl(3, 2)
         lam = shift_to_type(datum, weight_from_coeffs(datum, (1, 2, 1)), idx)
-        assert idx in datum.atypicality(lam).vanishing
+        assert idx in datum.atypicality(lam)
 
     def test_preserves_even_signature(self):
         datum = build_osp2(3)
@@ -263,7 +249,7 @@ def oracle_case_context(builder, idx, special, z_truncation=3):
     datum = builder()
     if idx is None:
         # the zero weight is singly atypical here; read its type off
-        idx = datum.atypicality((0,) * datum.dim).vanishing[0]
+        idx = datum.atypicality((0,) * datum.dim)[0]
     lam = atypical_weight(datum, idx)
     return atypical_context(datum, lam, special=special, z_truncation=z_truncation)
 
@@ -377,7 +363,7 @@ def test_oracle_matches_enumeration_on_random_weights(coeffs, idx):
     datum = build_sl(3, 2)
     lam = shift_to_type(datum, weight_from_coeffs(datum, coeffs), idx)
     marks = datum.atypicality(lam)
-    if marks.vanishing != (idx,):
+    if marks != (idx,):
         return
     ctx = atypical_context(datum, lam, z_truncation=2)
     assert coefficient_oracle(ctx).value == enumeration_coefficient(ctx).value
@@ -557,7 +543,7 @@ class TestMatching:
         ):
             lam = shift_to_type(self.datum, weight_from_coeffs(self.datum, coeffs), 0)
             marks = self.datum.atypicality(lam)
-            if marks.vanishing == (0,) and lam not in found:
+            if marks == (0,) and lam not in found:
                 found.append(lam)
             if len(found) == 3:
                 break
@@ -607,7 +593,7 @@ class TestMatching:
                 key=lambda c: (sum(c), c),
             )
             for w in [shift_to_type(datum, weight_from_coeffs(datum, c), 1)]
-            if datum.atypicality(w).vanishing == (1,) and w != nu
+            if datum.atypicality(w) == (1,) and w != nu
         )
         report = atypical_match(datum, [nu], [mu], gamma)
         assert report.module_level_conclusion is Conclusion.PRODUCTS_UNEQUAL
@@ -630,7 +616,7 @@ class TestMatching:
             self.datum, weight_from_coeffs(self.datum, (1, 2, 1)), 4
         )
         marks = self.datum.atypicality(other)
-        assert marks.vanishing == (4,)
+        assert marks == (4,)
         with pytest.raises(MixedAtypicalityTypes):
             atypical_match(self.datum, [self.w1], [other], self.gamma)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import superweyl
-from superweyl import AlgebraDescriptor, build_datum
+from superweyl import AlgebraDescriptor, build_datum, datum_from_text
 from superweyl.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -23,7 +23,7 @@ from superweyl.cli import (
 from superweyl.errors import UnknownSymbol, WeightParseError
 from superweyl.rootdata import vadd, vscale, zero_weight
 
-from test_rootdata import A3_TEXT, NON_INTEGRAL_CARTAN_TEXT
+from test_rootdata import A3_TEXT, NON_INTEGRAL_CARTAN_TEXT, datum_file_text
 
 
 def run_cli(capsys, argv):
@@ -79,14 +79,19 @@ class TestWeightGrammar:
 
     def test_round_trip_on_random_rational_weights(self):
         rng = random.Random(20250816)
-        for fam, m, n in [
-            ("sl", 3, 2),
-            ("osp", None, 2),
-            ("G3", None, None),
-            ("F4", None, None),
-            ("b0", None, 2),
-        ]:
-            d = build_datum(AlgebraDescriptor(fam, m, n))
+        data = [
+            build_datum(AlgebraDescriptor(fam, m, n))
+            for fam, m, n in [
+                ("sl", 3, 2),
+                ("osp", None, 2),
+                ("G3", None, None),
+                ("F4", None, None),
+                ("b0", None, 2),
+            ]
+        ]
+        # a datum file names its coordinates x1, x2, ...
+        data.append(datum_from_text(datum_file_text(data[0])))
+        for d in data:
             for _ in range(25):
                 w = tuple(
                     Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
@@ -115,6 +120,13 @@ class TestWeightGrammar:
     def test_eps_out_of_range(self):
         with pytest.raises(UnknownSymbol):
             parse_weight("eps[4]", self.d)
+
+    def test_datum_file_coordinates(self):
+        d = datum_from_text(A3_TEXT)
+        assert parse_weight("x[1] - (1/2)*x[4]", d) == (1, 0, 0, Fraction(-1, 2))
+        for src in ("eps[1]", "x[5]", "y[1]"):
+            with pytest.raises(UnknownSymbol):
+                parse_weight(src, d)
 
     def test_delta_absent_on_b0(self):
         d = build_datum(AlgebraDescriptor("b0", n=2))
@@ -410,6 +422,26 @@ class TestVerifyCommand:
 
 
 class TestSearchCommand:
+    def test_datum_file_hit_is_accepted_by_verify(self, capsys, tmp_path):
+        path = tmp_path / "sl32.datum"
+        path.write_text(datum_file_text(build_datum(AlgebraDescriptor("sl", 3, 2))))
+        file_args = ["--datum-file", str(path)]
+        code, out, _ = run_cli(
+            capsys, ["search", *file_args, "--bound", "1", "--tau-mult", "1", "--limit", "1"]
+        )
+        assert code == EXIT_OK
+        sides = dict(
+            line.strip().split(": ", 1)
+            for line in out.splitlines()
+            if line.strip().startswith(("lhs:", "rhs:"))
+        )
+        assert "x[1]" in sides["lhs"]
+        code, out, _ = run_cli(
+            capsys, ["verify", *file_args, "--lhs", sides["lhs"], "--rhs", sides["rhs"]]
+        )
+        assert code == EXIT_OK
+        assert "conclusion: CrossMatchedCounterexample" in out
+
     def test_limited_search_finds_hits(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -8,9 +8,11 @@ builtin exception escaping the library is a bug.  Internal checks raise
 
 import ast
 import builtins
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "superweyl"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "superweyl"
 
 
 def builtin_raises(path):
@@ -65,22 +67,37 @@ def test_library_has_no_unused_imports():
     assert found == []
 
 
+def definitions(scope):
+    """(name, line) of each function, class or assignment directly in ``scope``."""
+    for node in scope.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            yield name, node.lineno
+
+
 def private_definitions(tree):
     """(name, line) of each private function, class or assignment at module or class level."""
     scopes = [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
     for scope in scopes:
-        for node in scope.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, ast.Assign):
-                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                names = [node.target.id]
-            else:
-                continue
-            for name in names:
-                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
-                    yield name, node.lineno
+        for name, lineno in definitions(scope):
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                yield name, lineno
+
+
+def loaded_names(tree):
+    """Names a module reads: loaded names and loaded attributes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
 
 
 def test_library_has_no_orphaned_private_names():
@@ -91,13 +108,31 @@ def test_library_has_no_orphaned_private_names():
         tree = ast.parse(path.read_text(), str(path))
         for name, lineno in private_definitions(tree):
             defined.setdefault(name, f"{path.name}:{lineno}")
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+        read.update(loaded_names(tree))
     found = [
         f"{where} defines {name}, which nothing reads"
+        for name, where in sorted(defined.items())
+        if name not in read
+    ]
+    assert found == []
+
+
+def test_library_has_no_test_only_public_names():
+    """Every public module-level function, class or constant of the library is
+    read in the library, in perfbench or in README.md; definitions, imports and
+    ``__all__`` do not count as reads."""
+    defined = {}
+    read = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        read.update(loaded_names(tree))
+        if path.parent != SRC:
+            continue
+        for name, lineno in definitions(tree):
+            if not name.startswith("_"):
+                defined.setdefault(name, f"{path.name}:{lineno}")
+    found = [
+        f"{where} defines {name}, which the library, perfbench and README.md never read"
         for name, where in sorted(defined.items())
         if name not in read
     ]

@@ -26,7 +26,7 @@ from superweyl.series import Poly, mono_from_pairs
 from superweyl.weyl import full_group
 
 import weyl_reference as ref
-from test_rootdata import A3_TEXT
+from test_rootdata import A1A1B_TEXT, A3_TEXT
 
 
 def weight_from_coeffs(datum, coeffs, tau_mult=0):
@@ -121,7 +121,7 @@ class TestSignatures:
             for coeffs in itertools.product(range(top + 1), repeat=rank):
                 for mult in (1, 2):
                     lam = weight_from_coeffs(d, coeffs, tau_mult=mult)
-                    if not d.atypicality(lam).is_typical:
+                    if not d.is_typical(lam):
                         continue
                     sig = x_signature(d, lam)[k]
                     factor_text = text(d, factor_numerator(d, lam)[k])
@@ -148,7 +148,7 @@ def random_typical_weights(datum, count, seed, coeff_bound=4, tau_range=3):
     while len(found) < count:
         coeffs = [rng.randrange(coeff_bound + 1) for _ in range(rank)]
         lam = weight_from_coeffs(datum, coeffs, rng.randrange(tau_range + 1))
-        if datum.atypicality(lam).is_typical:
+        if datum.is_typical(lam):
             found.append(lam)
     return found
 
@@ -220,7 +220,7 @@ class TestGroupOrbitSums:
         # so the dominant orbit representative takes over.
         datum = build_g3()
         delta = as_weight([0, 0, 1])
-        assert datum.atypicality(delta).is_typical
+        assert datum.is_typical(delta)
         u = numerator(datum, delta)
         assert u.constant_term() == 1
         assert len(u.terms) == full_group(datum).order
@@ -228,7 +228,7 @@ class TestGroupOrbitSums:
     def test_wall_weight_rejected(self):
         datum = build_g3()
         lam = as_weight([0, 0, Fraction(5, 2)])
-        assert datum.atypicality(lam).is_typical
+        assert datum.is_typical(lam)
         with pytest.raises(NotDominant):
             numerator(datum, lam)
 
@@ -248,29 +248,7 @@ class TestErrors:
     def test_two_components_with_extra_generators_unsupported(self):
         # A custom datum whose even diagram splits but whose generator set
         # includes a non-simple root cannot be factored.
-        from superweyl import datum_from_text
-
-        text_datum = """
-family: A1A1B
-ambient_dim: 5
-gram:
-1 0 0 0 0
-0 1 0 0 0
-0 0 1 0 0
-0 0 0 1 0
-0 0 0 0 -1
-simple:
-even 1 -1 0 0 0
-even 0 0 1 -1 0
-odd 0 0 0 0 1
-positive_even:
-1 -1 0 0 0
-0 0 1 -1 0
-0 0 0 0 2
-positive_odd:
-0 0 0 0 1
-"""
-        d = datum_from_text(text_datum)
+        d = datum_from_text(A1A1B_TEXT)
         assert len(d.components) == 2
         assert any(g.pi_index is None for g in d.generators)
         with pytest.raises(UnsupportedCase):

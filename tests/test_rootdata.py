@@ -159,7 +159,8 @@ def type_c(dim, coords):
 
 
 def textbook_sl(p, q):
-    """eps_1..eps_p, delta_1..delta_q; the odd roots eps_i - delta_j are all isotropic."""
+    """eps_1..eps_p, delta_1..delta_q; the odd roots eps_i - delta_j are all isotropic.
+    The even diagram is the eps chain and the delta chain, each one block."""
     dim = p + q
     simple = [(vec(dim, (i, 1), (i + 1, -1)), False) for i in range(p - 1)]
     simple.append((vec(dim, (p - 1, 1), (p, -1)), True))
@@ -171,31 +172,37 @@ def textbook_sl(p, q):
                 if i < j:
                     even.append((vec(dim, (i, 1), (j, -1)), False, False))
     odd = [(vec(dim, (i, 1), (j, -1)), True, True) for i in range(p) for j in range(p, dim)]
-    return simple, even, odd
+    components = tuple(c for c in (tuple(range(p - 1)), tuple(range(p, dim - 1))) if c)
+    blocks = tuple(c for c in (tuple(range(p - 1)), tuple(range(p - 1, dim - 2))) if c)
+    return simple, even, odd, components, blocks
 
 
 def textbook_b0(n):
-    """delta_1..delta_n; the odd roots delta_j are not isotropic."""
+    """delta_1..delta_n; the odd roots delta_j are not isotropic.  One C_n block:
+    the delta chain and the extra generator 2 delta_n."""
     simple = [(vec(n, (i, 1), (i + 1, -1)), False) for i in range(n - 1)]
     simple.append((vec(n, (n - 1, 1)), True))
     odd = [(vec(n, (j, 1)), True, False) for j in range(n)]
-    return simple, type_c(n, list(range(n))), odd
+    return simple, type_c(n, list(range(n))), odd, (tuple(range(n - 1)),), (tuple(range(n)),)
 
 
 def textbook_osp2(n):
-    """eps_1, delta_1..delta_n; the odd roots eps_1 -+ delta_j are all isotropic."""
+    """eps_1, delta_1..delta_n; the odd roots eps_1 -+ delta_j are all isotropic.
+    One C_n block: the delta chain ending in 2 delta_n."""
     dim = n + 1
     simple = [(vec(dim, (j, 1), (j + 1, -1)), False) for j in range(1, n)]
     simple.append((vec(dim, (n, 2)), False))
     simple.append((vec(dim, (0, 1), (1, -1)), True))
     odd = [(vec(dim, (0, 1), (j, sign)), True, True) for sign in (-1, 1) for j in range(1, dim)]
-    return simple, type_c(dim, list(range(1, dim))), odd
+    chain = (tuple(range(n)),)
+    return simple, type_c(dim, list(range(1, dim))), odd, chain, chain
 
 
 def textbook_g3():
     """(eps_1, eps_2, delta) with eps_3 = -eps_1 - eps_2: even G_2 and 2 delta; odd
     eps_3 + delta, delta - eps_2, delta - eps_1, delta, eps_1 + delta, eps_2 + delta,
-    -eps_3 + delta, isotropic except delta itself."""
+    -eps_3 + delta, isotropic except delta itself.  One diagram component (G_2),
+    two blocks (G_2 and 2 delta)."""
     simple = [((1, 0, 0), False), ((-1, 1, 0), False), ((-1, -1, 1), True)]
     even = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (-1, 1, 0), (2, 1, 0), (1, 2, 0), (0, 0, 2)]
     odd = [(-1, -1, 1), (0, -1, 1), (-1, 0, 1), (0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
@@ -203,12 +210,15 @@ def textbook_g3():
         [(as_weight(v), o) for v, o in simple],
         [(as_weight(v), False, False) for v in even],
         [(as_weight(v), True, v != (0, 0, 1)) for v in odd],
+        ((0, 1),),
+        ((0, 1), (2,)),
     )
 
 
 def textbook_f4():
     """(eps_1, eps_2, eps_3, delta): even B_3 and delta; odd (+-eps_1 +-eps_2 +-eps_3 +
-    delta)/2, all isotropic, the simple one with every sign negative."""
+    delta)/2, all isotropic, the simple one with every sign negative.  One diagram
+    component (B_3), two blocks (B_3 and delta)."""
     h = F(1, 2)
     simple = [
         (vec(4, (0, 1), (1, -1)), False),
@@ -227,7 +237,7 @@ def textbook_f4():
         for s2 in (1, -1):
             for s3 in (1, -1):
                 odd.append(((s1 * h, s2 * h, s3 * h, h), True, True))
-    return simple, [(v, False, False) for v in even], odd
+    return simple, [(v, False, False) for v in even], odd, ((0, 1, 2),), ((0, 1, 2), (3,))
 
 
 TEXTBOOK = {
@@ -251,10 +261,12 @@ TEXTBOOK_CASES = (
 def test_builtin_roots_match_the_textbook_listing(family, args):
     build, textbook = TEXTBOOK[family]
     d = build(*args)
-    simple, even, odd = textbook(*args)
+    simple, even, odd, components, blocks = textbook(*args)
     assert [(r.vector, r.odd) for r in d.simple_roots] == simple
     assert root_fields(d.positive_even) == even
     assert root_fields(d.positive_odd) == odd
+    assert d.components == components
+    assert d.generator_blocks == blocks
 
 
 def test_rejected_families():
@@ -318,9 +330,7 @@ def test_dominance_tri_state():
 
 def test_atypicality_sl21():
     d = build_sl(2, 1)
-    at = d.atypicality(zero_weight(3))
-    assert not at.is_typical
-    assert at.vanishing == (1,)
+    assert d.atypicality(zero_weight(3)) == (1,)
     assert d.positive_odd[1].vector == as_weight((0, 1, -1))
     # tau itself is atypical here; twice tau is typical
     assert not d.is_typical(d.tau)
@@ -330,9 +340,8 @@ def test_atypicality_sl21():
 def test_typicality_osp24():
     d = build_osp2(2)
     lam = zero_weight(3)
-    at = d.atypicality(lam)
-    assert len(at.vanishing) == 1
-    assert d.positive_odd[at.vanishing[0]].vector == as_weight((1, -1, 0))
+    (idx,) = d.atypicality(lam)
+    assert d.positive_odd[idx].vector == as_weight((1, -1, 0))
 
 
 @pytest.mark.parametrize(
@@ -448,6 +457,28 @@ positive_odd:
 """
 
 
+A1A1B_TEXT = """\
+family: A1A1B
+ambient_dim: 5
+gram:
+1 0 0 0 0
+0 1 0 0 0
+0 0 1 0 0
+0 0 0 1 0
+0 0 0 0 -1
+simple:
+even 1 -1 0 0 0
+even 0 0 1 -1 0
+odd 0 0 0 0 1
+positive_even:
+1 -1 0 0 0
+0 0 1 -1 0
+0 0 0 0 2
+positive_odd:
+0 0 0 0 1
+"""
+
+
 def test_datum_file_pure_even():
     d = datum_from_text(A3_TEXT)
     assert d.label == "A3"
@@ -458,6 +489,32 @@ def test_datum_file_pure_even():
     assert d.components == ((0, 1, 2),)
     assert d.is_typical(zero_weight(4))
     assert d.is_dominant_integral(zero_weight(4)) == Dominance.NECESSARY_ONLY
+
+
+def textbook_or_file(family, args):
+    return datum_from_text(args[0]) if family == "file" else TEXTBOOK[family][0](*args)
+
+
+DIAGRAM_CASES = TEXTBOOK_CASES + [("file", (A3_TEXT,)), ("file", (A1A1B_TEXT,))]
+DIAGRAM_IDS = [f"{f}{a}" for f, a in TEXTBOOK_CASES] + ["A3 file", "A1A1B file"]
+
+
+@pytest.mark.parametrize("family, args", DIAGRAM_CASES, ids=DIAGRAM_IDS)
+def test_root_and_generator_coords_are_the_simple_expansions(family, args):
+    d = textbook_or_file(family, args)
+    for r in d.simple_roots + d.positive_even + d.positive_odd + d.generators:
+        assert r.coords == d.expand_simple(r.vector)
+        assert all(type(c) is int for c in r.coords)
+
+
+@pytest.mark.parametrize("family, args", DIAGRAM_CASES, ids=DIAGRAM_IDS)
+def test_adjacency_is_non_orthogonality_of_even_simple_roots(family, args):
+    d = textbook_or_file(family, args)
+    even = {p: d.simple_roots[p].vector for p in d.even_positions}
+    reference = {
+        p: {q for q, w in even.items() if q != p and d.inner(v, w) != 0} for p, v in even.items()
+    }
+    assert d.adjacency() == reference
 
 
 def datum_file_text(d):

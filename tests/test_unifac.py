@@ -114,7 +114,7 @@ class TestWeightSumCheck:
 
     def test_shift_invisible_to_factors_breaks_isomorphism(self):
         shifted = vadd(self.nu, vscale(5, self.d.tau))
-        if not self.d.atypicality(shifted).is_typical:
+        if not self.d.is_typical(shifted):
             shifted = vadd(self.nu, vscale(10, self.d.tau))
         report = verify_tensor_isomorphism(self.d, [self.nu], [shifted])
         # Every factor matches, yet the weight sums differ.
@@ -128,7 +128,7 @@ class TestWeightSumCheck:
         up2 = vadd(nu, vscale(10, d.tau))
         up1 = vadd(nu, vscale(5, d.tau))
         for w in (nu, up1, up2):
-            assert d.atypicality(w).is_typical
+            assert d.is_typical(w)
         report = verify_tensor_isomorphism(d, [nu, up2], [up1, up1])
         assert report.module_level_conclusion is Conclusion.CROSS_MATCHED
 
@@ -163,7 +163,7 @@ def test_permutation_and_perturbation_trials():
                 weight_from_coeffs(d, c2[:2] + c1[2:], mult),
                 weight_from_coeffs(d, c1[:2] + c2[2:], mult),
             ]
-            if all(d.atypicality(w).is_typical for w in quad):
+            if all(d.is_typical(w) for w in quad):
                 break
         report = verify_tensor_isomorphism(d, quad[:2], quad[2:])
         assert report.module_level_conclusion is Conclusion.CROSS_MATCHED
@@ -177,7 +177,7 @@ def test_permutation_and_perturbation_trials():
                 for i, c in enumerate((1, 1, 1))
             )
             other = weight_from_coeffs(d, bumped, rng.randrange(1, 4))
-            if d.atypicality(other).is_typical and other not in lhs:
+            if d.is_typical(other) and other not in lhs:
                 break
         rhs = [lhs[0], other]
         report = verify_tensor_isomorphism(d, lhs, rhs)
@@ -242,7 +242,7 @@ def test_single_component_products_factor_uniquely(builder, rank):
     weights = []
     for coeffs in itertools.product(range(3), repeat=rank):
         lam = weight_from_coeffs(d, coeffs, tau_mult=1)
-        if d.atypicality(lam).is_typical:
+        if d.is_typical(lam):
             weights.append(lam)
     assert len(weights) >= 6
     pairs = list(itertools.combinations_with_replacement(weights, 2))

@@ -17,7 +17,7 @@ from superweyl.rootdata import (
     build_osp2,
     build_sl,
     datum_from_text,
-    vneg,
+    vscale,
     vsub,
 )
 from superweyl.weyl import (
@@ -97,7 +97,7 @@ def test_reflection_action():
     for gen in d.generators:
         assert words[(gen.gid,)].length == 1
         s = ref.reflection_matrix(d, gen.vector)
-        assert ref.act(s, gen.vector) == vneg(gen.vector)
+        assert ref.act(s, gen.vector) == vscale(-1, gen.vector)
         assert ref.act(s, ref.act(s, d.rho)) == d.rho
 
 
