@@ -15,16 +15,25 @@ special weights of G(3) and F(4) replace the rational prefactor by
 
 The central quantity is the coefficient of the monomial
 X^lambda = prod X_alpha^<lambda+rho, alpha> (alpha over Pi_0) in the
-formal series -log U(lambda).  This module computes it three ways: a
-brute-force series oracle, a sum over the ordered graph partitions of
-Pi_0, and the closed forms (a ratio driven by the reflections moving
-gamma, the two-term forms for G(3) and F(4), and the alternating A-sum
-over partition counts for sl(m+1, n+1) with interior type).  A partition
-enters these sums only through its block count k and the way its blocks
-group the generators that move gamma, so the partitions are walked once
-and the sums run over the resulting (k, grouping) tallies.  Products of
-the numerators are compared factor by factor to test unique factorization
-of tensor products of singly atypical modules of one common type.
+formal series -log U(lambda).  This module computes it with a brute-force
+series oracle and with four closed forms.  A partition of the Pi_0 graph
+enters them only through its block count k and the way its blocks group
+the generators that move gamma (the movers), so each closed form is a
+table {grouping: rational weight} handed to one evaluator, which returns
+the weighted sum of products of block factors:
+
+- K-ratio (one-sided sl(m+1, n+1), osp(2, 2n)): the movers as singletons,
+  weight the alternating partition number K of Pi_0;
+- M-form (G(3), F(4)): the simple positions as singletons, weight 1 for
+  G(3) and 2 for F(4), plus weight -1 for F(4)'s orthogonal pair fused;
+- A-sum (sl(m+1, n+1), interior type): the seven splits of the four
+  movers, each weighing sum over k of (-1)^(|Pi_0| + k) / k * r_shape(k);
+- enumeration (every type, the fallback): each grouping weighs its signed
+  (k, grouping) tally, the partitions being walked once.
+
+Products of the numerators are compared factor by factor to test unique
+factorization of tensor products of singly atypical modules of one common
+type.
 """
 
 from __future__ import annotations
@@ -51,7 +60,6 @@ from .partitions import SimpleGraph, graph_of_datum, iter_ordered_partitions
 from .partitions import k_partition_counts, tree_graph_gpq
 from .rootdata import (
     Dominance,
-    Generator,
     Root,
     RootDatum,
     Weight,
@@ -142,8 +150,10 @@ class CoefficientValue:
 
     ``tag`` names the closed form used ("K-ratio", "M-form", "A-sum",
     "enumeration") or is ``None`` for the brute-force oracle.  ``params``
-    records the ingredients of the closed form so the value can be
-    reconstructed by hand.
+    holds what a caller reads besides the value: ``target_degree``, the
+    total degree of X^lambda, for the oracle, and the per-k pattern counts
+    ``r2``, ``r3``, ``r4`` (k from 2) for the A-sum; the other routes
+    leave it empty.
     """
 
     value: ZSeries
@@ -203,38 +213,29 @@ def _transport(datum: RootDatum, idx: int, gids: Iterable[int]) -> int:
     return _positive_odd_index(datum, v)
 
 
-def _one_plus(idx: int, trunc: int) -> ZSeries:
-    return ZSeries.one(trunc) + ZSeries.var(idx, trunc)
-
-
-def _two_plus(idx: int, trunc: int) -> ZSeries:
-    return ZSeries.constant(2, trunc) + ZSeries.var(idx, trunc)
-
-
 def _prefactor(ctx: AtypicalContext, idx: int) -> ZSeries:
-    """Expansion of the rational coefficient attached to one group element."""
+    """Expansion of the rational coefficient attached to one group element.
+
+    This is 1 / (1 + Z_idx), or (2 + Z_idx) / (2 (1 + Z_idx)) for special weights.
+    """
     t = ctx.z_truncation
+    z = ZSeries.var(idx, t)
+    inverse = (ZSeries.one(t) + z).inverse()
     if ctx.special:
-        return _two_plus(idx, t) * _one_plus(idx, t).inverse() * ZSeries.constant(Fraction(1, 2), t)
-    return _one_plus(idx, t).inverse()
+        return (ZSeries.one(t) + z.scale(Fraction(1, 2))) * inverse
+    return inverse
 
 
 def _normalizer(ctx: AtypicalContext) -> ZSeries:
-    """Reciprocal of the identity element's prefactor, which makes U start at 1."""
-    t = ctx.z_truncation
-    gi = ctx.gamma_index
-    if ctx.special:
-        return _one_plus(gi, t) * _two_plus(gi, t).inverse() * ZSeries.constant(2, t)
-    return _one_plus(gi, t)
+    """Reciprocal of the identity element's prefactor, which makes U start at 1.
 
-
-def _block(ctx: AtypicalContext, idx: int) -> ZSeries:
-    """Series factor of one partition block that moves gamma to index ``idx``.
-
-    This is (1 + Z_gamma) / (1 + Z_idx), or for special weights
-    (1 + Z_gamma)(2 + Z_idx) / ((2 + Z_gamma)(1 + Z_idx)).
+    This is 1 + Z_gamma, or 2 (1 + Z_gamma) / (2 + Z_gamma) for special weights.
     """
-    return _normalizer(ctx) * _prefactor(ctx, idx)
+    t = ctx.z_truncation
+    z = ZSeries.var(ctx.gamma_index, t)
+    if ctx.special:
+        return (ZSeries.one(t) + z) * (ZSeries.one(t) + z.scale(Fraction(1, 2))).inverse()
+    return ZSeries.one(t) + z
 
 
 def atypical_numerator(ctx: AtypicalContext) -> Poly:
@@ -299,101 +300,91 @@ def coefficient_oracle(ctx: AtypicalContext) -> CoefficientValue:
 # -- closed forms ------------------------------------------------------------
 
 
-def _movers(datum: RootDatum, gamma: Root) -> list[Generator]:
-    """Diagram generators not orthogonal to gamma; only these enter the forms."""
-    return [
-        g
+def _movers(datum: RootDatum, gamma: Root) -> frozenset[int]:
+    """Diagram positions of the generators not orthogonal to gamma; only these enter the forms."""
+    return frozenset(
+        g.pi_index
         for g in datum.generators
         if g.pi_index is not None and datum.inner(g.vector, gamma.vector) != 0
-    ]
+    )
+
+
+def _singletons(positions: Iterable[int]) -> frozenset[frozenset[int]]:
+    return frozenset(frozenset({p}) for p in positions)
+
+
+def _partition_sign(total: int, k: int) -> Fraction:
+    """(-1)^(total + k) / k, the weight of one ordered k-partition of ``total`` vertices."""
+    return Fraction((-1) ** (total + k), k)
+
+
+def _weighted_blocks(ctx: AtypicalContext, weights: Mapping[frozenset, Fraction]) -> ZSeries:
+    """Sum of weight * prod of block factors over the groupings in ``weights``.
+
+    A grouping is a frozenset of groups, each the frozenset of diagram
+    positions of movers that share one partition block.  That block moves
+    gamma by all of their reflections; blocks holding no mover fix gamma
+    and contribute exactly 1.  The block factor of each image index is
+    computed once per call.  This is the only product of block factors.
+    """
+    datum = ctx.datum
+    t = ctx.z_truncation
+    normalizer = _normalizer(ctx)
+    blocks: dict[int, ZSeries] = {}
+    acc = ZSeries.zero(t)
+    for grouping, weight in weights.items():
+        term = ZSeries.constant(weight, t)
+        for group in grouping:
+            gids = (datum.even_positions.index(p) for p in group)
+            idx = _transport(datum, ctx.gamma_index, gids)
+            if idx not in blocks:
+                # (1 + Z_gamma) / (1 + Z_idx), or for special weights
+                # (1 + Z_gamma)(2 + Z_idx) / ((2 + Z_gamma)(1 + Z_idx))
+                blocks[idx] = normalizer * _prefactor(ctx, idx)
+            term = term * blocks[idx]
+        acc = acc + term
+    return acc
 
 
 def _k_ratio(ctx: AtypicalContext) -> CoefficientValue:
     """K * (1 + Z_gamma)^d / prod (1 + Z_{s gamma}) over the d reflections moving gamma.
 
-    K is the alternating partition number of the Pi_0 graph.  Valid for the
-    one-sided special linear family and osp(2, 2n), where the generators
-    moving gamma are pairwise adjacent in the diagram.
+    K is the alternating partition number of the Pi_0 graph: the weight of
+    the movers as singletons.  Valid for the one-sided special linear family
+    and osp(2, 2n), where the generators moving gamma are pairwise adjacent
+    in the diagram.
     """
-    datum = ctx.datum
-    t = ctx.z_truncation
-    kval = k_partition_counts(graph_of_datum(datum)).k_value
-    movers = _movers(datum, ctx.gamma)
-    value = ZSeries.constant(kval, t)
-    image_indices = []
-    for g in movers:
-        idx = _transport(datum, ctx.gamma_index, (g.gid,))
-        image_indices.append(idx)
-        value = value * _block(ctx, idx)
-    return CoefficientValue(
-        value=value,
-        tag="K-ratio",
-        params={
-            "k_pi0": kval,
-            "type_index": ctx.gamma_index,
-            "image_indices": tuple(image_indices),
-        },
-    )
+    kval = k_partition_counts(graph_of_datum(ctx.datum)).k_value
+    value = _weighted_blocks(ctx, {_singletons(_movers(ctx.datum, ctx.gamma)): kval})
+    return CoefficientValue(value=value, tag="K-ratio")
 
 
 def _m_form(ctx: AtypicalContext) -> CoefficientValue:
     """Two-term closed forms for G(3) and F(4), generic and special.
 
-    For G(3) the two-element Pi_0 admits only 2-partitions; for F(4) the
-    3-partitions and the single 2-partition pairing the two orthogonal
-    simple roots contribute with opposite signs.
+    For G(3) the two-element Pi_0 admits only 2-partitions: the simple
+    positions as singletons, weight 1.  For F(4) the 3-partitions (weight 2)
+    and the single 2-partition fusing the two orthogonal simple roots
+    (weight -1) contribute with opposite signs.
     """
     datum = ctx.datum
-    simples = [g for g in datum.generators if g.pi_index is not None]
-    images = [_transport(datum, ctx.gamma_index, (g.gid,)) for g in simples]
-
+    simples = datum.even_positions
     if len(simples) == 2:
-        value = _block(ctx, images[0]) * _block(ctx, images[1])
-        params = {"image_indices": tuple(images), "special": ctx.special}
-        return CoefficientValue(value=value, tag="M-form", params=params)
-
+        value = _weighted_blocks(ctx, {_singletons(simples): 1})
+        return CoefficientValue(value=value, tag="M-form")
     if len(simples) != 3:
         raise UnsupportedCase(
             f"two-term closed form needs 2 or 3 simple even roots, found {len(simples)}"
         )
     adj = datum.adjacency()
-    pairs = [
-        (i, j)
-        for i, j in itertools.combinations(range(3), 2)
-        if simples[j].pi_index not in adj[simples[i].pi_index]
-    ]
+    pairs = [(p, q) for p, q in itertools.combinations(simples, 2) if q not in adj[p]]
     if len(pairs) != 1:
         raise UnsupportedCase(
             "expected exactly one orthogonal pair among the even simple roots"
         )
-    i, j = pairs[0]
-    k = ({0, 1, 2} - {i, j}).pop()
-    fused_idx = _transport(datum, ctx.gamma_index, (simples[i].gid, simples[j].gid))
-    triple = _block(ctx, images[0]) * _block(ctx, images[1]) * _block(ctx, images[2])
-    double = _block(ctx, fused_idx) * _block(ctx, images[k])
-    value = triple.scale(2) - double
-    params = {
-        "image_indices": tuple(images),
-        "orthogonal_pair": (i, j),
-        "fused_index": fused_idx,
-        "special": ctx.special,
-    }
-    return CoefficientValue(value=value, tag="M-form", params=params)
-
-
-def _partition_factor(ctx: AtypicalContext, grouping: Iterable[Iterable[int]]) -> ZSeries:
-    """Series factor of a partition whose blocks cut the movers into ``grouping``.
-
-    The movers of one group (diagram positions) share a block, which moves
-    gamma by all of their reflections; blocks holding no mover fix gamma
-    and contribute exactly 1.
-    """
-    datum = ctx.datum
-    value = ZSeries.one(ctx.z_truncation)
-    for group in grouping:
-        gids = [datum.even_positions.index(p) for p in group]
-        value = value * _block(ctx, _transport(datum, ctx.gamma_index, gids))
-    return value
+    fused = frozenset({frozenset(pairs[0])}) | _singletons(set(simples) - set(pairs[0]))
+    value = _weighted_blocks(ctx, {_singletons(simples): 2, fused: -1})
+    return CoefficientValue(value=value, tag="M-form")
 
 
 def _grouping_counts(graph: SimpleGraph, members: frozenset) -> Counter:
@@ -416,44 +407,32 @@ def enumeration_coefficient(ctx: AtypicalContext) -> CoefficientValue:
 
     Every ordered k-partition of the Pi_0 graph contributes
     (-1)^(|Pi_0| + k) / k times the product of its block factors; blocks
-    that fix gamma contribute exactly 1.  So the sum runs over the
-    (k, grouping) tallies of :func:`_grouping_counts`, with one product of
-    block factors per grouping of the generators that move gamma.  Works
-    for every covered family and type, interior or boundary, and serves as
-    the fallback closed form.
+    that fix gamma contribute exactly 1.  So each grouping of the movers
+    weighs its signed (k, grouping) tally from :func:`_grouping_counts`.
+    Works for every covered family and type, interior or boundary, and
+    serves as the fallback closed form.
     """
-    datum = ctx.datum
-    graph = graph_of_datum(datum)
-    total = len(graph)
-    movers = frozenset(g.pi_index for g in _movers(datum, ctx.gamma))
-    t = ctx.z_truncation
+    graph = graph_of_datum(ctx.datum)
     weights: dict[frozenset, Fraction] = {}
-    for (k, grouping), count in _grouping_counts(graph, movers).items():
-        weights[grouping] = weights.get(grouping, 0) + Fraction((-1) ** (total + k) * count, k)
-    acc = ZSeries.zero(t)
-    for grouping, weight in weights.items():
-        acc = acc + _partition_factor(ctx, grouping).scale(weight)
-    return CoefficientValue(
-        value=acc,
-        tag="enumeration",
-        params={"vertex_count": total, "mover_positions": tuple(sorted(movers))},
-    )
+    for (k, grouping), count in _grouping_counts(graph, _movers(ctx.datum, ctx.gamma)).items():
+        weights[grouping] = weights.get(grouping, 0) + _partition_sign(len(graph), k) * count
+    return CoefficientValue(value=_weighted_blocks(ctx, weights), tag="enumeration")
 
 
 def _a_sum(ctx: AtypicalContext) -> CoefficientValue:
     """Alternating sum over partition counts for the interior two-chain case.
 
-    The four generators moving gamma split two blocks, three blocks, or
-    four blocks of a partition.  Within each block count the split
-    patterns occur equally often, so the sum collapses to three counted
-    families of series; the counts are checked against the plain partition
-    numbers of the diagram graph.
+    The four generators moving gamma split into two pairs, one pair and two
+    singletons, or four singletons.  Within each shape the split patterns
+    occur equally often, r_shape(k) times among the ordered k-partitions,
+    and together they cover every partition with k >= 2; both are checked
+    against the plain partition numbers of the diagram graph.  Each pattern
+    then weighs sum over k of (-1)^(|Pi_0| + k) / k * r_shape(k).
     """
     datum = ctx.datum
-    t = ctx.z_truncation
     graph = graph_of_datum(datum)
     total = len(graph)
-    movers = frozenset(g.pi_index for g in _movers(datum, ctx.gamma))
+    movers = _movers(datum, ctx.gamma)
     comp_one = set(datum.components[0])
     alphas = sorted(p for p in movers if p in comp_one)
     betas = sorted(p for p in movers if p not in comp_one)
@@ -462,62 +441,43 @@ def _a_sum(ctx: AtypicalContext) -> CoefficientValue:
             "interior closed form needs two moving generators on each chain"
         )
 
-    def grouping_key(groups: Iterable[Iterable[int]]) -> frozenset[frozenset[int]]:
+    def grouping(*groups: Iterable[int]) -> frozenset[frozenset[int]]:
         return frozenset(frozenset(g) for g in groups)
 
+    (a0, a1), (b0, b1) = alphas, betas
     # the seven ways the four movers can split across independent blocks
-    pair_patterns = [
-        grouping_key([(alphas[0], betas[0]), (alphas[1], betas[1])]),
-        grouping_key([(alphas[0], betas[1]), (alphas[1], betas[0])]),
-    ]
-    triple_patterns = [
-        grouping_key([(a, b), (other_a,), (other_b,)])
-        for a, other_a in ((alphas[0], alphas[1]), (alphas[1], alphas[0]))
-        for b, other_b in ((betas[0], betas[1]), (betas[1], betas[0]))
-    ]
-    quad_pattern = grouping_key([(p,) for p in movers])
-
-    def pattern_sum(patterns: list) -> ZSeries:
-        return sum((_partition_factor(ctx, p) for p in patterns), ZSeries.zero(t))
-
-    f_sum = pattern_sum(pair_patterns)
-    g_sum = pattern_sum(triple_patterns)
-    h_expr = _partition_factor(ctx, quad_pattern)
-
-    plain_counts = k_partition_counts(graph).counts
+    shapes = (
+        [grouping((a0, b0), (a1, b1)), grouping((a0, b1), (a1, b0))],
+        [
+            grouping((a, b), (other_a,), (other_b,))
+            for a, other_a in ((a0, a1), (a1, a0))
+            for b, other_b in ((b0, b1), (b1, b0))
+        ],
+        [_singletons(movers)],
+    )
+    ks = range(2, total + 1)
     tally = _grouping_counts(graph, movers)
-    r_two: list[int] = []
-    r_three: list[int] = []
-    r_four: list[int] = []
-    acc = ZSeries.zero(t)
-    for k in range(2, total + 1):
-        pair_counts = [tally[k, p] for p in pair_patterns]
-        triple_counts = [tally[k, p] for p in triple_patterns]
-        quad_count = tally[k, quad_pattern]
-        # the split patterns within one shape must occur equally often
-        invariant(pair_counts[0] == pair_counts[1], f"pair counts {pair_counts}")
-        invariant(len(set(triple_counts)) == 1, f"triple counts {triple_counts}")
-        covered = 2 * pair_counts[0] + 4 * triple_counts[0] + quad_count
-        invariant(covered == plain_counts[k - 1], f"k={k}: {covered} != {plain_counts}")
-        r_two.append(pair_counts[0])
-        r_three.append(triple_counts[0])
-        r_four.append(quad_count)
-        sign = Fraction((-1) ** (total + k), k)
-        term = (
-            f_sum.scale(pair_counts[0])
-            + g_sum.scale(triple_counts[0])
-            + h_expr.scale(quad_count)
-        )
-        acc = acc + term.scale(sign)
+    covered = [0] * len(ks)
+    r_counts = []
+    weights: dict[frozenset, Fraction] = {}
+    for patterns in shapes:
+        counts = []
+        for k in ks:
+            seen = {tally[k, p] for p in patterns}
+            # the split patterns within one shape must occur equally often
+            invariant(len(seen) == 1, f"k={k}: {len(patterns)} patterns counted {seen}")
+            counts.append(seen.pop())
+        covered = [c + len(patterns) * n for c, n in zip(covered, counts)]
+        r_counts.append(tuple(counts))
+        weight = sum(_partition_sign(total, k) * n for k, n in zip(ks, counts))
+        weights.update(dict.fromkeys(patterns, weight))
+    plain = k_partition_counts(graph).counts[1:]
+    invariant(covered == list(plain), f"shapes cover {covered}, partitions {plain}")
+    r2, r3, r4 = r_counts
     return CoefficientValue(
-        value=acc,
+        value=_weighted_blocks(ctx, weights),
         tag="A-sum",
-        params={
-            "r2": tuple(r_two),
-            "r3": tuple(r_three),
-            "r4": tuple(r_four),
-            "k_start": 2,
-        },
+        params={"r2": r2, "r3": r3, "r4": r4},
     )
 
 
@@ -563,14 +523,13 @@ def coefficient_f1(datum: RootDatum, p: int, q: int) -> Fraction:
     pair_one = frozenset({comps[0][p - 2], comps[1][q - 2]})
     pair_two = frozenset({comps[0][p - 1], comps[1][q - 1]})
     tally = _grouping_counts(graph, pair_one | pair_two)
-    acc = Fraction(0)
+    direct = Fraction(0)
     for k in range(2, total + 1):
         count = tally[k, frozenset({pair_one, pair_two})]
         expected = tree.counts[k - 1] if k <= len(tree.counts) else 0
         # the pair-preserving partitions are exactly those of the fused tree
         invariant(count == expected, f"k={k}: {count} != {expected}")
-        acc += Fraction((-1) ** k, k) * count
-    direct = Fraction((-1) ** total) * acc
+        direct += _partition_sign(total, k) * count
     invariant(direct == tree.k_value == 1, f"f1 {direct}, tree value {tree.k_value}")
     return direct
 

@@ -17,13 +17,15 @@ with canonical polynomial strings; identical invocations print identical
 bytes.
 
 Exit codes: 0 when a conclusion was reached, 2 on precondition failures
-(bad weights, wrong family, atypical inputs to typical-only commands),
-64 on usage errors, 70 on internal failures.
+(bad weights, wrong family, atypical inputs to typical-only commands) and
+when the reader of stdout closes it early (``... | head -1``), 64 on usage
+errors, 70 on internal failures.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -587,7 +589,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that left early shows up here, not at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout is gone; point it at devnull so the exit flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PRECONDITION
     except (InternalInvariant, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -109,10 +109,6 @@ def _linked_classes(nodes: Iterable[int], linked) -> tuple[tuple[int, ...], ...]
     return tuple(sorted(classes))
 
 
-def _is_nonneg_int(x: Fraction) -> bool:
-    return x.denominator == 1 and x >= 0
-
-
 @dataclass(frozen=True)
 class Root:
     """One root of a :class:`RootDatum`: its ambient vector, parity, isotropy, and
@@ -256,9 +252,10 @@ class RootDatum:
         )
 
         self.generators: tuple[Generator, ...] = self._build_generators()
-        self._generator_solver = _SpanSolver(
-            [g.vector for g in self.generators], "even generators"
-        )
+        # The generators are the indecomposable positive even roots, so by
+        # induction on height every positive even root is a non-negative
+        # integer sum of them; only their independence needs a check.
+        _SpanSolver([g.vector for g in self.generators], "even generators")
 
         self._odd_index: dict[Weight, int] = {
             r.vector: i for i, r in enumerate(self.positive_odd)
@@ -295,7 +292,7 @@ class RootDatum:
     def _root(self, v: Weight, odd: bool) -> Root:
         """The root on v: isotropic when the form vanishes on it, coordinates solved once."""
         coords = self.expand_simple(v)
-        if not all(_is_nonneg_int(c) for c in coords):
+        if not all(c.denominator == 1 and c >= 0 for c in coords):
             raise MalformedDatumFile(
                 f"positive root {self.format_weight(v)} is not a non-negative integer "
                 "combination of the simple roots"
@@ -394,13 +391,6 @@ class RootDatum:
         if not self.even_positions:
             raise MalformedDatumFile("no even simple roots; datum is degenerate")
 
-        for r in self.positive_even:
-            coeffs = self._generator_solver.solve(r.vector)
-            if coeffs is None or not all(_is_nonneg_int(c) for c in coeffs):
-                raise MalformedDatumFile(
-                    f"positive even root {self.format_weight(r.vector)} does not lie in "
-                    "the non-negative integer span of the even reflection generators"
-                )
         for g in self.generators:
             if self.inner(g.vector, g.vector) == 0:
                 raise MalformedDatumFile(f"reflection generator {g.label} is isotropic")

@@ -20,8 +20,8 @@ from superweyl.atypical import (
     _grouping_counts,
     _movers,
     _normalizer,
-    _partition_factor,
     _transport,
+    _weighted_blocks,
 )
 from superweyl.errors import (
     IndexNotInterior,
@@ -429,7 +429,7 @@ class TestInteriorSum:
         # the decomposition into counted families is the unique one
         ctx = self.ctx
         datum = self.datum
-        movers = mover_positions(ctx)
+        movers = _movers(ctx.datum, ctx.gamma)
         comp_one = set(datum.components[0])
         alphas = sorted(p for p in movers if p in comp_one)
         betas = sorted(p for p in movers if p not in comp_one)
@@ -442,14 +442,12 @@ class TestInteriorSum:
             ((alphas[1], betas[1]), (alphas[0],), (betas[0],)),
             tuple((p,) for p in sorted(movers)),
         ]
-        series = [_partition_factor(ctx, pattern) for pattern in patterns]
+        series = [
+            _weighted_blocks(ctx, {frozenset(map(frozenset, pattern)): 1}) for pattern in patterns
+        ]
         monos = sorted({m for s in series for m in s.terms})
         rows = [[s.terms.get(m, F(0)) for m in monos] for s in series]
         assert fraction_rank(rows) == 7
-
-
-def mover_positions(ctx):
-    return frozenset(g.pi_index for g in _movers(ctx.datum, ctx.gamma))
 
 
 def grouping(part, members):
@@ -461,13 +459,13 @@ def reference_enumeration(ctx):
     """The partition sum with one series product per ordered partition."""
     graph = graph_of_datum(ctx.datum)
     total = len(graph)
-    movers = mover_positions(ctx)
+    movers = _movers(ctx.datum, ctx.gamma)
     t = ctx.z_truncation
     acc = ZSeries.zero(t)
     for k in range(1, total + 1):
         for part in iter_ordered_partitions(graph, k):
-            factor = _partition_factor(ctx, grouping(part, movers))
-            acc = acc + ZSeries.constant(Fraction((-1) ** (total + k), k), t) * factor
+            weight = Fraction((-1) ** (total + k), k)
+            acc = acc + _weighted_blocks(ctx, {grouping(part, movers): weight})
     return acc
 
 
@@ -475,7 +473,7 @@ def reference_r_counts(ctx):
     """A-sum counts r2, r3, r4 from one pattern of each shape, per partition."""
     datum = ctx.datum
     graph = graph_of_datum(datum)
-    movers = mover_positions(ctx)
+    movers = _movers(ctx.datum, ctx.gamma)
     a = sorted(p for p in movers if p in datum.components[0])
     b = sorted(p for p in movers if p not in datum.components[0])
     patterns = [
@@ -504,6 +502,33 @@ def test_tally_sums_match_the_per_partition_reference(m, n, idx):
     assert closed.value == expected
     if closed.tag == "A-sum":
         assert (closed.params["r2"], closed.params["r3"], closed.params["r4"]) == reference_r_counts(ctx)
+
+
+ROUTE_CASES = [
+    ("sl(3,1)", lambda: build_sl(3, 1), False, "K-ratio"),
+    ("sl(1,3)", lambda: build_sl(1, 3), False, "K-ratio"),
+    ("osp(2,4)", lambda: build_osp2(2), False, "K-ratio"),
+    ("osp(2,6)", lambda: build_osp2(3), False, "K-ratio"),
+    ("G(3)", build_g3, False, "M-form"),
+    ("G(3)-special", build_g3, True, "M-form"),
+    ("F(4)", build_f4, False, "M-form"),
+    ("F(4)-special", build_f4, True, "M-form"),
+]
+
+
+@pytest.mark.parametrize(
+    "builder,special,tag", [c[1:] for c in ROUTE_CASES], ids=[c[0] for c in ROUTE_CASES]
+)
+def test_k_ratio_and_m_form_match_the_per_partition_reference(builder, special, tag):
+    datum = builder()
+    types = [i for i, r in enumerate(datum.positive_odd) if r.isotropic]
+    assert types
+    for idx in types:
+        lam = atypical_weight(datum, idx)
+        ctx = atypical_context(datum, lam, special=special, z_truncation=3)
+        closed = closed_form_coefficient(ctx)
+        assert closed.tag == tag
+        assert closed.value == enumeration_coefficient(ctx).value == reference_enumeration(ctx)
 
 
 @st.composite

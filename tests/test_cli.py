@@ -475,6 +475,23 @@ class TestSearchCommand:
         _, second, _ = run_cli(capsys, argv)
         assert first == second
 
+    def test_reader_closing_stdout_early_exits_2_quietly(self):
+        # the full output (about 300 kB) outgrows the pipe buffer, so the
+        # search is still writing when the reader goes away
+        argv = ["search", "--family", "sl", "--m", "3", "--n", "2", "--bound", "3", "--tau-mult", "1"]
+        env = dict(os.environ, PYTHONPATH=str(Path(superweyl.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "superweyl.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        assert proc.stdout.readline() == "hit 1:\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_PRECONDITION
+        assert "Traceback" not in stderr
+        assert "Exception ignored" not in stderr
+
 
 class TestAtypicalCommands:
     def test_coeff_verdict_equal(self, capsys):

@@ -589,6 +589,31 @@ def test_datum_file_rejects_non_integral_cartan_entry():
         datum_from_text(NON_INTEGRAL_CARTAN_TEXT)
 
 
+DEPENDENT_GENERATORS_TEXT = """\
+family: X2
+ambient_dim: 2
+gram:
+1 0
+0 1
+simple:
+odd 1 0
+even 0 1
+positive_even:
+0 1
+2 0
+1 1
+positive_odd:
+1 0
+"""
+
+
+def test_datum_file_rejects_dependent_even_generators():
+    # 2 0 and 1 1 are both indecomposable, so with the simple 0 1 there are
+    # three even generators in a plane.
+    with pytest.raises(MalformedDatumFile, match="even generators are linearly dependent"):
+        datum_from_text(DEPENDENT_GENERATORS_TEXT)
+
+
 def test_datum_file_error_line_numbers():
     bad = A3_TEXT.replace("0 1 -1 0\n0 0 1 -1\n1 0 -1 0", "0 1 -1 0\n0 0 1 -1\nx y z w")
     with pytest.raises(MalformedDatumFile) as exc:
