@@ -22,9 +22,18 @@ the list it is in (simple roots carry a declared parity, checked against
 those lists) and its isotropy is read off the form.
 
 Vectors, the form and every derived weight are exact
-:class:`fractions.Fraction` tuples.  Every pairing with a reflection
-generator goes through one label map: sparse coroot rows, built once after
-validation, make ``labels(v)`` (the <v, g^vee> in gid order) dot products.
+:class:`fractions.Fraction` tuples (``as_weight`` refuses floats).  Every
+pairing with a root is a sparse dot product over rows built once at
+construction, as (column, entry) pairs of their non-zero entries:
+
+* the Gram rows, through which ``inner`` sums over the non-zero entries of
+  its first vector (the Gram matrix need not be diagonal, as on G(3));
+* one coroot row per reflection generator, the only generator pairing:
+  ``labels(v)`` gives the <v, g^vee> in gid order;
+* one form row per isotropic positive odd root gamma, with the target
+  -(rho, gamma): ``atypicality`` keeps the gamma with (lam, gamma) equal
+  to its target, that is (lam + rho, gamma) = 0.
+
 The integer data are plain ints, each computed once at construction:
 
 * ``Root.coords``, a root's coordinates over the simple roots, solved when
@@ -59,17 +68,37 @@ from .errors import (
     IndexOutOfRange,
     MalformedDatumFile,
     UnsupportedFamily,
+    WeightParseError,
 )
 
 Weight = tuple[Fraction, ...]
+_Row = tuple[tuple[int, Fraction], ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _exact(entry: object) -> Fraction:
+    """One weight entry as an exact rational: ints and rational strings convert."""
+    if isinstance(entry, float):
+        raise WeightParseError(f"weight entry {entry!r} is a float; weights are exact")
+    try:
+        return Fraction(entry)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise WeightParseError(f"weight entry {entry!r} is not a rational number") from None
+
+
 def as_weight(entries: Iterable[Fraction | int | str]) -> Weight:
-    """Coerce a sequence of rationals to a weight tuple."""
-    return tuple(Fraction(e) for e in entries)
+    """Coerce a sequence of rationals to a weight tuple.
+
+    ``Fraction`` entries are kept as they are.  A float, or an entry that
+    ``Fraction`` refuses, raises :class:`WeightParseError`.
+    """
+    try:
+        entries = tuple(entries)
+    except TypeError:
+        raise WeightParseError(f"weight {entries!r} is not a sequence of rationals") from None
+    return tuple(e if isinstance(e, Fraction) else _exact(e) for e in entries)
 
 
 def zero_weight(dim: int) -> Weight:
@@ -98,6 +127,16 @@ def _vsum(dim: int, vectors: Iterable[Weight]) -> Weight:
     for v in vectors:
         total = vadd(total, v)
     return total
+
+
+def _sparse(entries: Iterable[Fraction]) -> _Row:
+    """The (index, entry) pairs of the non-zero entries."""
+    return tuple((j, x) for j, x in enumerate(entries) if x)
+
+
+def _dot(row: _Row, v: Weight) -> Fraction:
+    """A sparse row dotted with a vector."""
+    return sum((x * v[j] for j, x in row), ZERO)
 
 
 def _linked_classes(nodes: Iterable[int], linked) -> tuple[tuple[int, ...], ...]:
@@ -185,15 +224,13 @@ class _SpanSolver:
                 if r != col and aug[r][col] != 0:
                     f = aug[r][col]
                     aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-        self._reducer = [
-            tuple((j, x) for j, x in enumerate(row[self.rank :]) if x != 0) for row in aug
-        ]
+        self._reducer = [_sparse(row[self.rank :]) for row in aug]
 
     def solve(self, v: Weight) -> tuple[Fraction, ...] | None:
         """Coefficients c with sum(c_j * column_j) = v, or None if v is off-span."""
         if len(v) != self.dim:
             raise DimensionMismatch(f"vector has length {len(v)}, expected {self.dim}")
-        ev = [sum((x * v[j] for j, x in row), ZERO) for row in self._reducer]
+        ev = [_dot(row, v) for row in self._reducer]
         if any(ev[self.rank :]):
             return None
         return tuple(ev[: self.rank])
@@ -230,6 +267,7 @@ class RootDatum:
         self.family = family
         self.label = label
         self.gram = tuple(tuple(Fraction(x) for x in row) for row in gram)
+        self._gram_rows = tuple(map(_sparse, self.gram))
         self.dim = len(self.gram)
         if basis_labels is None:
             basis_labels = tuple(f"x{i + 1}" for i in range(self.dim))
@@ -268,6 +306,11 @@ class RootDatum:
 
         # <v, g^vee> is a sparse dot product of v with the coroot row of g.
         self._coroot_rows = tuple(self._coroot_row(g.vector) for g in self.generators)
+        # (lam + rho, gamma) = 0 reads (lam, gamma) = -(rho, gamma): the form
+        # row of each isotropic positive odd root gamma, with that target.
+        isotropic = [(i, self._form_row(r.vector)) for i, r in enumerate(self.positive_odd)
+                     if r.isotropic]
+        self._isotropic_rows = tuple((i, row, -_dot(row, self.rho)) for i, row in isotropic)
         # Integer Cartan rows <g_k, g_i^vee> for the label walks of superweyl.weyl.
         self.generator_cartan: tuple[tuple[int, ...], ...] = self._generator_cartan()
         # Connected components of the Cartan matrix, as gids: the even Weyl
@@ -345,14 +388,19 @@ class RootDatum:
             for gid, (r, pi) in enumerate(zip(simple_even + extras, pi_indices))
         )
 
-    def _coroot_row(self, alpha: Weight) -> tuple[tuple[int, Fraction], ...]:
+    def _form_row(self, v: Weight) -> _Row:
+        """(v, .) as a sparse row: the (column, entry) pairs of Gram v."""
+        acc = [ZERO] * self.dim
+        for a, row in zip(v, self._gram_rows):
+            for j, x in row:
+                acc[j] += a * x
+        return _sparse(acc)
+
+    def _coroot_row(self, alpha: Weight) -> _Row:
         """alpha^vee = 2 alpha / (alpha, alpha) through the form, as (column, entry) pairs."""
-        nn = self.inner(alpha, alpha)
-        row = (
-            2 * sum((a * self.gram[i][j] for i, a in enumerate(alpha)), ZERO) / nn
-            for j in range(self.dim)
-        )
-        return tuple((j, x) for j, x in enumerate(row) if x != 0)
+        row = self._form_row(alpha)
+        scale = 2 / _dot(row, alpha)
+        return tuple((j, scale * x) for j, x in row)
 
     def _generator_cartan(self) -> tuple[tuple[int, ...], ...]:
         rows = []
@@ -408,24 +456,18 @@ class RootDatum:
     # -- the form --------------------------------------------------------
 
     def inner(self, u: Weight, v: Weight) -> Fraction:
-        """The invariant bilinear form evaluated on two ambient vectors."""
+        """The invariant bilinear form: the sum over non-zero u_i of u_i (Gram row i . v)."""
         if len(u) != self.dim or len(v) != self.dim:
             raise DimensionMismatch(
                 f"expected vectors of length {self.dim}, got {len(u)} and {len(v)}"
             )
-        total = ZERO
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            row = self.gram[i]
-            total += a * sum(row[j] * b for j, b in enumerate(v) if b != 0)
-        return total
+        return sum((a * _dot(row, v) for a, row in zip(u, self._gram_rows) if a), ZERO)
 
     def labels(self, v: Weight) -> tuple[Fraction, ...]:
         """The labels <v, g^vee> = 2 (v, g) / (g, g) of v, one per generator in gid order."""
         if len(v) != self.dim:
             raise DimensionMismatch(f"vector has length {len(v)}, expected {self.dim}")
-        return tuple(sum((x * v[j] for j, x in row), ZERO) for row in self._coroot_rows)
+        return tuple(_dot(row, v) for row in self._coroot_rows)
 
     # -- derived structure ------------------------------------------------
 
@@ -485,13 +527,15 @@ class RootDatum:
         return _vsum(self.dim, [vscale(tau_multiple, self.tau)] + parts)
 
     def atypicality(self, lam: Weight) -> tuple[int, ...]:
-        """Indices into ``positive_odd`` of the isotropic gamma with (lam + rho, gamma) = 0."""
-        eta = vadd(lam, self.rho)
-        return tuple(
-            idx
-            for idx, r in enumerate(self.positive_odd)
-            if r.isotropic and self.inner(eta, r.vector) == 0
-        )
+        """Indices into ``positive_odd`` of the isotropic gamma with (lam + rho, gamma) = 0.
+
+        Each isotropic gamma keeps its form row and -(rho, gamma) from
+        construction, so the test is one sparse dot product per root:
+        (lam, gamma) = -(rho, gamma).
+        """
+        if len(lam) != self.dim:
+            raise DimensionMismatch(f"weight has length {len(lam)}, expected {self.dim}")
+        return tuple(i for i, row, target in self._isotropic_rows if _dot(row, lam) == target)
 
     def is_typical(self, lam: Weight) -> bool:
         """True when (lam + rho, gamma) != 0 for every isotropic gamma > 0."""

@@ -9,7 +9,15 @@ builtin exception escaping the library is a bug.  Internal checks raise
 import ast
 import builtins
 import re
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
+
+from superweyl.errors import WeightParseError
+from superweyl.numerator import numerator
+from superweyl.rootdata import as_weight, build_sl
+from superweyl.unifac import verify_tensor_isomorphism
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "superweyl"
@@ -137,3 +145,47 @@ def test_library_has_no_test_only_public_names():
         if name not in read
     ]
     assert found == []
+
+
+def valid_sl32_weight():
+    datum = build_sl(3, 2)
+    return datum, datum.coefficient_weight((1, 2, 3), 1)
+
+
+# Weights whose entries are not exact rationals: ``Fraction`` refuses the
+# first three (ValueError, ZeroDivisionError, TypeError), and a float is
+# refused outright rather than turned into a binary fraction.
+BAD_ENTRIES = {
+    "word": lambda w: ("x",) * len(w),
+    "zero denominator": lambda w: ("1/0",) * len(w),
+    "none": lambda w: (None,) * len(w),
+    "float copy": lambda w: tuple(map(float, w)),
+}
+
+
+@pytest.mark.parametrize("kind", BAD_ENTRIES)
+def test_numerator_refuses_inexact_weight_entries(kind):
+    datum, lam = valid_sl32_weight()
+    numerator(datum, lam)
+    with pytest.raises(WeightParseError):
+        numerator(datum, BAD_ENTRIES[kind](lam))
+
+
+@pytest.mark.parametrize("kind", BAD_ENTRIES)
+def test_verify_refuses_inexact_weight_entries(kind):
+    datum, lam = valid_sl32_weight()
+    bad = BAD_ENTRIES[kind](lam)
+    verify_tensor_isomorphism(datum, [lam, lam], [lam, lam])
+    with pytest.raises(WeightParseError):
+        verify_tensor_isomorphism(datum, [bad, lam], [lam, lam])
+    with pytest.raises(WeightParseError):
+        verify_tensor_isomorphism(datum, [lam, lam], [lam, bad])
+
+
+def test_as_weight_keeps_exact_entries_and_converts_ints_and_strings():
+    _, lam = valid_sl32_weight()
+    assert all(a is b for a, b in zip(as_weight(lam), lam))
+    assert as_weight([1, "3/2", "-2"]) == (1, Fraction(3, 2), -2)
+    assert all(type(e) is Fraction for e in as_weight([1, "3/2"]))
+    with pytest.raises(WeightParseError):
+        as_weight(None)

@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from superweyl.atypical import shift_to_type
 from superweyl.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -26,6 +28,7 @@ from superweyl.rootdata import (
     vscale,
     zero_weight,
 )
+from form_reference import dense_atypicality, dense_inner
 from weyl_reference import pairing
 
 F = Fraction
@@ -654,3 +657,117 @@ def test_datum_file_data_before_section():
     with pytest.raises(MalformedDatumFile) as exc:
         datum_from_text(text)
     assert exc.value.line == 3
+
+
+# sl(2,1) over the basis of its simple roots alpha (even) and beta (odd,
+# isotropic): the Gram matrix is the form on that basis, with (alpha, beta)
+# off the diagonal, and alpha + beta is the second isotropic root.
+SL21_SIMPLE_BASIS_TEXT = """\
+family: SL21B
+ambient_dim: 2
+gram:
+2 -1
+-1 0
+simple:
+even 1 0
+odd 0 1
+positive_even:
+1 0
+positive_odd:
+0 1
+1 1
+"""
+
+FORM_BUILDERS = {
+    "sl(3,2)": lambda: build_sl(3, 2),
+    "sl(4,3)": lambda: build_sl(4, 3),
+    "B(0,3)": lambda: build_b0(3),
+    "osp(2,6)": lambda: build_osp2(3),
+    "G(3)": build_g3,
+    "F(4)": build_f4,
+    "SL21B file": lambda: datum_from_text(SL21_SIMPLE_BASIS_TEXT),
+}
+_FORM_DATA = {}
+
+
+def form_datum(name):
+    if name not in _FORM_DATA:
+        _FORM_DATA[name] = FORM_BUILDERS[name]()
+    return _FORM_DATA[name]
+
+
+def shiftable(d):
+    """Isotropic odd indices that shift_to_type can reach: (tau, gamma) != 0."""
+    return [
+        i for i, r in enumerate(d.positive_odd)
+        if r.isotropic and dense_inner(d, d.tau, r.vector) != 0
+    ]
+
+
+rationals = st.one_of(st.just(F(0)), st.fractions(-9, 9, max_denominator=6))
+
+
+def vectors(dim):
+    return st.lists(rationals, min_size=dim, max_size=dim).map(tuple)
+
+
+@st.composite
+def weights_near_types(draw, d):
+    """A random weight, or one shifted onto the wall of a random reachable type."""
+    lam = draw(vectors(d.dim))
+    targets = shiftable(d)
+    if targets and draw(st.booleans()):
+        lam = shift_to_type(d, lam, draw(st.sampled_from(targets)))
+    return lam
+
+
+def test_sl21_simple_basis_file_has_an_off_diagonal_gram():
+    d = form_datum("SL21B file")
+    assert d.gram[0][1] != 0
+    assert [r.isotropic for r in d.positive_odd] == [True, True]
+    assert d.rho == as_weight((0, -1))
+    assert shiftable(d) == [0, 1]
+    assert form_datum("G(3)").gram[0][1] != 0
+
+
+@pytest.mark.parametrize("name", FORM_BUILDERS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_inner_matches_the_dense_form(name, data):
+    d = form_datum(name)
+    u = data.draw(vectors(d.dim))
+    v = data.draw(vectors(d.dim))
+    assert d.inner(u, v) == dense_inner(d, u, v)
+    for r in d.positive_odd + d.positive_even:
+        assert d.inner(u, r.vector) == dense_inner(d, u, r.vector)
+
+
+@pytest.mark.parametrize("name", FORM_BUILDERS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_atypicality_matches_the_dense_pairing(name, data):
+    d = form_datum(name)
+    lam = data.draw(weights_near_types(d))
+    assert d.atypicality(lam) == dense_atypicality(d, lam)
+    assert d.is_typical(lam) == (dense_atypicality(d, lam) == ())
+
+
+@pytest.mark.parametrize("name", FORM_BUILDERS)
+def test_atypicality_finds_every_shifted_type(name):
+    d = form_datum(name)
+    for idx in shiftable(d):
+        lam = shift_to_type(d, zero_weight(d.dim), idx)
+        assert idx in d.atypicality(lam)
+        assert d.atypicality(lam) == dense_atypicality(d, lam)
+    if not any(r.isotropic for r in d.positive_odd):
+        assert d.atypicality(zero_weight(d.dim)) == ()
+
+
+@pytest.mark.parametrize("name", FORM_BUILDERS)
+def test_atypicality_rejects_wrong_length(name):
+    d = form_datum(name)
+    for lam in (zero_weight(d.dim - 1), zero_weight(d.dim + 1)):
+        with pytest.raises(DimensionMismatch):
+            d.atypicality(lam)
+        with pytest.raises(DimensionMismatch):
+            d.is_typical(lam)

@@ -16,12 +16,14 @@ from superweyl.numerator import _check_weight
 from superweyl.rootdata import as_weight, vadd, vsub
 from superweyl.series import Poly, weight_monomial
 
+from form_reference import dense_inner
+
 MAX_ORDER = 720
 
 
 def pairing(datum, v, alpha):
     """2 (v, alpha) / (alpha, alpha) straight from the Gram form, alpha non-isotropic."""
-    return 2 * datum.inner(v, alpha) / datum.inner(alpha, alpha)
+    return 2 * dense_inner(datum, v, alpha) / dense_inner(datum, alpha, alpha)
 
 
 def reflection_matrix(datum, alpha):
