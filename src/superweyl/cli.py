@@ -16,6 +16,12 @@ fundamental weight), ``eps[i]`` / ``delta[j]`` (ambient coordinates),
 with canonical polynomial strings; identical invocations print identical
 bytes.
 
+When the first argument names a subcommand, ``main`` builds only that
+subcommand's parser (same prog, arguments and help as in the whole tree).
+The whole tree is built only for no or an unknown command, a top-level
+option first (``--help``), or arguments the subcommand does not recognise,
+which the top-level parser then reports.
+
 Exit codes: 0 when a conclusion was reached, 2 on precondition failures
 (bad weights, wrong family, atypical inputs to typical-only commands) and
 when the reader of stdout closes it early (``... | head -1``), 64 on usage
@@ -465,7 +471,116 @@ def _cmd_selftest(args) -> int:
 # -- parser assembly ---------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _group_args(p: argparse.ArgumentParser):
+    p.add_argument("--component", type=int, help="restrict to one diagram component, 1-based")
+
+
+def _numerator_args(p: argparse.ArgumentParser):
+    p.add_argument("--weight", required=True, help="weight expression")
+    shape = p.add_mutually_exclusive_group()
+    shape.add_argument("--factor", action="store_true", help="print one factor per component")
+    shape.add_argument("--char", action="store_true", help="print the truncated character")
+    p.add_argument("--trunc", type=int, default=6, help="character truncation degree")
+
+
+def _kgraph_args(p: argparse.ArgumentParser):
+    p.add_argument(
+        "--subset",
+        help="induced subgraph on these even diagram vertices (1-based, comma-separated)",
+    )
+
+
+def _verify_args(p: argparse.ArgumentParser):
+    p.add_argument("--lhs", required=True, help="';'-separated weights")
+    p.add_argument("--rhs", required=True, help="';'-separated weights")
+
+
+def _search_args(p: argparse.ArgumentParser):
+    p.add_argument("--bound", type=int, required=True, help="signature bound")
+    p.add_argument("--tau-mult", type=int, required=True, help="base tau multiplier")
+    p.add_argument("--limit", type=int, help="stop after this many hits")
+
+
+def _atypical_coeff_args(p: argparse.ArgumentParser):
+    p.add_argument("--weight", required=True, help="weight expression")
+    p.add_argument("--special", action="store_true", help="use the flagged special form")
+    p.add_argument("--ztrunc", type=int, default=DEFAULT_Z_TRUNCATION, help="Z truncation")
+    mode = p.add_mutually_exclusive_group()
+    for const, help_text in (
+        ("oracle", "series oracle only"),
+        ("closed", "closed form only"),
+        ("both", "both routes and a verdict (default)"),
+    ):
+        mode.add_argument(
+            f"--{const}", dest="mode", action="store_const", const=const, help=help_text
+        )
+    p.set_defaults(mode="both")
+
+
+def _atypical_verify_args(p: argparse.ArgumentParser):
+    p.add_argument("--type", required=True, help="atypicality type as a weight expression")
+    p.add_argument("--lhs", required=True, help="';'-separated weights")
+    p.add_argument("--rhs", required=True, help="';'-separated weights")
+    p.add_argument("--ztrunc", type=int, default=DEFAULT_Z_TRUNCATION, help="Z truncation")
+
+
+def _selftest_args(p: argparse.ArgumentParser):
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=DEFAULT_SEED,
+        help=f"seed for the randomized suites (default {DEFAULT_SEED})",
+    )
+
+
+def _subcommands() -> dict:
+    """name -> (handler, help line, extra arguments, takes the datum arguments).
+
+    Built per call, so the handlers are the module's names at parse time.
+    """
+    return {
+        "datum": (_cmd_datum, "print a root datum summary", None, True),
+        "group": (_cmd_group, "print the even Weyl group table", _group_args, True),
+        "numerator": (_cmd_numerator, "print a normalized Weyl numerator", _numerator_args, True),
+        "kgraph": (_cmd_kgraph, "print partition counts and k(G)", _kgraph_args, True),
+        "verify": (_cmd_verify, "compare two tensor products of typicals", _verify_args, True),
+        "search": (_cmd_search, "search for cross-matched counterexamples", _search_args, True),
+        "atypical-coeff": (
+            _cmd_atypical_coeff,
+            "coefficient of X^lambda in -log U for a singly atypical weight",
+            _atypical_coeff_args,
+            True,
+        ),
+        "atypical-verify": (
+            _cmd_atypical_verify,
+            "compare products of singly atypical numerators of one type",
+            _atypical_verify_args,
+            True,
+        ),
+        "selftest": (_cmd_selftest, "run the acceptance suite", _selftest_args, False),
+    }
+
+
+def _fill_subparser(p: argparse.ArgumentParser, spec: tuple) -> argparse.ArgumentParser:
+    func, _, add_args, datum_args = spec
+    p.set_defaults(func=func, parser=p)
+    if datum_args:
+        _add_datum_args(p)
+    if add_args is not None:
+        add_args(p)
+    return p
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser: the whole tree, or only the subcommand ``command``.
+
+    A subcommand's parser alone has the prog (``superweyl <command>``),
+    arguments and help that it has inside the tree, and parses the
+    arguments after the command name.
+    """
+    specs = _subcommands()
+    if command is not None:
+        return _fill_subparser(_Parser(prog=f"superweyl {command}"), specs[command])
     parser = _Parser(
         prog="superweyl",
         description=(
@@ -475,119 +590,28 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    def sub(
-        name: str, func, help_text: str, datum_args: bool = True
-    ) -> argparse.ArgumentParser:
-        p = subs.add_parser(name, help=help_text)
-        p.set_defaults(func=func, parser=p)
-        if datum_args:
-            _add_datum_args(p)
-        return p
-
-    sub("datum", _cmd_datum, "print a root datum summary")
-
-    group = sub("group", _cmd_group, "print the even Weyl group table")
-    group.add_argument(
-        "--component", type=int, help="restrict to one diagram component, 1-based"
-    )
-
-    num = sub("numerator", _cmd_numerator, "print a normalized Weyl numerator")
-    num.add_argument("--weight", required=True, help="weight expression")
-    shape = num.add_mutually_exclusive_group()
-    shape.add_argument(
-        "--factor", action="store_true", help="print one factor per component"
-    )
-    shape.add_argument(
-        "--char", action="store_true", help="print the truncated character"
-    )
-    num.add_argument(
-        "--trunc", type=int, default=6, help="character truncation degree"
-    )
-
-    kgraph = sub("kgraph", _cmd_kgraph, "print partition counts and k(G)")
-    kgraph.add_argument(
-        "--subset",
-        help="induced subgraph on these even diagram vertices (1-based, comma-separated)",
-    )
-
-    verify = sub("verify", _cmd_verify, "compare two tensor products of typicals")
-    verify.add_argument("--lhs", required=True, help="';'-separated weights")
-    verify.add_argument("--rhs", required=True, help="';'-separated weights")
-
-    search = sub("search", _cmd_search, "search for cross-matched counterexamples")
-    search.add_argument("--bound", type=int, required=True, help="signature bound")
-    search.add_argument(
-        "--tau-mult", type=int, required=True, help="base tau multiplier"
-    )
-    search.add_argument("--limit", type=int, help="stop after this many hits")
-
-    coeff = sub(
-        "atypical-coeff",
-        _cmd_atypical_coeff,
-        "coefficient of X^lambda in -log U for a singly atypical weight",
-    )
-    coeff.add_argument("--weight", required=True, help="weight expression")
-    coeff.add_argument(
-        "--special", action="store_true", help="use the flagged special form"
-    )
-    coeff.add_argument(
-        "--ztrunc", type=int, default=DEFAULT_Z_TRUNCATION, help="Z truncation"
-    )
-    mode = coeff.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--oracle",
-        dest="mode",
-        action="store_const",
-        const="oracle",
-        help="series oracle only",
-    )
-    mode.add_argument(
-        "--closed",
-        dest="mode",
-        action="store_const",
-        const="closed",
-        help="closed form only",
-    )
-    mode.add_argument(
-        "--both",
-        dest="mode",
-        action="store_const",
-        const="both",
-        help="both routes and a verdict (default)",
-    )
-    coeff.set_defaults(mode="both")
-
-    averify = sub(
-        "atypical-verify",
-        _cmd_atypical_verify,
-        "compare products of singly atypical numerators of one type",
-    )
-    averify.add_argument(
-        "--type", required=True, help="atypicality type as a weight expression"
-    )
-    averify.add_argument("--lhs", required=True, help="';'-separated weights")
-    averify.add_argument("--rhs", required=True, help="';'-separated weights")
-    averify.add_argument(
-        "--ztrunc", type=int, default=DEFAULT_Z_TRUNCATION, help="Z truncation"
-    )
-
-    selftest = sub(
-        "selftest", _cmd_selftest, "run the acceptance suite", datum_args=False
-    )
-    selftest.add_argument(
-        "--seed",
-        type=int,
-        default=DEFAULT_SEED,
-        help=f"seed for the randomized suites (default {DEFAULT_SEED})",
-    )
-
+    for name, spec in specs.items():
+        _fill_subparser(subs.add_parser(name, help=spec[1]), spec)
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv, building only the named subcommand's parser when argv starts with one.
+
+    The whole tree is built when there is no known command first (no
+    command, an unknown one, or a top-level option such as ``--help``), and
+    when the subcommand leaves arguments it does not know: the top-level
+    parser reports those, as it would have with the whole tree.
+    """
+    if argv and argv[0] in _subcommands():
+        args, unknown = build_parser(argv[0]).parse_known_args(argv[1:])
+        if not unknown:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         code = args.func(args)
         # a reader that left early shows up here, not at interpreter exit

@@ -34,10 +34,22 @@ construction, as (column, entry) pairs of their non-zero entries:
   -(rho, gamma): ``atypicality`` keeps the gamma with (lam, gamma) equal
   to its target, that is (lam + rho, gamma) = 0.
 
+Construction itself runs in integers.  The root vectors are scaled once by
+the common denominator of their entries (F(4) needs 2), and the Gram matrix
+by that of its entries, so every pairing made while building is an integer
+sum, a fixed positive multiple of the true pairing: zero tests, signs and
+ratios read the same.  One fraction-free solver (Bareiss elimination,
+``_Solver``) over the scaled simple roots serves every linear solve: root
+coordinates, the independence of the even generators, ``expand_simple`` and
+the Cartan solve of ``fundamental_weight``.  The rows above and the public
+vectors (``Root.vector``, ``rho``, ``tau``, ``Generator.vector``) are exact
+``Fraction`` weights rebuilt from those integers.
+
 The integer data are plain ints, each computed once at construction:
 
-* ``Root.coords``, a root's coordinates over the simple roots, solved when
-  the root is built and checked to be non-negative integers there;
+* ``Root.coords``, a root's coordinates over the simple roots: integer dot
+  products with the solver's rows and one exact division, checked to be
+  non-negative integers there;
 * ``Generator.coords``, the same for each even reflection generator (the
   generators are even roots, so they carry their roots' coordinates);
 * ``generator_cartan``, the rows <g_k, g_i^vee>, checked integral;
@@ -57,7 +69,9 @@ weight's factor law has been checked; no factor polynomial is kept, see
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -75,7 +89,6 @@ Weight = tuple[Fraction, ...]
 _Row = tuple[tuple[int, Fraction], ...]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def _exact(entry: object) -> Fraction:
@@ -122,21 +135,24 @@ def vscale(c: Fraction | int, v: Weight) -> Weight:
     return tuple(c * a for a in v)
 
 
-def _vsum(dim: int, vectors: Iterable[Weight]) -> Weight:
-    total = zero_weight(dim)
-    for v in vectors:
-        total = vadd(total, v)
-    return total
-
-
 def _sparse(entries: Iterable[Fraction]) -> _Row:
     """The (index, entry) pairs of the non-zero entries."""
     return tuple((j, x) for j, x in enumerate(entries) if x)
 
 
-def _dot(row: _Row, v: Weight) -> Fraction:
-    """A sparse row dotted with a vector."""
-    return sum((x * v[j] for j, x in row), ZERO)
+def _dot(row: _Row, v: Sequence[Fraction | int]) -> Fraction | int:
+    """A sparse row dotted with a vector: an int when both are integers."""
+    return sum(x * v[j] for j, x in row)
+
+
+def _combine(coeffs: Sequence[Fraction | int], rows: Sequence[_Row], dim: int) -> list:
+    """sum_j coeffs[j] * rows[j] over sparse rows, as a dense list of length dim."""
+    acc = [0] * dim
+    for a, row in zip(coeffs, rows):
+        if a:
+            for j, x in row:
+                acc[j] += a * x
+    return acc
 
 
 def _linked_classes(nodes: Iterable[int], linked) -> tuple[tuple[int, ...], ...]:
@@ -197,43 +213,67 @@ class Dominance(Enum):
 # exact linear algebra helpers
 
 
-class _SpanSolver:
-    """Exact coordinates over a fixed list of linearly independent columns.
+def _common_denominator(entries: Iterable[Fraction | int]) -> int:
+    return math.lcm(*{x.denominator for x in entries})
 
-    The column matrix M is row-reduced once next to the identity, giving an
-    invertible E with E M = [I; 0].  For any v, the first ``rank`` entries
-    of E v are the coefficients c, and M c = v holds exactly when the
-    remaining entries vanish.  E is stored as sparse rows.
+
+def _scaled(v: Iterable[Fraction | int], scale: int) -> tuple[int, ...]:
+    """scale * v as integers; scale must be a multiple of every denominator of v."""
+    return tuple(x.numerator * (scale // x.denominator) for x in v)
+
+
+class _Solver:
+    """Exact coordinates over a fixed list of linearly independent integer columns.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss) of [M | I] keeps every
+    entry an integer: each step replaces a row by (p a - f b) / p_prev, an
+    exact division by the previous pivot.  It ends with an integer E and the
+    last pivot d such that E M = [d I; 0].  For any v, the first ``rank``
+    entries of E v are d times the coefficients c with M c = v, and v lies in
+    the span exactly when the remaining entries vanish.  E is stored as
+    sparse columns, so E v costs one pass over the non-zero entries of v.
     """
 
-    def __init__(self, columns: Sequence[Weight], name: str):
-        self.dim = len(columns[0]) if columns else 0
+    def __init__(self, columns: Sequence[Sequence[int]], name: str):
+        self.name = name
+        dim = len(columns[0]) if columns else 0
         self.rank = len(columns)
         aug = [
-            [col[r] for col in columns] + [ONE if i == r else ZERO for i in range(self.dim)]
-            for r in range(self.dim)
+            [col[r] for col in columns] + [int(i == r) for i in range(dim)] for r in range(dim)
         ]
-        for col in range(self.rank):
-            pivot = next((r for r in range(col, self.dim) if aug[r][col] != 0), None)
+        prev = 1
+        for k in range(self.rank):
+            pivot = next((r for r in range(k, dim) if aug[r][k]), None)
             if pivot is None:
                 raise MalformedDatumFile(f"{name} are linearly dependent")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv_p = ONE / aug[col][col]
-            aug[col] = [x * inv_p for x in aug[col]]
-            for r in range(self.dim):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-        self._reducer = [_sparse(row[self.rank :]) for row in aug]
+            aug[k], aug[pivot] = aug[pivot], aug[k]
+            top = aug[k]
+            p = top[k]
+            for r in range(dim):
+                if r != k:
+                    f = aug[r][k]
+                    aug[r] = [(p * a - f * b) // prev for a, b in zip(aug[r], top)]
+            prev = p
+        self.det = prev
+        self._dim = dim
+        self._columns = [_sparse(col) for col in zip(*(row[self.rank :] for row in aug))]
 
-    def solve(self, v: Weight) -> tuple[Fraction, ...] | None:
-        """Coefficients c with sum(c_j * column_j) = v, or None if v is off-span."""
-        if len(v) != self.dim:
-            raise DimensionMismatch(f"vector has length {len(v)}, expected {self.dim}")
-        ev = [_dot(row, v) for row in self._reducer]
+    def numerators(self, v: Sequence[Fraction | int]) -> list:
+        """d times the coefficients of v over the columns; off the span it raises."""
+        ev = _combine(v, self._columns, self._dim)
         if any(ev[self.rank :]):
-            return None
-        return tuple(ev[: self.rank])
+            raise MalformedDatumFile(f"vector does not lie in the span of the {self.name}")
+        return ev[: self.rank]
+
+    def integer_coefficients(self, v: Sequence[int]) -> tuple[int, ...] | None:
+        """The coefficients of v over the columns, or None unless all are integers."""
+        out = []
+        for n in self.numerators(v):
+            q, r = divmod(n, self.det)
+            if r:
+                return None
+            out.append(q)
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +292,15 @@ class RootDatum:
     positive lists.  The Weyl vector, the sum of positive odd roots, the
     even-part reflection generators, and the components of the even simple
     diagram are derived and validated here.
+
+    Construction works in integers.  The roots are scaled once by the common
+    denominator of their entries, and the Gram matrix by that of its entries,
+    so every pairing below is an integer sum, a fixed positive multiple of
+    the true one, and zero tests and ratios read the same.  One
+    fraction-free solver over the scaled simple roots gives each root's
+    coordinates as integer dot products and one exact division.  The public
+    vectors (``Root.vector``, ``rho``, ``tau``, ``Generator.vector``) and the
+    pairing rows are exact ``Fraction`` weights rebuilt from those integers.
     """
 
     def __init__(
@@ -266,24 +315,40 @@ class RootDatum:
     ):
         self.family = family
         self.label = label
-        self.gram = tuple(tuple(Fraction(x) for x in row) for row in gram)
+        # one Fraction per distinct entry
+        exact = {x: Fraction(x) for x in set(itertools.chain(*gram))}.__getitem__
+        self.gram = tuple(tuple(map(exact, row)) for row in gram)
         self._gram_rows = tuple(map(_sparse, self.gram))
         self.dim = len(self.gram)
         if basis_labels is None:
             basis_labels = tuple(f"x{i + 1}" for i in range(self.dim))
         self.basis_labels = tuple(basis_labels)
 
-        self._validate_shapes([v for v, _ in simple_roots], positive_even, positive_odd)
-        self._simple_solver = _SpanSolver([v for v, _ in simple_roots], "simple roots")
+        lists = ([v for v, _ in simple_roots], positive_even, positive_odd)
+        self._validate_shapes(*lists)
+        scale = self._scale = _common_denominator(itertools.chain(*itertools.chain(*lists)))
+        gram_scale = _common_denominator(itertools.chain(*self.gram))
+        self._int_gram = tuple(_sparse(_scaled(row, gram_scale)) for row in self.gram)
+        simple_iv, even_iv, odd_iv = ([_scaled(v, scale) for v in vs] for vs in lists)
+        self._simple_solver = _Solver(simple_iv, "simple roots")
 
-        self.simple_roots = tuple(self._root(v, odd) for v, odd in simple_roots)
-        self.positive_even = tuple(self._root(v, False) for v in positive_even)
-        self.positive_odd = tuple(self._root(v, True) for v in positive_odd)
+        # one Fraction per distinct scaled entry, shared by every root vector
+        entries = set(itertools.chain(*simple_iv, *even_iv, *odd_iv))
+        unscale = {x: Fraction(x, scale) for x in entries}.__getitem__
+
+        def root(iv: tuple[int, ...], odd: bool) -> Root:
+            return self._root(tuple(map(unscale, iv)), iv, odd)
+
+        self.simple_roots = tuple(root(iv, odd) for iv, (_, odd) in zip(simple_iv, simple_roots))
+        self.positive_even = tuple(root(iv, False) for iv in even_iv)
+        self.positive_odd = tuple(root(iv, True) for iv in odd_iv)
+        self._validate_root_lists(even_iv, odd_iv)
 
         # rho is half the sum of the positive even roots minus the odd ones
-        self.tau: Weight = _vsum(self.dim, (r.vector for r in self.positive_odd))
-        even_sum = _vsum(self.dim, (r.vector for r in self.positive_even))
-        self.rho: Weight = vscale(Fraction(1, 2), vsub(even_sum, self.tau))
+        tau = [sum(v[j] for v in odd_iv) for j in range(self.dim)]
+        two_rho = [sum(v[j] for v in even_iv) - t for j, t in enumerate(tau)]
+        self.tau: Weight = tuple(Fraction(x, scale) for x in tau)
+        self.rho: Weight = tuple(Fraction(x, 2 * scale) for x in two_rho)
 
         self.even_positions: tuple[int, ...] = tuple(
             i for i, r in enumerate(self.simple_roots) if not r.odd
@@ -292,8 +357,9 @@ class RootDatum:
         self.generators: tuple[Generator, ...] = self._build_generators()
         # The generators are the indecomposable positive even roots, so by
         # induction on height every positive even root is a non-negative
-        # integer sum of them; only their independence needs a check.
-        _SpanSolver([g.vector for g in self.generators], "even generators")
+        # integer sum of them; only their independence needs a check, made
+        # on their simple-root coordinates.
+        _Solver([g.coords for g in self.generators], "even generators")
 
         self._odd_index: dict[Weight, int] = {
             r.vector: i for i, r in enumerate(self.positive_odd)
@@ -302,17 +368,31 @@ class RootDatum:
         self._group_cache: dict[object, object] = {}
         self._match_key_cache: dict[Weight, tuple] = {}
 
-        self._validate()
+        gen_iv = [_scaled(g.vector, scale) for g in self.generators]
+        self._validate(simple_iv, gen_iv, two_rho)
 
-        # <v, g^vee> is a sparse dot product of v with the coroot row of g.
-        self._coroot_rows = tuple(self._coroot_row(g.vector) for g in self.generators)
+        # <v, g^vee> = 2 (v, g) / (g, g) is a sparse dot product of v with
+        # the coroot row of g: the integer form row Gram g over its pairing.
+        gen_rows = [self._int_form_row(iv) for iv in gen_iv]
+        gen_norms = [_dot(row, iv) for row, iv in zip(gen_rows, gen_iv)]
+        self._coroot_rows = tuple(
+            tuple((j, Fraction(2 * scale * x, norm)) for j, x in row)
+            for row, norm in zip(gen_rows, gen_norms)
+        )
         # (lam + rho, gamma) = 0 reads (lam, gamma) = -(rho, gamma): the form
         # row of each isotropic positive odd root gamma, with that target.
-        isotropic = [(i, self._form_row(r.vector)) for i, r in enumerate(self.positive_odd)
-                     if r.isotropic]
-        self._isotropic_rows = tuple((i, row, -_dot(row, self.rho)) for i, row in isotropic)
+        form_scale = gram_scale * scale
+        isotropic = [(i, self._int_form_row(iv)) for i, (r, iv) in
+                     enumerate(zip(self.positive_odd, odd_iv)) if r.isotropic]
+        self._isotropic_rows = tuple(
+            (i, tuple((j, Fraction(x, form_scale)) for j, x in row),
+             Fraction(-_dot(row, two_rho), 2 * form_scale * scale))
+            for i, row in isotropic
+        )
         # Integer Cartan rows <g_k, g_i^vee> for the label walks of superweyl.weyl.
-        self.generator_cartan: tuple[tuple[int, ...], ...] = self._generator_cartan()
+        self.generator_cartan: tuple[tuple[int, ...], ...] = self._generator_cartan(
+            gen_iv, gen_rows, gen_norms
+        )
         # Connected components of the Cartan matrix, as gids: the even Weyl
         # group is the direct product of their subgroups, so the numerator
         # is the product of one orbit sum per block.  G(3) and F(4) have two
@@ -332,23 +412,29 @@ class RootDatum:
 
     # -- construction helpers ------------------------------------------------
 
-    def _root(self, v: Weight, odd: bool) -> Root:
-        """The root on v: isotropic when the form vanishes on it, coordinates solved once."""
-        coords = self.expand_simple(v)
-        if not all(c.denominator == 1 and c >= 0 for c in coords):
+    def _root(self, v: Weight, iv: tuple[int, ...], odd: bool) -> Root:
+        """The root on v (scaled: iv), isotropic when the form vanishes on it."""
+        coords = self._simple_solver.integer_coefficients(iv)
+        if coords is None or any(c < 0 for c in coords):
             raise MalformedDatumFile(
                 f"positive root {self.format_weight(v)} is not a non-negative integer "
                 "combination of the simple roots"
             )
-        return Root(v, odd, self.inner(v, v) == 0, tuple(map(int, coords)))
+        return Root(v, odd, self._int_pairing(iv, iv) == 0, coords)
+
+    def _int_form_row(self, iv: Sequence[int]) -> tuple[tuple[int, int], ...]:
+        """Gram iv over the scaled Gram matrix, as (column, entry) pairs."""
+        return _sparse(_combine(iv, self._int_gram, self.dim))
+
+    def _int_pairing(self, u: Sequence[int], v: Sequence[int]) -> int:
+        """The form on scaled vectors: a fixed positive multiple of (u, v)."""
+        return sum(a * _dot(row, v) for a, row in zip(u, self._int_gram) if a)
 
     def _validate_shapes(self, *vector_lists: Sequence[Weight]) -> None:
         if any(len(row) != self.dim for row in self.gram):
             raise MalformedDatumFile("gram matrix is not square")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise MalformedDatumFile("gram matrix is not symmetric")
+        if self.gram != tuple(zip(*self.gram)):
+            raise MalformedDatumFile("gram matrix is not symmetric")
         for v in itertools.chain(*vector_lists):
             if len(v) != self.dim:
                 raise DimensionMismatch(
@@ -357,6 +443,17 @@ class RootDatum:
                 )
         if len(self.basis_labels) != self.dim:
             raise MalformedDatumFile("basis label count does not match ambient dimension")
+
+    def _validate_root_lists(self, *scaled_lists: Sequence[tuple[int, ...]]) -> None:
+        """No zero and no repeated positive root; checked before generators are derived."""
+        seen: set[tuple[int, ...]] = set()
+        roots = itertools.chain(self.positive_even, self.positive_odd)
+        for r, iv in zip(roots, itertools.chain(*scaled_lists)):
+            if not any(iv):
+                raise MalformedDatumFile("zero vector listed as a root")
+            if iv in seen:
+                raise MalformedDatumFile(f"duplicate positive root {self.format_weight(r.vector)}")
+            seen.add(iv)
 
     def _build_generators(self) -> tuple[Generator, ...]:
         """Simple system of the even root system.
@@ -376,10 +473,10 @@ class RootDatum:
             )
 
         simple_even = [self.simple_roots[i] for i in self.even_positions]
-        simple_vectors = {r.vector for r in simple_even}
+        simple_coords = {r.coords for r in simple_even}
         extras = sorted(
             (r for r in self.positive_even
-             if r.vector not in simple_vectors and not decomposable(r)),
+             if r.coords not in simple_coords and not decomposable(r)),
             key=lambda r: r.vector,
         )
         pi_indices = self.even_positions + (None,) * len(extras)
@@ -388,45 +485,28 @@ class RootDatum:
             for gid, (r, pi) in enumerate(zip(simple_even + extras, pi_indices))
         )
 
-    def _form_row(self, v: Weight) -> _Row:
-        """(v, .) as a sparse row: the (column, entry) pairs of Gram v."""
-        acc = [ZERO] * self.dim
-        for a, row in zip(v, self._gram_rows):
-            for j, x in row:
-                acc[j] += a * x
-        return _sparse(acc)
-
-    def _coroot_row(self, alpha: Weight) -> _Row:
-        """alpha^vee = 2 alpha / (alpha, alpha) through the form, as (column, entry) pairs."""
-        row = self._form_row(alpha)
-        scale = 2 / _dot(row, alpha)
-        return tuple((j, scale * x) for j, x in row)
-
-    def _generator_cartan(self) -> tuple[tuple[int, ...], ...]:
+    def _generator_cartan(self, gen_iv, gen_rows, gen_norms) -> tuple[tuple[int, ...], ...]:
+        """<g_k, g_i^vee> = 2 (g_k, g_i) / (g_i, g_i) from the scaled pairings, checked integral."""
         rows = []
-        for g in self.generators:
-            row = self.labels(g.vector)
-            for h, c in zip(self.generators, row):
-                if c.denominator != 1:
+        for g, iv in zip(self.generators, gen_iv):
+            row = []
+            for h, h_row, norm in zip(self.generators, gen_rows, gen_norms):
+                c, r = divmod(2 * _dot(h_row, iv), norm)
+                if r:
                     raise MalformedDatumFile(
-                        f"Cartan entry <{g.label}, {h.label}^vee> = {c} is not an integer"
+                        f"Cartan entry <{g.label}, {h.label}^vee> = "
+                        f"{Fraction(2 * _dot(h_row, iv), norm)} is not an integer"
                     )
-            rows.append(tuple(map(int, row)))
+                row.append(c)
+            rows.append(tuple(row))
         return tuple(rows)
 
-    def _validate(self) -> None:
-        seen_vectors: set[Weight] = set()
-        for r in itertools.chain(self.positive_even, self.positive_odd):
-            if all(c == 0 for c in r.vector):
-                raise MalformedDatumFile("zero vector listed as a root")
-            if r.vector in seen_vectors:
-                raise MalformedDatumFile(f"duplicate positive root {self.format_weight(r.vector)}")
-            seen_vectors.add(r.vector)
-        even_set = {r.vector for r in self.positive_even}
-        odd_set = {r.vector for r in self.positive_odd}
+    def _validate(self, simple_iv, gen_iv, two_rho) -> None:
+        even_set = {r.coords for r in self.positive_even}
+        odd_set = {r.coords for r in self.positive_odd}
         for i, r in enumerate(self.simple_roots):
             target = odd_set if r.odd else even_set
-            if r.vector not in target:
+            if r.coords not in target:
                 raise MalformedDatumFile(
                     f"simple root #{i + 1} is missing from the matching positive list"
                 )
@@ -439,18 +519,17 @@ class RootDatum:
         if not self.even_positions:
             raise MalformedDatumFile("no even simple roots; datum is degenerate")
 
-        for g in self.generators:
-            if self.inner(g.vector, g.vector) == 0:
+        for g, iv in zip(self.generators, gen_iv):
+            if self._int_pairing(iv, iv) == 0:
                 raise MalformedDatumFile(f"reflection generator {g.label} is isotropic")
 
-        half = Fraction(1, 2)
-        for i, r in enumerate(self.simple_roots):
-            lhs = self.inner(self.rho, r.vector)
-            rhs = half * self.inner(r.vector, r.vector)
-            if lhs != rhs:
+        # (rho, b) = (b, b)/2 reads (2 rho, b) = (b, b) on the scaled vectors
+        for i, (r, iv) in enumerate(zip(self.simple_roots, simple_iv)):
+            if self._int_pairing(two_rho, iv) != self._int_pairing(iv, iv):
                 raise MalformedDatumFile(
                     f"Weyl vector law fails on simple root #{i + 1}: "
-                    f"(rho, b) = {lhs}, (b, b)/2 = {rhs}"
+                    f"(rho, b) = {self.inner(self.rho, r.vector)}, "
+                    f"(b, b)/2 = {Fraction(1, 2) * self.inner(r.vector, r.vector)}"
                 )
 
     # -- the form --------------------------------------------------------
@@ -473,12 +552,11 @@ class RootDatum:
 
     def expand_simple(self, v: Weight) -> tuple[Fraction, ...]:
         """Coordinates of v over the distinguished simple system."""
-        coeffs = self._simple_solver.solve(v)
-        if coeffs is None:
-            raise MalformedDatumFile(
-                "vector does not lie in the span of the simple roots"
-            )
-        return coeffs
+        if len(v) != self.dim:
+            raise DimensionMismatch(f"vector has length {len(v)}, expected {self.dim}")
+        # the solver's columns are the simple roots times the datum's scale
+        solver = self._simple_solver
+        return tuple(Fraction(n * self._scale, solver.det) for n in solver.numerators(v))
 
     @property
     def even_simple_count(self) -> int:
@@ -510,21 +588,24 @@ class RootDatum:
                 f"fundamental weight index {i} out of range 1..{len(self.even_positions)}"
             )
         if i not in self._fundamental_cache:
-            basis = [self.simple_roots[p].vector for p in self.even_positions]
+            scale = self._scale
+            basis = [_scaled(self.simple_roots[p].vector, scale) for p in self.even_positions]
             n = len(basis)
             # the even simple roots are the generators with gids 0..n-1
-            cartan = _SpanSolver(
-                [row[:n] for row in self.generator_cartan[:n]], "even simple roots"
-            )
+            cartan = _Solver([row[:n] for row in self.generator_cartan[:n]], "even simple roots")
+            den = cartan.det * scale
             for col in range(n):
-                coeffs = cartan.solve(_unit(n, col))
-                self._fundamental_cache[col + 1] = _vsum(self.dim, map(vscale, coeffs, basis))
+                coeffs = cartan.numerators([int(k == col) for k in range(n)])
+                self._fundamental_cache[col + 1] = tuple(
+                    Fraction(sum(c * b[j] for c, b in zip(coeffs, basis)), den)
+                    for j in range(self.dim)
+                )
         return self._fundamental_cache[i]
 
     def coefficient_weight(self, coeffs: Sequence[int], tau_multiple: int = 0) -> Weight:
         """The weight sum_i coeffs[i-1] * omega_i + tau_multiple * tau."""
         parts = [vscale(c, self.fundamental_weight(i)) for i, c in enumerate(coeffs, 1) if c]
-        return _vsum(self.dim, [vscale(tau_multiple, self.tau)] + parts)
+        return functools.reduce(vadd, parts, vscale(tau_multiple, self.tau))
 
     def atypicality(self, lam: Weight) -> tuple[int, ...]:
         """Indices into ``positive_odd`` of the isotropic gamma with (lam + rho, gamma) = 0.
@@ -581,42 +662,48 @@ class RootDatum:
 # nonzero multiple of the supertrace form is invariant, isotropy and all
 # normalized pairings are unchanged by the scaling, and this normalization
 # gives (tau, eps_i - delta_j) = 5 (p - q) with positive sign for p > q.
-_SL_EPS_NORM = Fraction(-5)
-_SL_DELTA_NORM = Fraction(5)
+_SL_EPS_NORM = -5
+_SL_DELTA_NORM = 5
+
+# The builders hand RootDatum integer vectors (and F(4) its half-integers);
+# the datum turns them into Fraction weights.
+_IntVector = tuple[int, ...]
 
 
-def _unit(dim: int, i: int, value: Fraction | int = 1) -> Weight:
-    v = [ZERO] * dim
-    v[i] = Fraction(value)
-    return tuple(v)
+def _units(dim: int) -> list[_IntVector]:
+    return [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
 
 
-def _diag_gram(diag: Sequence[Fraction | int]) -> list[list[Fraction]]:
+def _diag_gram(diag: Sequence[int]) -> list[list[int]]:
     n = len(diag)
-    return [[Fraction(diag[i]) if i == j else ZERO for j in range(n)] for i in range(n)]
+    return [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _chain(units: Sequence[Weight]) -> list[Weight]:
+def _double(v: _IntVector) -> _IntVector:
+    return tuple(2 * a for a in v)
+
+
+def _chain(units: Sequence[_IntVector]) -> list[_IntVector]:
     """v_i - v_{i+1} along the list: the simple roots of type A."""
     return [vsub(u, v) for u, v in zip(units, units[1:])]
 
 
-def _differences(units: Sequence[Weight]) -> list[Weight]:
+def _differences(units: Sequence[_IntVector]) -> list[_IntVector]:
     """v_i - v_j for i < j: the positive roots of type A."""
     return [vsub(u, v) for u, v in itertools.combinations(units, 2)]
 
 
-def _sums(units: Sequence[Weight]) -> list[Weight]:
+def _sums(units: Sequence[_IntVector]) -> list[_IntVector]:
     """v_i + v_j for i < j."""
     return [vadd(u, v) for u, v in itertools.combinations(units, 2)]
 
 
-def _c_type(units: Sequence[Weight]) -> list[Weight]:
+def _c_type(units: Sequence[_IntVector]) -> list[_IntVector]:
     """v_i - v_j, then v_i + v_j (i < j), then 2 v_i: the positive roots of type C."""
-    return _differences(units) + _sums(units) + [vscale(2, u) for u in units]
+    return _differences(units) + _sums(units) + [_double(u) for u in units]
 
 
-def _even(vectors: Iterable[Weight]) -> list[tuple[Weight, bool]]:
+def _even(vectors: Iterable[_IntVector]) -> list[tuple[_IntVector, bool]]:
     """The vectors as even simple roots, in the ``(vector, odd)`` form of RootDatum."""
     return [(v, False) for v in vectors]
 
@@ -635,7 +722,7 @@ def build_sl(p: int, q: int) -> RootDatum:
         raise UnsupportedFamily("sl(1,1) is degenerate (no even simple roots)")
     if (p, q) == (2, 2):
         raise UnsupportedFamily("sl(2,2) is excluded from the supported families")
-    units = [_unit(p + q, i) for i in range(p + q)]
+    units = _units(p + q)
     eps, delta = units[:p], units[p:]
     labels = [f"eps{i}" for i in range(1, p + 1)] + [f"delta{j}" for j in range(1, q + 1)]
     return RootDatum(
@@ -663,7 +750,7 @@ def build_b0(n: int) -> RootDatum:
         raise UnsupportedFamily(
             f"B(0,{n}): need n >= 2 so the even simple diagram is nonempty"
         )
-    delta = [_unit(n, j) for j in range(n)]
+    delta = _units(n)
     return RootDatum(
         family="b0",
         label=f"B(0,{n})",
@@ -686,13 +773,13 @@ def build_osp2(n: int) -> RootDatum:
     """
     if n < 1:
         raise UnsupportedFamily(f"osp(2,{2 * n}): need n >= 1")
-    eps1, *delta = [_unit(n + 1, i) for i in range(n + 1)]
+    eps1, *delta = _units(n + 1)
     return RootDatum(
         family="osp",
         label=f"osp(2,{2 * n})",
         gram=_diag_gram([1] + [-1] * n),
         simple_roots=(
-            _even(_chain(delta) + [vscale(2, delta[-1])]) + [(vsub(eps1, delta[0]), True)]
+            _even(_chain(delta) + [_double(delta[-1])]) + [(vsub(eps1, delta[0]), True)]
         ),
         positive_even=_c_type(delta),
         positive_odd=[vsub(eps1, d) for d in delta] + [vadd(eps1, d) for d in delta],
@@ -708,10 +795,8 @@ def build_g3() -> RootDatum:
     (delta, delta) = -2.  The even part is of type G_2 x A_1, so the even
     Weyl group needs the extra generator 2 delta.
     """
-    e1 = as_weight((1, 0, 0))
-    e2 = as_weight((0, 1, 0))
-    e3 = as_weight((-1, -1, 0))
-    d = as_weight((0, 0, 1))
+    e1, e2, d = _units(3)
+    e3 = (-1, -1, 0)
     return RootDatum(
         family="G3",
         label="G(3)",
@@ -722,9 +807,9 @@ def build_g3() -> RootDatum:
             e2,
             vadd(e1, e2),
             vsub(e2, e1),
-            vadd(vscale(2, e1), e2),
-            vadd(e1, vscale(2, e2)),
-            vscale(2, d),
+            vadd(_double(e1), e2),
+            vadd(e1, _double(e2)),
+            _double(d),
         ],
         positive_odd=[
             vadd(e3, d),
@@ -748,11 +833,10 @@ def build_f4() -> RootDatum:
     (+-eps_1 +- eps_2 +- eps_3 + delta) / 2, and the odd simple root is the
     one with all three signs negative.
     """
-    *eps, d = [_unit(4, i) for i in range(4)]
-    half = Fraction(1, 2)
+    *eps, d = _units(4)
     odd = [
-        as_weight((s1 * half, s2 * half, s3 * half, half))
-        for s1, s2, s3 in itertools.product((1, -1), repeat=3)
+        tuple(Fraction(s, 2) for s in signs + (1,))
+        for signs in itertools.product((1, -1), repeat=3)
     ]
     return RootDatum(
         family="F4",

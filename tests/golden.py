@@ -1,0 +1,158 @@
+"""Golden root data and CLI transcripts, and the script that records them.
+
+The goldens pin what a rewrite of ``RootDatum`` construction or of the
+argument parser must keep byte for byte: every public field of 41 built-in
+datums, the private pairing rows built from them, and the stdout, stderr and
+exit code of every ``--help`` and of the usage errors.  argparse formats help
+differently across Python minor versions, so the CLI transcripts are kept
+per version.
+
+Record them from a known-good tree with::
+
+    PYTHONPATH=src python tests/golden.py
+
+(once per installed Python minor version for the CLI transcripts).
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+from superweyl.cli import main
+from superweyl.rootdata import build_b0, build_f4, build_g3, build_osp2, build_sl, vadd, vscale
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+DATUM_GOLDEN = GOLDEN_DIR / "rootdata.json"
+
+
+def cli_golden_path(version=sys.version_info):
+    return GOLDEN_DIR / f"cli_py{version[0]}{version[1]}.json"
+
+
+# -- root data ----------------------------------------------------------------
+
+
+def golden_builders():
+    """The 41 datums: sl(p,q) for p <= 6 and q <= 5, B(0,2..6), osp(2,2..12), G(3), F(4)."""
+    out = {}
+    for p in range(1, 7):
+        for q in range(1, 6):
+            if (p, q) not in ((1, 1), (2, 2)):
+                out[f"sl({p},{q})"] = lambda p=p, q=q: build_sl(p, q)
+    for n in range(2, 7):
+        out[f"B(0,{n})"] = lambda n=n: build_b0(n)
+    for n in range(1, 7):
+        out[f"osp(2,{2 * n})"] = lambda n=n: build_osp2(n)
+    out["G(3)"] = build_g3
+    out["F(4)"] = build_f4
+    return out
+
+
+def _vec(v):
+    return [str(x) for x in v]
+
+
+def _row(row):
+    return [[j, str(x)] for j, x in row]
+
+
+def datum_dump(d):
+    """Every public field of a datum, its pairing rows, and its maps on a few weights."""
+    n = d.even_simple_count
+    omegas = [d.fundamental_weight(i) for i in range(1, n + 1)]
+    zero = vscale(0, d.rho)
+    probes = [zero, d.tau, d.rho, vscale(-1, d.rho), vadd(omegas[0], vscale(2, d.tau))]
+    probes += [vadd(w, d.tau) for w in omegas[1:]]
+    return {
+        "family": d.family,
+        "label": d.label,
+        "dim": d.dim,
+        "basis_labels": list(d.basis_labels),
+        "gram": [_vec(row) for row in d.gram],
+        "roots": {
+            name: [[_vec(r.vector), r.odd, r.isotropic, list(r.coords)] for r in getattr(d, name)]
+            for name in ("simple_roots", "positive_even", "positive_odd")
+        },
+        "rho": _vec(d.rho),
+        "tau": _vec(d.tau),
+        "even_positions": list(d.even_positions),
+        "generators": [
+            [g.gid, _vec(g.vector), g.pi_index, g.label, list(g.coords)] for g in d.generators
+        ],
+        "generator_cartan": [list(row) for row in d.generator_cartan],
+        "generator_blocks": [list(b) for b in d.generator_blocks],
+        "components": [list(c) for c in d.components],
+        "adjacency": {str(p): sorted(q) for p, q in sorted(d.adjacency().items())},
+        "fundamental_weights": [_vec(w) for w in omegas],
+        "expand_simple": [_vec(d.expand_simple(w)) for w in (d.rho, d.tau)],
+        "probes": [[_vec(w), _vec(d.labels(w)), list(d.atypicality(w))] for w in probes],
+        "coroot_rows": [_row(row) for row in d._coroot_rows],
+        "isotropic_rows": [[i, _row(row), str(t)] for i, row, t in d._isotropic_rows],
+    }
+
+
+# -- CLI transcripts ------------------------------------------------------------
+
+_SL32 = ["--family", "sl", "--m", "3", "--n", "2"]
+_COMMANDS = ("datum", "group", "numerator", "kgraph", "verify", "search",
+             "atypical-coeff", "atypical-verify", "selftest")
+
+CLI_CASES = {
+    "help": ["--help"],
+    **{f"{cmd} --help": [cmd, "--help"] for cmd in _COMMANDS},
+    "no command": [],
+    "unknown command": ["frobnicate"],
+    "help before command": ["--help", "numerator"],
+    "datum without family": ["datum"],
+    "datum bad size": ["datum", "--family", "sl", "--m", "1", "--n", "1"],
+    "datum bad choice": ["datum", "--family", "E8"],
+    "numerator trunc": ["numerator", *_SL32, "--weight", "tau", "--char", "--trunc", "-1"],
+    "search bound": ["search", *_SL32, "--bound", "-1", "--tau-mult", "1"],
+    "search limit": ["search", *_SL32, "--bound", "3", "--tau-mult", "1", "--limit", "0"],
+    "coeff ztrunc": ["atypical-coeff", "--family", "G3", "--weight", "0", "--ztrunc", "-1"],
+    "verify ztrunc": [
+        "atypical-verify", *_SL32, "--type", "eps[1] - delta[1]",
+        "--lhs", "4*eps[1] + 4*eps[2] + 4*eps[3] + (-6)*delta[1] + (-6)*delta[2]",
+        "--rhs", "4*eps[1] + 4*eps[2] + 4*eps[3] + (-6)*delta[1] + (-6)*delta[2]",
+        "--ztrunc", "-1",
+    ],
+    "factor and char": ["numerator", *_SL32, "--weight", "omega[1] + tau", "--factor", "--char"],
+    "kgraph subset range": ["kgraph", "--family", "G3", "--subset", "1,9"],
+    "kgraph subset empty": ["kgraph", *_SL32, "--subset", ""],
+    "kgraph subset repeated": ["kgraph", *_SL32, "--subset", "1,1"],
+    "bogus option": ["numerator", "--family", "F4", "--weight", "tau", "--bogus", "1"],
+    "stray positional": ["numerator", "--family", "F4", "--weight", "tau", "extra"],
+    "missing weight": ["numerator", "--family", "F4"],
+    "ambiguous abbreviation": ["numerator", "--family", "F4", "--weight", "tau", "--f"],
+    "bad integer": ["search", *_SL32, "--bound", "x", "--tau-mult", "1"],
+    "abbreviated factor": ["numerator", "--family", "F4", "--weight", "tau", "--fac"],
+    "abbreviated options": ["numerator", "--fam", "sl", "--m", "2", "--n", "1",
+                            "--wei", "omega[1] + 3*tau", "--tr", "2", "--ch"],
+}
+
+
+def cli_transcript(argv):
+    """stdout, stderr and exit code of one in-process ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return {"stdout": out.getvalue(), "stderr": err.getvalue(), "code": code}
+
+
+def _write(path, data):
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    lines = [f"{json.dumps(k)}: {json.dumps(v, separators=(',', ':'))}" for k, v in data.items()]
+    path.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    import os
+
+    os.environ["COLUMNS"] = "80"
+    _write(DATUM_GOLDEN, {name: datum_dump(build()) for name, build in golden_builders().items()})
+    _write(cli_golden_path(), {name: cli_transcript(argv) for name, argv in CLI_CASES.items()})

@@ -1,5 +1,8 @@
 """Tests for the command line interface: grammar, output, exit codes."""
 
+import contextlib
+import io
+import json
 import os
 import random
 import subprocess
@@ -8,9 +11,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import superweyl
-from superweyl import AlgebraDescriptor, build_datum, datum_from_text
+from superweyl import AlgebraDescriptor, build_datum, cli, datum_from_text
 from superweyl.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -23,6 +27,7 @@ from superweyl.cli import (
 from superweyl.errors import UnknownSymbol, WeightParseError
 from superweyl.rootdata import vadd, vscale, zero_weight
 
+from golden import CLI_CASES, cli_golden_path, cli_transcript
 from test_rootdata import A3_TEXT, NON_INTEGRAL_CARTAN_TEXT, datum_file_text
 
 
@@ -612,3 +617,52 @@ def test_readme_library_example_runs():
         "1 - X[a1]^2 - X[a2]^3 + X[a1]^2*X[a2]^5 + X[a1]^5*X[a2]^3 - X[a1]^5*X[a2]^5",
         "CrossMatchedCounterexample",
     ]
+
+
+_CLI_GOLDEN = cli_golden_path()
+
+
+@pytest.mark.skipif(
+    not _CLI_GOLDEN.exists(), reason=f"no CLI transcripts recorded for {_CLI_GOLDEN.name}"
+)
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_help_and_usage_bytes_equal_the_recorded_transcript(case, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    golden = json.loads(_CLI_GOLDEN.read_text(encoding="utf-8"))
+    assert cli_transcript(CLI_CASES[case]) == golden[case]
+
+
+ARGV_TOKENS = (
+    "--family", "--fam", "--f", "--m", "--n", "--datum-file", "--weight", "--wei", "--fac",
+    "--factor", "--char", "--trunc", "--bound", "--tau-mult", "--limit", "--seed", "--subset",
+    "--component", "--oracle", "--both", "--special", "--ztrunc", "--type", "--lhs", "--rhs",
+    "-h", "--help", "--bogus", "--", "-", "sl", "F4", "3", "-1", "tau", "x", "1,2",
+    "--family=sl", "--m=3", "--weight=tau",
+)
+
+
+def parse_outcome(parse, argv):
+    """The namespace a parse gives (parser and command aside), or its exit and output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = vars(parse(argv))
+        except SystemExit as exc:
+            return ("exit", exc.code, out.getvalue(), err.getvalue())
+    prog = args.pop("parser").prog
+    args.pop("command", None)
+    return ("args", prog, args)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    argv=st.tuples(
+        st.sampled_from(sorted(cli._subcommands()) + ["frobnicate", "--help"]),
+        st.lists(st.sampled_from(ARGV_TOKENS), max_size=7),
+    ).map(lambda t: [t[0], *t[1]])
+)
+def test_parsing_the_named_subcommand_alone_matches_the_whole_tree(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    whole = parse_outcome(lambda a: cli.build_parser().parse_args(a), argv)
+    assert parse_outcome(cli._parse, argv) == whole

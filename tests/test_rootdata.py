@@ -1,5 +1,6 @@
 """Root datum construction, invariants, and the datum file format."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -16,6 +17,8 @@ from superweyl.errors import (
 from superweyl.rootdata import (
     AlgebraDescriptor,
     Dominance,
+    RootDatum,
+    _Solver,
     as_weight,
     build_datum,
     build_b0,
@@ -29,6 +32,7 @@ from superweyl.rootdata import (
     zero_weight,
 )
 from form_reference import dense_atypicality, dense_inner
+from golden import DATUM_GOLDEN, datum_dump, golden_builders
 from weyl_reference import pairing
 
 F = Fraction
@@ -520,16 +524,26 @@ def test_adjacency_is_non_orthogonality_of_even_simple_roots(family, args):
     assert d.adjacency() == reference
 
 
-def datum_file_text(d):
-    """Render a datum in the datum file format."""
+def datum_file_text(d, scales=None):
+    """Render a datum in the datum file format.
+
+    With scales, over the basis x_i -> s_i x_i: vectors times s_i, Gram
+    entries over s_i s_j.
+    """
+    scales = scales or [1] * d.dim
+
+    def row(v):
+        return " ".join(str(s * x) for s, x in zip(scales, v))
+
     lines = [f"family: {d.label}", f"ambient_dim: {d.dim}", "gram:"]
-    lines += [" ".join(str(x) for x in row) for row in d.gram]
+    lines += [" ".join(str(x / (si * sj)) for sj, x in zip(scales, r))
+              for si, r in zip(scales, d.gram)]
     lines.append("simple:")
-    lines += [("odd " if r.odd else "even ") + " ".join(map(str, r.vector)) for r in d.simple_roots]
+    lines += [("odd " if r.odd else "even ") + row(r.vector) for r in d.simple_roots]
     lines.append("positive_even:")
-    lines += [" ".join(map(str, r.vector)) for r in d.positive_even]
+    lines += [row(r.vector) for r in d.positive_even]
     lines.append("positive_odd:")
-    lines += [" ".join(map(str, r.vector)) for r in d.positive_odd]
+    lines += [row(r.vector) for r in d.positive_odd]
     return "\n".join(lines) + "\n"
 
 
@@ -771,3 +785,233 @@ def test_atypicality_rejects_wrong_length(name):
             d.atypicality(lam)
         with pytest.raises(DimensionMismatch):
             d.is_typical(lam)
+
+
+# -- every rejection of RootDatum construction, word for word -------------------
+
+A2_TEXT = """\
+family: A2
+ambient_dim: 3
+gram:
+1 0 0
+0 1 0
+0 0 1
+simple:
+even 1 -1 0
+even 0 1 -1
+positive_even:
+1 -1 0
+0 1 -1
+1 0 -1
+positive_odd:
+"""
+
+# sl(2,1) over the odd simple system e1 - d1, d1 - e2: both simple roots odd
+# and isotropic, and their sum e1 - e2 the only even root.
+ODD_ODD_TEXT = """\
+family: SL21O
+ambient_dim: 3
+gram:
+1 0 0
+0 1 0
+0 0 -1
+simple:
+odd 1 0 -1
+odd 0 -1 1
+positive_even:
+1 -1 0
+positive_odd:
+1 0 -1
+0 -1 1
+"""
+
+TWO_ODD_TEXT = """\
+family: B2O
+ambient_dim: 2
+gram:
+-1 0
+0 -1
+simple:
+odd 1 0
+odd 0 1
+positive_even:
+2 0
+0 2
+positive_odd:
+1 0
+0 1
+"""
+
+ISOTROPIC_GENERATOR_TEXT = """\
+family: A1Z
+ambient_dim: 1
+gram:
+0
+simple:
+even 1
+positive_even:
+1
+positive_odd:
+"""
+
+THREE_COMPONENTS_TEXT = """\
+family: A1A1A1
+ambient_dim: 3
+gram:
+1 0 0
+0 1 0
+0 0 1
+simple:
+even 1 0 0
+even 0 1 0
+even 0 0 1
+positive_even:
+1 0 0
+0 1 0
+0 0 1
+positive_odd:
+"""
+
+
+def _under(section, row):
+    """A2 with one more row under a section."""
+    return A2_TEXT.replace(f"{section}:\n", f"{section}:\n{row}\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (A2_TEXT.replace("0 1 0\n0 0 1\nsimple", "1 1 0\n0 0 1\nsimple"),
+         "gram matrix is not symmetric"),
+        (_under("positive_odd", "0 0 0"), "zero vector listed as a root"),
+        (_under("positive_even", "0 0 0"), "zero vector listed as a root"),
+        (_under("positive_even", "1 0 -1"), "duplicate positive root (1, 0, -1)"),
+        # a repeated extra generator is reported as a repeat, not as dependent generators
+        (A1A1B_TEXT.replace("0 0 0 0 2\n", "0 0 0 0 2\n0 0 0 0 2\n"),
+         "duplicate positive root (0, 0, 0, 0, 2)"),
+        (_under("positive_odd", "1/2 0 -1/2"),
+         "positive root (1/2, 0, -1/2) is not a non-negative integer combination "
+         "of the simple roots"),
+        (_under("positive_odd", "-1 1 0"),
+         "positive root (-1, 1, 0) is not a non-negative integer combination "
+         "of the simple roots"),
+        (_under("positive_odd", "1 0 0"), "vector does not lie in the span of the simple roots"),
+        (ODD_ODD_TEXT, "more than one isotropic simple root"),
+        (TWO_ODD_TEXT, "more than one odd simple root"),
+        (ISOTROPIC_GENERATOR_TEXT, "reflection generator s1 is isotropic"),
+        (THREE_COMPONENTS_TEXT, "even simple diagram has 3 components; expected 1 or 2"),
+        (A2_TEXT.replace("1 0 0\n0 1 0\n0 0 1\n", "1/2 0 0\n0 1/2 0\n0 0 1/3\n"),
+         "Weyl vector law fails on simple root #2: (rho, b) = 1/3, (b, b)/2 = 5/12"),
+    ],
+    ids=["asymmetric", "zero odd", "zero even", "duplicate", "duplicate generator",
+         "non-integral", "negative", "off span", "two isotropic", "two odd",
+         "isotropic generator", "three components", "Weyl vector law"],
+)
+def test_datum_file_rejection_messages(text, message):
+    with pytest.raises(MalformedDatumFile) as exc:
+        datum_from_text(text)
+    assert str(exc.value) == message
+
+
+def test_constructor_rejection_messages():
+    simple = [(as_weight((1, -1, 0)), False), (as_weight((0, 1, -1)), False)]
+    even = [v for v, _ in simple] + [as_weight((1, 0, -1))]
+    gram = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    with pytest.raises(MalformedDatumFile) as exc:
+        RootDatum("custom", "A2", [[1, 0, 0], [0, 1], [0, 0, 1]], simple, even, [])
+    assert str(exc.value) == "gram matrix is not square"
+    with pytest.raises(DimensionMismatch) as exc:
+        RootDatum("custom", "A2", gram, simple, even, [as_weight((1, 0))])
+    assert str(exc.value) == "root (1, 0) has length 2, ambient dimension is 3"
+    with pytest.raises(MalformedDatumFile) as exc:
+        RootDatum("custom", "A2", gram, simple, even, [], basis_labels=("x", "y"))
+    assert str(exc.value) == "basis label count does not match ambient dimension"
+
+
+# -- root data equal to the recorded goldens -------------------------------------
+
+_DATUM_GOLDEN = json.loads(DATUM_GOLDEN.read_text(encoding="utf-8"))
+_GOLDEN_BUILDERS = golden_builders()
+
+
+def test_golden_covers_every_builder():
+    assert sorted(_DATUM_GOLDEN) == sorted(_GOLDEN_BUILDERS)
+    assert len(_GOLDEN_BUILDERS) == 41
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_BUILDERS))
+def test_datum_equals_the_golden_dump(name):
+    dump = json.loads(json.dumps(datum_dump(_GOLDEN_BUILDERS[name]())))
+    assert dump == _DATUM_GOLDEN[name]
+
+
+# -- the same datums over a rescaled ambient basis --------------------------------
+
+nonzero_scales = st.builds(
+    F, st.integers(1, 12).map(lambda k: k * (-1) ** k), st.integers(1, 12)
+)
+
+
+@pytest.mark.parametrize("name", FORM_BUILDERS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_rescaled_basis_keeps_coordinates_isotropy_and_cartan(name, data):
+    d = form_datum(name)
+    scales = data.draw(st.lists(nonzero_scales, min_size=d.dim, max_size=d.dim))
+    e = datum_from_text(datum_file_text(d, scales))
+    for attr in ("simple_roots", "positive_even", "positive_odd"):
+        assert [(r.odd, r.isotropic, r.coords) for r in getattr(e, attr)] == [
+            (r.odd, r.isotropic, r.coords) for r in getattr(d, attr)
+        ]
+    assert [g.coords for g in e.generators] == [g.coords for g in d.generators]
+    assert e.generator_cartan == d.generator_cartan
+    assert e.generator_blocks == d.generator_blocks
+    assert e.components == d.components
+    assert e.rho == tuple(s * x for s, x in zip(scales, d.rho))
+    assert e.expand_simple(e.rho) == d.expand_simple(d.rho)
+
+
+# -- the fraction-free solver on random integer systems ---------------------------
+
+
+@st.composite
+def mixed_systems(draw):
+    """Independent integer columns M = U T, with U a product of row operations.
+
+    T is upper triangular with a non-zero diagonal, so U e_j (j >= rank) is
+    off the span of M.  Returns M's columns and U's columns.
+    """
+    dim = draw(st.integers(1, 5))
+    rank = draw(st.integers(1, dim))
+    small = st.integers(-4, 4)
+    t = [[draw(small) if r < c else 0 for c in range(rank)] for r in range(dim)]
+    for k in range(rank):
+        t[k][k] = draw(small.filter(bool))
+    u = [[int(r == c) for c in range(dim)] for r in range(dim)]
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        if i == j:
+            continue
+        f = draw(small)
+        for m in (t, u):
+            m[i] = [a + f * b for a, b in zip(m[i], m[j])]
+        if draw(st.booleans()):
+            t[i], t[j], u[i], u[j] = t[j], t[i], u[j], u[i]
+    return [tuple(col) for col in zip(*t)], [tuple(col) for col in zip(*u)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=mixed_systems(), data=st.data())
+def test_solver_recovers_rational_coefficients(system, data):
+    columns, u_columns = system
+    solver = _Solver(columns, "columns")
+    coeffs = data.draw(st.lists(rationals, min_size=len(columns), max_size=len(columns)))
+    v = tuple(sum(c * col[r] for c, col in zip(coeffs, columns)) for r in range(len(columns[0])))
+    assert [F(n, solver.det) for n in solver.numerators(v)] == coeffs
+    for extra in u_columns[len(columns):]:
+        with pytest.raises(MalformedDatumFile, match="does not lie in the span of the columns"):
+            solver.numerators(tuple(a + b for a, b in zip(v, extra)))
+    mix = data.draw(st.lists(st.integers(-3, 3), min_size=len(columns), max_size=len(columns)))
+    dependent = tuple(sum(m * col[r] for m, col in zip(mix, columns)) for r in range(len(v)))
+    with pytest.raises(MalformedDatumFile, match="columns are linearly dependent"):
+        _Solver(columns + [dependent], "columns")
