@@ -39,6 +39,7 @@ type.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -46,7 +47,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     IndexOutOfRange,
-    InternalInvariant,
     MixedAtypicalityTypes,
     NotDominant,
     NotSinglyAtypical,
@@ -55,7 +55,7 @@ from .errors import (
     WrongFamily,
     invariant,
 )
-from .numerator import x_lambda, x_signature
+from .numerator import _orbit_sum, x_lambda, x_signature
 from .partitions import SimpleGraph, graph_of_datum, iter_ordered_partitions
 from .partitions import k_partition_counts, tree_graph_gpq
 from .rootdata import (
@@ -66,11 +66,10 @@ from .rootdata import (
     as_weight,
     vadd,
     vscale,
-    vsub,
 )
-from .series import Mono, Poly, ZSeries, mono_degree, neg_log, weight_monomial
+from .series import Poly, ZSeries, mono_degree, neg_log
 from .unifac import Conclusion, FactorMatch, MatchReport, pair_by_key
-from .weyl import orbit_drops, pi0_group
+from .weyl import pi0_group
 
 ATYPICAL_FAMILIES = ("sl", "osp", "G3", "F4")
 DEFAULT_Z_TRUNCATION = 3
@@ -189,28 +188,21 @@ def shift_to_type(datum: RootDatum, lam: Weight, odd_index: int) -> Weight:
 # -- shared machinery -------------------------------------------------------
 
 
-def _positive_odd_index(datum: RootDatum, vector: Weight) -> int:
-    idx = datum._odd_index.get(vector)
-    # The even Weyl group of Pi_0 must keep the type inside the positive
-    # odd roots; leaving them would silently corrupt every Z symbol.
-    if idx is None:
-        raise InternalInvariant(f"image {vector} of the type is not a positive odd root")
-    return idx
-
-
 def _transport(datum: RootDatum, idx: int, gids: Iterable[int]) -> int:
     """Index of the positive odd root s_{g_r} ... s_{g_1} delta, delta at ``idx``.
 
-    ``gids`` = (g_1, ..., g_r) are applied in order, each reflection reading
-    its label of the current root.  The partition sums pass the movers that
+    ``gids`` = (g_1, ..., g_r) are applied in order, each a lookup in
+    ``datum.odd_reflections``.  The partition sums pass the movers that
     share a block; a block is an independent set of the diagram, so those
     movers are pairwise orthogonal, their reflections commute, and the image
     is gamma + sum of the single-mover changes s_g gamma - gamma.
     """
-    v = datum.positive_odd[idx].vector
     for g in gids:
-        v = vsub(v, vscale(datum.labels(v)[g], datum.generators[g].vector))
-    return _positive_odd_index(datum, v)
+        idx = datum.odd_reflections[g][idx]
+        # The even Weyl group of Pi_0 must keep the type inside the positive
+        # odd roots; leaving them would silently corrupt every Z symbol.
+        invariant(idx is not None, "the type left the positive odd roots")
+    return idx
 
 
 def _prefactor(ctx: AtypicalContext, idx: int) -> ZSeries:
@@ -227,47 +219,28 @@ def _prefactor(ctx: AtypicalContext, idx: int) -> ZSeries:
 
 
 def _normalizer(ctx: AtypicalContext) -> ZSeries:
-    """Reciprocal of the identity element's prefactor, which makes U start at 1.
-
-    This is 1 + Z_gamma, or 2 (1 + Z_gamma) / (2 + Z_gamma) for special weights.
-    """
-    t = ctx.z_truncation
-    z = ZSeries.var(ctx.gamma_index, t)
-    if ctx.special:
-        return (ZSeries.one(t) + z) * (ZSeries.one(t) + z.scale(Fraction(1, 2))).inverse()
-    return ZSeries.one(t) + z
+    """Reciprocal of the identity element's prefactor, which makes U start at 1."""
+    return _prefactor(ctx, ctx.gamma_index).inverse()
 
 
 def atypical_numerator(ctx: AtypicalContext) -> Poly:
     """The normalized numerator U(lambda) with truncated series coefficients.
 
     One term per element of the Weyl group of Pi_0: the X monomial records
-    the drop of lambda + rho, the coefficient is the expanded prefactor in
-    the Z symbol of the transported type.  The type is carried down the
-    element tree with :func:`orbit_drops`, one simple reflection at a time;
-    each reflection's action on the positive odd roots is looked up once.
+    the drop of lambda + rho, the coefficient is sign(w) times the expanded
+    prefactor in the Z symbol of the transported type.  The type is carried
+    down the element tree one table lookup per element, and the terms are
+    summed by the orbit sum of :mod:`superweyl.numerator`.
     """
     datum = ctx.datum
     group = pi0_group(datum)
     images = [ctx.gamma_index]
-    moved: dict[tuple[int, int], int] = {}
     for w in group.elements[1:]:
-        key = (w.word[-1], images[w.parent])
-        if key not in moved:
-            moved[key] = _transport(datum, key[1], (key[0],))
-        images.append(moved[key])
-    drops = orbit_drops(group, datum.labels(vadd(ctx.lam, datum.rho)))
-    terms: dict[Mono, ZSeries] = {}
-    # the prefactor of each image index, keyed by the element's sign
-    prefactors: dict[int, dict[int, ZSeries]] = {}
-    for w, drop, idx in zip(group.elements, drops, images):
-        if idx not in prefactors:
-            p = _prefactor(ctx, idx)
-            prefactors[idx] = {1: p, -1: -p}
-        mono = weight_monomial(drop)
-        coeff = prefactors[idx][w.sign]
-        terms[mono] = terms[mono] + coeff if mono in terms else coeff
-    return Poly(terms, ctx.z_truncation)
+        images.append(_transport(datum, images[w.parent], w.word[-1:]))
+    prefactors = {idx: _prefactor(ctx, idx) for idx in set(images)}
+    signed = {1: prefactors, -1: {idx: -p for idx, p in prefactors.items()}}
+    coeffs = [signed[w.sign][idx] for w, idx in zip(group.elements, images)]
+    return _orbit_sum(group, datum.labels(vadd(ctx.lam, datum.rho)), coeffs, ctx.z_truncation)
 
 
 def coefficient_oracle(ctx: AtypicalContext) -> CoefficientValue:
@@ -300,13 +273,10 @@ def coefficient_oracle(ctx: AtypicalContext) -> CoefficientValue:
 # -- closed forms ------------------------------------------------------------
 
 
-def _movers(datum: RootDatum, gamma: Root) -> frozenset[int]:
-    """Diagram positions of the generators not orthogonal to gamma; only these enter the forms."""
-    return frozenset(
-        g.pi_index
-        for g in datum.generators
-        if g.pi_index is not None and datum.inner(g.vector, gamma.vector) != 0
-    )
+def _movers(datum: RootDatum, idx: int) -> frozenset[int]:
+    """Diagram positions of the generators that move the odd root at ``idx``; only these enter the forms."""
+    pi0 = (g for g in datum.generators if g.pi_index is not None)
+    return frozenset(g.pi_index for g in pi0 if datum.odd_reflections[g.gid][idx] != idx)
 
 
 def _singletons(positions: Iterable[int]) -> frozenset[frozenset[int]]:
@@ -355,7 +325,7 @@ def _k_ratio(ctx: AtypicalContext) -> CoefficientValue:
     in the diagram.
     """
     kval = k_partition_counts(graph_of_datum(ctx.datum)).k_value
-    value = _weighted_blocks(ctx, {_singletons(_movers(ctx.datum, ctx.gamma)): kval})
+    value = _weighted_blocks(ctx, {_singletons(_movers(ctx.datum, ctx.gamma_index)): kval})
     return CoefficientValue(value=value, tag="K-ratio")
 
 
@@ -414,7 +384,7 @@ def enumeration_coefficient(ctx: AtypicalContext) -> CoefficientValue:
     """
     graph = graph_of_datum(ctx.datum)
     weights: dict[frozenset, Fraction] = {}
-    for (k, grouping), count in _grouping_counts(graph, _movers(ctx.datum, ctx.gamma)).items():
+    for (k, grouping), count in _grouping_counts(graph, _movers(ctx.datum, ctx.gamma_index)).items():
         weights[grouping] = weights.get(grouping, 0) + _partition_sign(len(graph), k) * count
     return CoefficientValue(value=_weighted_blocks(ctx, weights), tag="enumeration")
 
@@ -432,7 +402,7 @@ def _a_sum(ctx: AtypicalContext) -> CoefficientValue:
     datum = ctx.datum
     graph = graph_of_datum(datum)
     total = len(graph)
-    movers = _movers(datum, ctx.gamma)
+    movers = _movers(datum, ctx.gamma_index)
     comp_one = set(datum.components[0])
     alphas = sorted(p for p in movers if p in comp_one)
     betas = sorted(p for p in movers if p not in comp_one)
@@ -498,7 +468,7 @@ def closed_form_coefficient(ctx: AtypicalContext) -> CoefficientValue:
     if datum.family == "sl":
         if len(datum.components) == 1:
             return _k_ratio(ctx)
-        if len(_movers(datum, ctx.gamma)) == 4:
+        if len(_movers(datum, ctx.gamma_index)) == 4:
             return _a_sum(ctx)
         return enumeration_coefficient(ctx)
     raise WrongFamily(
@@ -559,7 +529,7 @@ def atypical_match(
     unequal.
     """
     gamma_vector = gamma.vector if isinstance(gamma, Root) else as_weight(gamma)
-    type_index = datum._odd_index.get(gamma_vector)
+    type_index = next((i for i, r in enumerate(datum.positive_odd) if r.vector == gamma_vector), None)
     if type_index is None:
         raise IndexOutOfRange(
             "gamma is not a positive odd root of this datum"
@@ -588,13 +558,8 @@ def atypical_match(
     lhs_sigs = [_flat_signature(datum, c.lam) for c in lhs_ctx]
     rhs_sigs = [_flat_signature(datum, c.lam) for c in rhs_ctx]
 
-    def product(factors: list[Poly]) -> Poly:
-        out = Poly.one(z_truncation)
-        for f in factors:
-            out = out * f
-        return out
-
-    products_equal = product(lhs_factors) == product(rhs_factors)
+    one = Poly.one(z_truncation)
+    products_equal = math.prod(lhs_factors, start=one) == math.prod(rhs_factors, start=one)
 
     pairing: list[FactorMatch] = []
     for i, j in pair_by_key(lhs_sigs, rhs_sigs):

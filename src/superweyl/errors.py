@@ -100,7 +100,7 @@ class IndexNotInterior(SuperweylError):
 
 
 class TruncationTooSmall(SuperweylError):
-    """A ``ZSeries``, ``AtypicalContext`` or ``neg_log`` was given a negative truncation order."""
+    """A ``ZSeries``, ``AtypicalContext``, ``neg_log`` or character bound was negative."""
 
 
 class UnsupportedCase(SuperweylError):

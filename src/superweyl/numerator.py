@@ -16,18 +16,14 @@ invariant for typical modules.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from typing import Sequence
 
-from .errors import NonIntegralExponent, NotDominant, NotTypical, UnsupportedCase, invariant
+from .errors import (NonIntegralExponent, NotDominant, NotTypical, TruncationTooSmall,
+                     UnsupportedCase, invariant)
 from .rootdata import Dominance, RootDatum, Weight, as_weight, vadd
-from .series import (
-    Mono,
-    Poly,
-    mono_degree,
-    mono_from_pairs,
-    mono_pow,
-    weight_monomial,
-)
+from .series import Mono, Poly, mono_degree, mono_from_pairs, mono_pow, weight_monomial
 from .weyl import WeylGroup, component_group, full_group, orbit_drops
 
 
@@ -65,13 +61,21 @@ def _check_weight(datum: RootDatum, lam: Weight) -> Weight:
     return lam
 
 
-def _orbit_sum(group: WeylGroup, labels: tuple) -> Poly:
-    """sum of sign(w) X^(eta - w eta) over ``group``, for eta with these labels."""
-    terms: dict[Mono, int] = {}
-    for w, drop in zip(group.elements, orbit_drops(group, labels)):
+def _orbit_sum(group: WeylGroup, labels: tuple, coeffs: Sequence | None = None,
+               ztrunc: int | None = None) -> Poly:
+    """sum of c(w) X^(eta - w eta) over ``group``, for eta with these labels.
+
+    c(w) is sign(w), or the entry of ``coeffs`` at w's place in the group's
+    element order; ``ztrunc`` is the truncation of series coefficients.
+    This is the one orbit-sum loop, of the typical and atypical numerators.
+    """
+    if coeffs is None:
+        coeffs = [w.sign for w in group.elements]
+    terms: dict[Mono, object] = {}
+    for drop, c in zip(orbit_drops(group, labels), coeffs):
         mono = weight_monomial(drop)
-        terms[mono] = terms.get(mono, 0) + w.sign
-    return Poly({m: c for m, c in terms.items() if c != 0})
+        terms[mono] = terms[mono] + c if mono in terms else c
+    return Poly(terms, ztrunc)
 
 
 def numerator(datum: RootDatum, lam: Weight) -> Poly:
@@ -102,9 +106,7 @@ def factor_numerator(datum: RootDatum, lam: Weight) -> list[Poly]:
         _orbit_sum(component_group(datum, k), labels)
         for k in range(1, len(comps) + 1)
     ]
-    product = factors[0]
-    for factor in factors[1:]:
-        product = product * factor
+    product = math.prod(factors[1:], start=factors[0])
     invariant(product == total, "component factors do not multiply to the numerator")
     return factors
 
@@ -143,7 +145,10 @@ def normalized_character(
     (1 + X^gamma) for each positive odd root and a geometric series
     1/(1 - X^alpha) for each positive even root.  All coefficients of the
     result are nonnegative integers (they count weight multiplicities).
+    A negative bound raises :class:`TruncationTooSmall`.
     """
+    if bound < 0:
+        raise TruncationTooSmall(f"character bound must be >= 0, got {bound}")
     result = numerator(datum, lam).truncate_x(bound)
     for root in datum.positive_odd:
         mono = weight_monomial(root.coords)

@@ -22,7 +22,8 @@ the list it is in (simple roots carry a declared parity, checked against
 those lists) and its isotropy is read off the form.
 
 Vectors, the form and every derived weight are exact
-:class:`fractions.Fraction` tuples (``as_weight`` refuses floats).  Every
+:class:`fractions.Fraction` tuples (``as_weight`` refuses floats, and so
+does construction, in the Gram matrix and the root vectors).  Every
 pairing with a root is a sparse dot product over rows built once at
 construction, as (column, entry) pairs of their non-zero entries:
 
@@ -56,7 +57,10 @@ The integer data are plain ints, each computed once at construction:
 * the diagram, read off that Cartan matrix: for non-isotropic a and b,
   (a, b) != 0 exactly when <a, b^vee> != 0, so ``adjacency()`` and
   ``components`` (the even simple roots) and ``generator_blocks`` (all
-  generators) are its non-zero pattern and its connected components.
+  generators) are its non-zero pattern and its connected components;
+* ``odd_reflections``, per generator g the index in ``positive_odd`` of each
+  s_g(gamma), None where that is no positive odd root: how the even Weyl
+  group moves the atypicality types of :mod:`superweyl.atypical`.
 
 The structure of a datum is fixed at construction, but three private caches on
 it fill lazily: ``_fundamental_cache`` (even fundamental weights),
@@ -112,6 +116,11 @@ def as_weight(entries: Iterable[Fraction | int | str]) -> Weight:
     except TypeError:
         raise WeightParseError(f"weight {entries!r} is not a sequence of rationals") from None
     return tuple(e if isinstance(e, Fraction) else _exact(e) for e in entries)
+
+
+def _exact_vector(v: Sequence) -> Sequence:
+    """v itself when its entries are ints and Fractions, else ``as_weight(v)``."""
+    return v if all(type(x) in (int, Fraction) for x in v) else as_weight(v)
 
 
 def zero_weight(dim: int) -> Weight:
@@ -315,6 +324,7 @@ class RootDatum:
     ):
         self.family = family
         self.label = label
+        gram = [_exact_vector(row) for row in gram]
         # one Fraction per distinct entry
         exact = {x: Fraction(x) for x in set(itertools.chain(*gram))}.__getitem__
         self.gram = tuple(tuple(map(exact, row)) for row in gram)
@@ -324,7 +334,8 @@ class RootDatum:
             basis_labels = tuple(f"x{i + 1}" for i in range(self.dim))
         self.basis_labels = tuple(basis_labels)
 
-        lists = ([v for v, _ in simple_roots], positive_even, positive_odd)
+        vectors = ([v for v, _ in simple_roots], positive_even, positive_odd)
+        lists = [list(map(_exact_vector, vs)) for vs in vectors]
         self._validate_shapes(*lists)
         scale = self._scale = _common_denominator(itertools.chain(*itertools.chain(*lists)))
         gram_scale = _common_denominator(itertools.chain(*self.gram))
@@ -361,9 +372,6 @@ class RootDatum:
         # on their simple-root coordinates.
         _Solver([g.coords for g in self.generators], "even generators")
 
-        self._odd_index: dict[Weight, int] = {
-            r.vector: i for i, r in enumerate(self.positive_odd)
-        }
         self._fundamental_cache: dict[int, Weight] = {}
         self._group_cache: dict[object, object] = {}
         self._match_key_cache: dict[Weight, tuple] = {}
@@ -393,6 +401,7 @@ class RootDatum:
         self.generator_cartan: tuple[tuple[int, ...], ...] = self._generator_cartan(
             gen_iv, gen_rows, gen_norms
         )
+        self.odd_reflections = self._odd_reflections(odd_iv, gen_rows, gen_norms)
         # Connected components of the Cartan matrix, as gids: the even Weyl
         # group is the direct product of their subgroups, so the numerator
         # is the product of one orbit sum per block.  G(3) and F(4) have two
@@ -500,6 +509,22 @@ class RootDatum:
                 row.append(c)
             rows.append(tuple(row))
         return tuple(rows)
+
+    def _odd_reflections(self, odd_iv, gen_rows, gen_norms) -> tuple[tuple[int | None, ...], ...]:
+        """Row g: per gamma, s_g(gamma) = gamma - <gamma, g^vee> g looked up by coordinates."""
+        index = {r.coords: i for i, r in enumerate(self.positive_odd)}
+        table = []
+        for g, row, norm in zip(self.generators, gen_rows, gen_norms):
+            images = []
+            for i, (r, iv) in enumerate(zip(self.positive_odd, odd_iv)):
+                c, rem = divmod(2 * _dot(row, iv), norm)
+                if rem:
+                    i = None
+                elif c:
+                    i = index.get(tuple(a - c * b for a, b in zip(r.coords, g.coords)))
+                images.append(i)
+            table.append(tuple(images))
+        return tuple(table)
 
     def _validate(self, simple_iv, gen_iv, two_rho) -> None:
         even_set = {r.coords for r in self.positive_even}

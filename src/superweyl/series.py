@@ -447,7 +447,8 @@ def weight_monomial(coeffs: Iterable[Fraction]) -> Mono:
     """X monomial from simple-root coordinates.
 
     Coordinates must be non-negative integers: these monomials track drops
-    from a highest weight, which live in the positive root cone.
+    from a highest weight, which live in the positive root cone.  The pairs
+    come out sorted, one per variable, zeros skipped: already normal.
     """
     pairs = []
     for i, c in enumerate(coeffs):
@@ -462,4 +463,4 @@ def weight_monomial(coeffs: Iterable[Fraction]) -> Mono:
                 f"exponent {c} on variable {i} is negative"
             )
         pairs.append((i, int(c)))
-    return mono_from_pairs(pairs)
+    return tuple(pairs)

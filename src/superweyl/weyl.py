@@ -174,7 +174,8 @@ def orbit_drops(group: WeylGroup, labels: Sequence[Fraction]) -> list[tuple]:
     scaled by D and the drops come back as Fractions, which
     :func:`~superweyl.series.weight_monomial` checks; otherwise they are
     ints.  As w runs over the group so does w^-1, with the same sign, so
-    the list indexes an orbit sum by the group's elements.
+    the list indexes an orbit sum by the group's elements; that sum is
+    :func:`superweyl.numerator._orbit_sum`, typical and atypical alike.
     """
     datum = group.datum
     labels = [labels[g] for g in group.gids]

@@ -26,6 +26,7 @@ from superweyl.atypical import (
 from superweyl.errors import (
     IndexNotInterior,
     IndexOutOfRange,
+    InternalInvariant,
     MixedAtypicalityTypes,
     NotDominant,
     NotSinglyAtypical,
@@ -333,7 +334,7 @@ class TestCoefficientAgreement:
     )
     def test_sl53_oracle_matches_closed_form_and_enumeration(self, idx, movers, tag):
         ctx = oracle_case_context(lambda: build_sl(5, 3), idx, False)
-        assert len(_movers(ctx.datum, ctx.gamma)) == movers
+        assert len(_movers(ctx.datum, ctx.gamma_index)) == movers
         oracle = coefficient_oracle(ctx)
         closed = closed_form_coefficient(ctx)
         assert closed.tag == tag
@@ -429,7 +430,7 @@ class TestInteriorSum:
         # the decomposition into counted families is the unique one
         ctx = self.ctx
         datum = self.datum
-        movers = _movers(ctx.datum, ctx.gamma)
+        movers = _movers(ctx.datum, ctx.gamma_index)
         comp_one = set(datum.components[0])
         alphas = sorted(p for p in movers if p in comp_one)
         betas = sorted(p for p in movers if p not in comp_one)
@@ -459,7 +460,7 @@ def reference_enumeration(ctx):
     """The partition sum with one series product per ordered partition."""
     graph = graph_of_datum(ctx.datum)
     total = len(graph)
-    movers = _movers(ctx.datum, ctx.gamma)
+    movers = _movers(ctx.datum, ctx.gamma_index)
     t = ctx.z_truncation
     acc = ZSeries.zero(t)
     for k in range(1, total + 1):
@@ -473,7 +474,7 @@ def reference_r_counts(ctx):
     """A-sum counts r2, r3, r4 from one pattern of each shape, per partition."""
     datum = ctx.datum
     graph = graph_of_datum(datum)
-    movers = _movers(ctx.datum, ctx.gamma)
+    movers = _movers(ctx.datum, ctx.gamma_index)
     a = sorted(p for p in movers if p in datum.components[0])
     b = sorted(p for p in movers if p not in datum.components[0])
     patterns = [
@@ -696,3 +697,11 @@ def test_transport_is_the_vector_reflection(builder):
             summed = vsub(vadd(reflect(g, delta.vector), reflect(h, delta.vector)), delta.vector)
             for order in ((g.gid, h.gid), (h.gid, g.gid)):
                 assert datum.positive_odd[_transport(datum, idx, order)].vector == summed
+
+
+@pytest.mark.parametrize("builder", [build_g3, build_f4], ids=["G(3)", "F(4)"])
+def test_transport_refuses_to_leave_the_positive_odd_roots(builder):
+    datum = builder()
+    extra = next(g.gid for g in datum.generators if g.pi_index is None)
+    with pytest.raises(InternalInvariant):
+        _transport(datum, 0, (extra,))

@@ -14,9 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from superweyl.errors import WeightParseError
+from superweyl.errors import SuperweylError, WeightParseError
 from superweyl.numerator import numerator
-from superweyl.rootdata import as_weight, build_sl
+from superweyl.rootdata import RootDatum, as_weight, build_sl
 from superweyl.unifac import verify_tensor_isomorphism
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -189,3 +189,28 @@ def test_as_weight_keeps_exact_entries_and_converts_ints_and_strings():
     assert all(type(e) is Fraction for e in as_weight([1, "3/2"]))
     with pytest.raises(WeightParseError):
         as_weight(None)
+
+
+# A2 in the plane x + y + z = 0 of R^3, as plain ints.
+A2_GRAM = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+A2_SIMPLE = [((1, -1, 0), False), ((0, 1, -1), False)]
+A2_EVEN = [(1, -1, 0), (0, 1, -1), (1, 0, -1)]
+
+
+def test_datum_refuses_a_float_root_entry():
+    RootDatum("custom", "A2", A2_GRAM, A2_SIMPLE, A2_EVEN, [])
+    simple = [((1.0, -1.0, 0.0), False), A2_SIMPLE[1]]
+    with pytest.raises(WeightParseError):
+        RootDatum("custom", "A2", A2_GRAM, simple, A2_EVEN, [])
+    with pytest.raises(SuperweylError):
+        RootDatum("custom", "A2", A2_GRAM, A2_SIMPLE, A2_EVEN[:2] + [(1.0, 0, -1)], [])
+
+
+def test_datum_refuses_a_float_gram_entry():
+    gram = [[0.1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    with pytest.raises(WeightParseError):
+        RootDatum("custom", "A2", gram, A2_SIMPLE, A2_EVEN, [])
+    # a float equal to an int entry is refused too, not matched to that int
+    gram = [[1.0, 0, 0], [0, 1, 0], [0, 0, 1]]
+    with pytest.raises(WeightParseError):
+        RootDatum("custom", "A2", gram, A2_SIMPLE, A2_EVEN, [])

@@ -12,6 +12,7 @@ from superweyl.errors import (
     SuperweylError,
     NotDominant,
     NotTypical,
+    TruncationTooSmall,
     UnsupportedCase,
 )
 from superweyl.numerator import (
@@ -285,6 +286,13 @@ class TestNormalizedCharacter:
         d = build_sl(2, 1)
         with pytest.raises(NotTypical):
             normalized_character(d, as_weight([0, 0, 0]), bound=3)
+
+    def test_negative_bound_rejected(self):
+        d = build_sl(2, 1)
+        lam = vadd(d.fundamental_weight(1), d.tau)
+        assert normalized_character(d, lam, bound=0) == Poly.one()
+        with pytest.raises(TruncationTooSmall):
+            normalized_character(d, lam, bound=-1)
 
 
 # -- against the reflection-matrix reference ---------------------------------

@@ -29,6 +29,7 @@ from superweyl.rootdata import (
     datum_from_text,
     vadd,
     vscale,
+    vsub,
     zero_weight,
 )
 from form_reference import dense_atypicality, dense_inner
@@ -943,6 +944,38 @@ def test_golden_covers_every_builder():
 def test_datum_equals_the_golden_dump(name):
     dump = json.loads(json.dumps(datum_dump(_GOLDEN_BUILDERS[name]())))
     assert dump == _DATUM_GOLDEN[name]
+
+
+# -- the odd-root reflection table -------------------------------------------------
+
+ODD_REFLECTION_DATA = {
+    **_GOLDEN_BUILDERS,
+    "SL21B file": lambda: datum_from_text(SL21_SIMPLE_BASIS_TEXT),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ODD_REFLECTION_DATA))
+def test_odd_reflections_are_the_vector_reflection(name):
+    """Every generator, extras included, sends each positive odd root to the index
+    of its reflected vector, and to None exactly where that is no positive odd root."""
+    d = ODD_REFLECTION_DATA[name]()
+    odd = [r.vector for r in d.positive_odd]
+    assert len(d.odd_reflections) == len(d.generators)
+    for g, images in zip(d.generators, d.odd_reflections):
+        expected = []
+        for v in odd:
+            image = vsub(v, vscale(pairing(d, v, g.vector), g.vector))
+            expected.append(odd.index(image) if image in odd else None)
+        assert list(images) == expected
+
+
+@pytest.mark.parametrize(
+    "builder", [lambda: build_b0(3), build_g3, build_f4], ids=["B(0,3)", "G(3)", "F(4)"]
+)
+def test_only_the_extra_generator_leaves_the_positive_odd_roots(builder):
+    d = builder()
+    for g, images in zip(d.generators, d.odd_reflections):
+        assert (None in images) == (g.pi_index is None)
 
 
 # -- the same datums over a rescaled ambient basis --------------------------------

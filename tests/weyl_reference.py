@@ -10,7 +10,7 @@ so it refuses groups above ``MAX_ORDER`` elements.
 
 from fractions import Fraction
 
-from superweyl.atypical import _positive_odd_index, _prefactor
+from superweyl.atypical import _prefactor
 from superweyl.errors import NotDominant
 from superweyl.numerator import _check_weight
 from superweyl.rootdata import as_weight, vadd, vsub
@@ -124,8 +124,9 @@ def atypical_numerator(ctx):
     eta = vadd(ctx.lam, datum.rho)
     pi0 = [g.gid for g in datum.generators if g.pi_index is not None]
     terms = {}
+    odd = [r.vector for r in datum.positive_odd]
     for word, m in reference_group(datum, pi0):
-        idx = _positive_odd_index(datum, act(m, ctx.gamma.vector))
+        idx = odd.index(act(m, ctx.gamma.vector))
         mono = weight_monomial(datum.expand_simple(vsub(eta, act(m, eta))))
         coeff = _prefactor(ctx, idx).scale(sign(word))
         terms[mono] = terms[mono] + coeff if mono in terms else coeff
