@@ -29,7 +29,9 @@ the weighted sum of products of block factors:
 - A-sum (sl(m+1, n+1), interior type): the seven splits of the four
   movers, each weighing sum over k of (-1)^(|Pi_0| + k) / k * r_shape(k);
 - enumeration (every type, the fallback): each grouping weighs its signed
-  (k, grouping) tally, the partitions being walked once.
+  (k, grouping) tally, counted by a subset dynamic program; the reference
+  route :func:`enumeration_coefficient` reaches the same tally by walking
+  the ordered partitions themselves.
 
 Products of the numerators are compared factor by factor to test unique
 factorization of tensor products of singly atypical modules of one common
@@ -58,6 +60,7 @@ from .errors import (
 from .numerator import _orbit_sum, x_lambda, x_signature
 from .partitions import SimpleGraph, graph_of_datum, iter_ordered_partitions
 from .partitions import k_partition_counts, tree_graph_gpq
+from .partitions import _check_size, _independent_blocks, _neighbour_masks
 from .rootdata import (
     Dominance,
     Root,
@@ -362,31 +365,69 @@ def _grouping_counts(graph: SimpleGraph, members: frozenset) -> Counter:
 
     A partition's grouping is the frozenset of its nonempty block cuts by
     ``members``; the partition sums below see a partition only through k
-    and its grouping.  This is the one walk over ordered partitions: its
-    orderings are merged by block set, then each block set is cut once.
+    and its grouping.  This is the subset dynamic program of
+    :func:`k_partition_counts` with the grouping carried along:
+    ``table[mask]`` counts the unordered partitions of ``mask`` by k and
+    by their cuts (as bit masks), and each step strips the independent
+    block that holds the lowest vertex.  Only the masks that stripping
+    reaches from the whole graph are tabulated.  An unordered k-partition
+    has k! orderings.
     """
-    tally: Counter = Counter()
-    for k in range(1, len(graph) + 1):
-        for blocks, count in Counter(map(frozenset, iter_ordered_partitions(graph, k))).items():
-            tally[k, frozenset(map(members.intersection, blocks)) - {frozenset()}] += count
-    return tally
+    _check_size(graph)
+    verts = graph.vertices
+    if not verts:
+        return Counter()
+    nbr = _neighbour_masks(graph)
+    member_bits = sum(1 << i for i, v in enumerate(verts) if v in members)
+    table: dict[int, Counter] = {0: Counter({(0, frozenset()): 1})}
+
+    def tally(mask: int) -> Counter:
+        if mask not in table:
+            row: Counter = Counter()
+            for block in _independent_blocks(nbr, mask, (mask & -mask).bit_length() - 1):
+                cut = frozenset({block & member_bits} - {0})
+                for (k, cuts), count in tally(mask ^ block).items():
+                    row[k + 1, cuts | cut if cut else cuts] += count
+            table[mask] = row
+        return table[mask]
+
+    def group(cut: int) -> frozenset:
+        return frozenset(v for i, v in enumerate(verts) if cut >> i & 1)
+
+    return Counter({
+        (k, frozenset(map(group, cuts))): count * math.factorial(k)
+        for (k, cuts), count in tally((1 << len(verts)) - 1).items()
+    })
+
+
+def _tally_sum(ctx: AtypicalContext, total: int, tally: Counter) -> CoefficientValue:
+    """Each grouping of the movers weighs its signed (k, grouping) tally over ``total`` vertices."""
+    weights: dict[frozenset, Fraction] = {}
+    for (k, grouping), count in tally.items():
+        weights[grouping] = weights.get(grouping, 0) + _partition_sign(total, k) * count
+    return CoefficientValue(value=_weighted_blocks(ctx, weights), tag="enumeration")
 
 
 def enumeration_coefficient(ctx: AtypicalContext) -> CoefficientValue:
-    """Coefficient of X^lambda by summing over all ordered graph partitions.
+    """Coefficient of X^lambda by walking every ordered graph partition.
 
     Every ordered k-partition of the Pi_0 graph contributes
     (-1)^(|Pi_0| + k) / k times the product of its block factors; blocks
     that fix gamma contribute exactly 1.  So each grouping of the movers
-    weighs its signed (k, grouping) tally from :func:`_grouping_counts`.
-    Works for every covered family and type, interior or boundary, and
-    serves as the fallback closed form.
+    weighs its signed (k, grouping) tally.  This is the reference route
+    the closed forms are checked against, and the only caller in the
+    library of :func:`iter_ordered_partitions`: it lists the partitions
+    themselves, merges their orderings by block set and cuts each block
+    set once, where :func:`_grouping_counts` counts them.  Works for every
+    covered family and type, interior or boundary.
     """
     graph = graph_of_datum(ctx.datum)
-    weights: dict[frozenset, Fraction] = {}
-    for (k, grouping), count in _grouping_counts(graph, _movers(ctx.datum, ctx.gamma_index)).items():
-        weights[grouping] = weights.get(grouping, 0) + _partition_sign(len(graph), k) * count
-    return CoefficientValue(value=_weighted_blocks(ctx, weights), tag="enumeration")
+    movers = _movers(ctx.datum, ctx.gamma_index)
+    tally: Counter = Counter()
+    for k in range(1, len(graph) + 1):
+        for blocks, count in Counter(map(frozenset, iter_ordered_partitions(graph, k))).items():
+            tally[k, frozenset(map(movers.intersection, blocks)) - {frozenset()}] += count
+    return _tally_sum(ctx, len(graph), tally)
 
 
 def _a_sum(ctx: AtypicalContext) -> CoefficientValue:
@@ -457,8 +498,10 @@ def closed_form_coefficient(ctx: AtypicalContext) -> CoefficientValue:
     One-sided special linear and osp(2, 2n) take the moving-reflection
     ratio; G(3) and F(4) take the two-term form; the two-chain special
     linear family takes the interior alternating sum when all four
-    neighboring generators exist and falls back to direct enumeration on
-    boundary types.
+    neighboring generators exist, and on boundary types the partition sum
+    over the counted (k, grouping) tally.  That boundary value keeps the
+    tag "enumeration": the tag names the formula, the sum over all ordered
+    partitions, not the route, which counts them without listing any.
     """
     datum = ctx.datum
     if datum.family == "osp":
@@ -468,9 +511,11 @@ def closed_form_coefficient(ctx: AtypicalContext) -> CoefficientValue:
     if datum.family == "sl":
         if len(datum.components) == 1:
             return _k_ratio(ctx)
-        if len(_movers(datum, ctx.gamma_index)) == 4:
+        movers = _movers(datum, ctx.gamma_index)
+        if len(movers) == 4:
             return _a_sum(ctx)
-        return enumeration_coefficient(ctx)
+        graph = graph_of_datum(datum)
+        return _tally_sum(ctx, len(graph), _grouping_counts(graph, movers))
     raise WrongFamily(
         f"no closed form for family {datum.family!r}"
     )

@@ -16,10 +16,11 @@ used by the closed-form coefficient formulas for two-block atypicality
 patterns.
 
 Counting and enumeration rest on one step over vertex bit masks: strip
-the independent block that holds the lowest remaining vertex.  The counts
-run it as a subset dynamic program; the enumeration recurses with it to
-list each unordered partition once, then emits its k! orderings.  The
-diagram's edges, here and in the fused graph, come from
+the independent block that holds the lowest remaining vertex.  The same
+step runs as a subset dynamic program both for the counts here and for
+the (k, grouping) tallies of the atypical partition sums; the enumeration
+recurses with it to list each unordered partition once, then emits its k!
+orderings.  The diagram's edges, here and in the fused graph, come from
 :meth:`RootDatum.adjacency`.
 """
 

@@ -1,11 +1,12 @@
 """Golden root data and CLI transcripts, and the script that records them.
 
-The goldens pin what a rewrite of ``RootDatum`` construction or of the
-argument parser must keep byte for byte: every public field of 41 built-in
-datums, the private pairing rows built from them, and the stdout, stderr and
-exit code of every ``--help`` and of the usage errors.  argparse formats help
-differently across Python minor versions, so the CLI transcripts are kept
-per version.
+The goldens pin what a rewrite of ``RootDatum`` construction, of the
+argument parser or of the partition sums must keep byte for byte: every
+public field of 41 built-in datums, the private pairing rows built from
+them, the stdout, stderr and exit code of every ``--help`` and of the usage
+errors, and ``atypical-coeff --closed`` on every isotropic type of sl(4,3),
+sl(5,3) and sl(5,4).  argparse formats help differently across Python minor
+versions, so the help and usage transcripts are kept per version.
 
 Record them from a known-good tree with::
 
@@ -20,11 +21,12 @@ import json
 import sys
 from pathlib import Path
 
-from superweyl.cli import main
+from superweyl.cli import format_weight_expr, main
 from superweyl.rootdata import build_b0, build_f4, build_g3, build_osp2, build_sl, vadd, vscale
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 DATUM_GOLDEN = GOLDEN_DIR / "rootdata.json"
+CLOSED_GOLDEN = GOLDEN_DIR / "atypical_closed.json"
 
 
 def cli_golden_path(version=sys.version_info):
@@ -144,6 +146,27 @@ def cli_transcript(argv):
     return {"stdout": out.getvalue(), "stderr": err.getvalue(), "code": code}
 
 
+def closed_coeff_cases():
+    """``atypical-coeff --closed`` on each isotropic type of sl(4,3), sl(5,3) and sl(5,4).
+
+    Each weight is the smallest singly atypical one of its type
+    (``test_atypical.atypical_weight``), written in the weight grammar.
+    """
+    from test_atypical import atypical_weight
+
+    cases = {}
+    for m, n in ((4, 3), (5, 3), (5, 4)):
+        datum = build_sl(m, n)
+        for idx, root in enumerate(datum.positive_odd):
+            if root.isotropic:
+                weight = format_weight_expr(datum, atypical_weight(datum, idx))
+                cases[f"sl({m},{n}) type {idx}"] = [
+                    "atypical-coeff", "--family", "sl", "--m", str(m), "--n", str(n),
+                    "--weight", weight, "--closed",
+                ]
+    return cases
+
+
 def _write(path, data):
     GOLDEN_DIR.mkdir(exist_ok=True)
     lines = [f"{json.dumps(k)}: {json.dumps(v, separators=(',', ':'))}" for k, v in data.items()]
@@ -156,3 +179,4 @@ if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
     _write(DATUM_GOLDEN, {name: datum_dump(build()) for name, build in golden_builders().items()})
     _write(cli_golden_path(), {name: cli_transcript(argv) for name, argv in CLI_CASES.items()})
+    _write(CLOSED_GOLDEN, {name: cli_transcript(argv) for name, argv in closed_coeff_cases().items()})

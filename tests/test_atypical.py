@@ -214,6 +214,12 @@ class TestNumeratorShape:
         assert got == expected
 
 
+@pytest.fixture(scope="module")
+def sl65():
+    """One sl(6,5) datum for the module, so its 86400-element group is generated once."""
+    return build_sl(6, 5)
+
+
 ORACLE_CASES = [
     ("sl21-t0", lambda: build_sl(2, 1), 0, False, "K-ratio"),
     ("sl21-t1", lambda: build_sl(2, 1), 1, False, "K-ratio"),
@@ -341,6 +347,18 @@ class TestCoefficientAgreement:
         assert oracle.value == closed.value
         assert oracle.value == enumeration_coefficient(ctx).value
 
+    @pytest.mark.parametrize(
+        "idx,movers,tag",
+        [(0, 2, "enumeration"), (1, 3, "enumeration"), (6, 4, "A-sum")],
+        ids=["corner", "edge", "interior"],
+    )
+    def test_sl65_oracle_matches_closed_form(self, sl65, idx, movers, tag):
+        ctx = oracle_case_context(lambda: sl65, idx, False)
+        assert len(_movers(ctx.datum, ctx.gamma_index)) == movers
+        closed = closed_form_coefficient(ctx)
+        assert closed.tag == tag
+        assert coefficient_oracle(ctx).value == closed.value
+
     def test_rank_one_sign_is_positive(self):
         # single even reflection: the coefficient is the plain ratio with
         # leading term +1, for both the oracle and the closed form
@@ -418,6 +436,13 @@ class TestInteriorSum:
     @pytest.mark.parametrize("p,q", [(2, 2), (3, 2)])
     def test_leading_pattern_coefficient_is_one(self, p, q):
         assert coefficient_f1(self.datum, p, q) == 1
+
+    def test_leading_pattern_coefficient_is_one_on_sl65(self):
+        datum = build_sl(6, 5)
+        m, n = (len(c) for c in datum.components)
+        interior = [(p, q) for p in range(2, m + 1) for q in range(2, n + 1)]
+        assert len(interior) == 12
+        assert all(coefficient_f1(datum, p, q) == 1 for p, q in interior)
 
     def test_interior_indices_are_validated(self):
         with pytest.raises(IndexNotInterior):
@@ -557,6 +582,47 @@ def test_grouping_counts_match_brute_force(case):
     for (k, _), count in tally.items():
         per_k[k - 1] += count
     assert tuple(per_k) == k_partition_counts(graph).counts
+
+
+def walked_grouping_counts(graph, members):
+    """The (k, grouping) tally by the walk: orderings merged by block set, each set cut once."""
+    tally = Counter()
+    for k in range(1, len(graph) + 1):
+        for blocks, count in Counter(map(frozenset, iter_ordered_partitions(graph, k))).items():
+            tally[k, frozenset(map(members.intersection, blocks)) - {frozenset()}] += count
+    return tally
+
+
+@pytest.mark.parametrize("m,n", [(5, 4), (6, 4)])
+def test_grouping_counts_equal_the_walked_tally(m, n):
+    datum = build_sl(m, n)
+    graph = graph_of_datum(datum)
+    interior = next(
+        i for i, r in enumerate(datum.positive_odd)
+        if r.isotropic and len(_movers(datum, i)) == 4
+    )
+    # the two generator pairs that coefficient_f1 keeps together at (3, 2)
+    alphas, betas = datum.components
+    pairs = frozenset({alphas[1], betas[0], alphas[2], betas[1]})
+    for members in (_movers(datum, interior), pairs):
+        assert _grouping_counts(graph, members) == walked_grouping_counts(graph, members)
+
+
+def test_closed_forms_and_f1_do_not_walk_partitions(monkeypatch):
+    import superweyl.atypical as atypical
+
+    def walk(graph, k):
+        raise AssertionError("ordered partitions were walked")
+
+    datum = build_sl(4, 3)
+    contexts = [atypical_context(datum, atypical_weight(datum, idx)) for idx in (0, 1, 4)]
+    monkeypatch.setattr(atypical, "iter_ordered_partitions", walk)
+    tags = [closed_form_coefficient(ctx).tag for ctx in contexts]
+    assert tags == ["enumeration", "enumeration", "A-sum"]
+    assert coefficient_f1(datum, 2, 2) == 1
+    # the reference route still walks, so the stand-in is the one called
+    with pytest.raises(AssertionError, match="walked"):
+        enumeration_coefficient(contexts[0])
 
 
 class TestMatching:

@@ -27,7 +27,7 @@ from superweyl.cli import (
 from superweyl.errors import UnknownSymbol, WeightParseError
 from superweyl.rootdata import vadd, vscale, zero_weight
 
-from golden import CLI_CASES, cli_golden_path, cli_transcript
+from golden import CLI_CASES, CLOSED_GOLDEN, cli_golden_path, cli_transcript, closed_coeff_cases
 from test_rootdata import A3_TEXT, NON_INTEGRAL_CARTAN_TEXT, datum_file_text
 
 
@@ -630,6 +630,15 @@ def test_help_and_usage_bytes_equal_the_recorded_transcript(case, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     golden = json.loads(_CLI_GOLDEN.read_text(encoding="utf-8"))
     assert cli_transcript(CLI_CASES[case]) == golden[case]
+
+
+_CLOSED_CASES = closed_coeff_cases()
+
+
+@pytest.mark.parametrize("case", sorted(_CLOSED_CASES))
+def test_closed_form_bytes_equal_the_recorded_transcript(case):
+    golden = json.loads(CLOSED_GOLDEN.read_text(encoding="utf-8"))
+    assert cli_transcript(_CLOSED_CASES[case]) == golden[case]
 
 
 ARGV_TOKENS = (
