@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .errors import (NonIntegralExponent, NotDominant, NotTypical, TruncationTooSmall,
                      UnsupportedCase, invariant)
-from .rootdata import Dominance, RootDatum, Weight, as_weight, vadd
+from .rootdata import RootDatum, Weight, as_weight
 from .series import Mono, Poly, mono_degree, mono_from_pairs, mono_pow, weight_monomial
 from .weyl import WeylGroup, component_group, full_group, orbit_drops
 
@@ -32,14 +32,24 @@ def dominant_labels(datum: RootDatum, lam: Weight) -> tuple:
 
     These are the labels every orbit sum of the numerator reads: the full
     sum all of them, a component or block factor those at its generators.
+    See :func:`_dominant_walk`; the walk runs on integer numerators.
+    """
+    shifted, den = datum._shifted_labels(as_weight(lam))
+    return tuple(Fraction(a, den) for a in _dominant_walk(datum, shifted))
+
+
+def _dominant_walk(datum: RootDatum, labels: list[int]) -> list[int]:
+    """The dominant representative's label numerators, from eta's over the same denominator.
+
     Walks toward the dominant chamber on the labels alone, reflecting at
     the first negative label until none is left; the walk is finite because
-    the group is.  Such an element exists exactly when eta is regular for
-    the even root system, so a zero label (a chamber wall) is rejected.
+    the group is.  A reflection subtracts an integer multiple of a Cartan
+    row, so the numerators stay over one denominator.  Such an element
+    exists exactly when eta is regular for the even root system, so a zero
+    label (a chamber wall) is rejected.
     """
-    labels = datum.labels(vadd(as_weight(lam), datum.rho))
     while True:
-        if any(a == 0 for a in labels):
+        if 0 in labels:
             raise NotDominant(
                 "shifted weight lies on a wall of the even Weyl chambers"
             )
@@ -47,18 +57,32 @@ def dominant_labels(datum: RootDatum, lam: Weight) -> tuple:
         if k is None:
             return labels
         c = labels[k]
-        labels = tuple(a - c * r for a, r in zip(labels, datum.generator_cartan[k]))
+        labels = [a - c * r for a, r in zip(labels, datum.generator_cartan[k])]
 
 
 def _check_weight(datum: RootDatum, lam: Weight) -> Weight:
     lam = as_weight(lam)
-    if not datum.is_typical(lam):
+    _checked_labels(datum, *datum._shifted(lam))
+    return lam
+
+
+def _checked_labels(datum: RootDatum, eta: list[int], d: int) -> tuple[list[int], int]:
+    """The typical and dominance checks of lam, with lam + rho = eta / d in integers.
+
+    Returns the labels of lam + rho as (numerators, denominator).  The Weyl
+    vector law (checked at construction) gives <rho, alpha^vee> = 1 at
+    every even simple root alpha, so lam passes the even dominance test of
+    :meth:`~superweyl.rootdata.RootDatum.is_dominant_integral` exactly when
+    each shifted label there is an integer of at least 1.
+    """
+    if not all(datum._isotropic_pairings(eta)):
         raise NotTypical(
             "weight pairs to zero with an isotropic odd root"
         )
-    if datum.is_dominant_integral(lam) is Dominance.NO:
+    shifted, den = datum._coroot_pairings(eta), d * datum._coroot_den
+    if any(a % den or a < den for a in shifted[: datum.even_simple_count]):
         raise NotDominant("weight fails the even dominance test")
-    return lam
+    return shifted, den
 
 
 def _orbit_sum(group: WeylGroup, labels: tuple, coeffs: Sequence | None = None,
@@ -113,19 +137,19 @@ def factor_numerator(datum: RootDatum, lam: Weight) -> list[Poly]:
 
 def x_signature(datum: RootDatum, lam: Weight) -> tuple[tuple[int, ...], ...]:
     """Pairings of lambda + rho against the even simple roots, by component."""
-    labels = datum.labels(vadd(as_weight(lam), datum.rho))
-    out: list[tuple[int, ...]] = []
+    return _signature(datum, *datum._shifted_labels(as_weight(lam)))
+
+
+def _signature(datum: RootDatum, shifted: list[int], den: int) -> tuple[tuple[int, ...], ...]:
+    """:func:`x_signature` from the shifted label numerators over ``den``."""
+    gid = datum.even_positions.index  # the even simple roots are gids 0..n-1
     for comp in datum.components:
-        sig: list[int] = []
         for pos in comp:
-            val = labels[datum.even_positions.index(pos)]
-            if val.denominator != 1:
+            if shifted[gid(pos)] % den:
                 raise NonIntegralExponent(
-                    f"pairing {val} at position {pos} is not an integer"
+                    f"pairing {Fraction(shifted[gid(pos)], den)} at position {pos} is not an integer"
                 )
-            sig.append(int(val))
-        out.append(tuple(sig))
-    return tuple(out)
+    return tuple(tuple(shifted[gid(pos)] // den for pos in comp) for comp in datum.components)
 
 
 def x_lambda(datum: RootDatum, lam: Weight) -> Mono:

@@ -24,16 +24,25 @@ those lists) and its isotropy is read off the form.
 Vectors, the form and every derived weight are exact
 :class:`fractions.Fraction` tuples (``as_weight`` refuses floats, and so
 does construction, in the Gram matrix and the root vectors).  Every
-pairing with a root is a sparse dot product over rows built once at
-construction, as (column, entry) pairs of their non-zero entries:
+pairing with a root is a dot product with rows built once at construction:
 
-* the Gram rows, through which ``inner`` sums over the non-zero entries of
-  its first vector (the Gram matrix need not be diagonal, as on G(3));
-* one coroot row per reflection generator, the only generator pairing:
-  ``labels(v)`` gives the <v, g^vee> in gid order;
-* one form row per isotropic positive odd root gamma, with the target
-  -(rho, gamma): ``atypicality`` keeps the gamma with (lam, gamma) equal
-  to its target, that is (lam + rho, gamma) = 0.
+* the Gram rows, as (column, entry) pairs of their non-zero entries,
+  through which ``inner`` sums over the non-zero entries of its first
+  vector (the Gram matrix need not be diagonal, as on G(3));
+* one dense integer coroot row per reflection generator, all over the one
+  denominator ``_coroot_den``, the only generator pairing: ``labels(v)``
+  gives the <v, g^vee> in gid order;
+* one dense integer form row per isotropic positive odd root gamma, over
+  the one denominator ``_form_den``: ``atypicality`` keeps the gamma with
+  (lam + rho, gamma) = 0.
+
+A weight meets those rows as its numerators over the lcm of its
+denominators (lam + rho over the lcm with rho's), so each pairing is an
+integer dot product over a known denominator.  ``labels``,
+``atypicality``, ``is_typical``, ``is_dominant_integral``,
+:func:`~superweyl.numerator.dominant_labels`,
+:func:`~superweyl.numerator.x_signature` and the factor keys of
+:mod:`superweyl.unifac` all work this way.
 
 Construction itself runs in integers.  The root vectors are scaled once by
 the common denominator of their entries (F(4) needs 2), and the Gram matrix
@@ -42,9 +51,10 @@ sum, a fixed positive multiple of the true pairing: zero tests, signs and
 ratios read the same.  One fraction-free solver (Bareiss elimination,
 ``_Solver``) over the scaled simple roots serves every linear solve: root
 coordinates, the independence of the even generators, ``expand_simple`` and
-the Cartan solve of ``fundamental_weight``.  The rows above and the public
+the Cartan solve of ``fundamental_weight``.  The coroot and isotropic rows
+are those integers over their denominators; the Gram rows and the public
 vectors (``Root.vector``, ``rho``, ``tau``, ``Generator.vector``) are exact
-``Fraction`` weights rebuilt from those integers.
+``Fraction`` weights rebuilt from them.
 
 The integer data are plain ints, each computed once at construction:
 
@@ -65,9 +75,9 @@ The integer data are plain ints, each computed once at construction:
 The structure of a datum is fixed at construction, but three private caches on
 it fill lazily: ``_fundamental_cache`` (even fundamental weights),
 ``_group_cache`` (Weyl groups per generator set, see
-:func:`superweyl.weyl.generate`) and ``_match_key_cache`` (per weight, its
-signature and the factor-matching key of each block, written once the
-weight's factor law has been checked; no factor polynomial is kept, see
+:func:`superweyl.weyl.generate`) and ``_key_table`` (the full factor keys,
+signature and block keys, whose factor law has been checked, one entry per
+distinct key rather than per weight; no factor polynomial is kept, see
 :mod:`superweyl.unifac`).  Nothing guards them against concurrent writers.
 """
 
@@ -76,6 +86,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -142,6 +153,19 @@ def vsub(u: Weight, v: Weight) -> Weight:
 def vscale(c: Fraction | int, v: Weight) -> Weight:
     c = Fraction(c)
     return tuple(c * a for a in v)
+
+
+def _over_lcm(v: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """(numerators, d) with v = numerators / d, d the lcm of the denominators of v.
+
+    Entries must be ints or Fractions; a float or a string raises
+    :class:`WeightParseError`, as in :func:`as_weight`.
+    """
+    try:
+        d = math.lcm(*[x.denominator for x in v])
+    except (AttributeError, TypeError):
+        raise WeightParseError(f"weight {v!r} has an entry that is not an exact rational") from None
+    return [x.numerator * (d // x.denominator) for x in v], d
 
 
 def _sparse(entries: Iterable[Fraction]) -> _Row:
@@ -308,8 +332,9 @@ class RootDatum:
     the true one, and zero tests and ratios read the same.  One
     fraction-free solver over the scaled simple roots gives each root's
     coordinates as integer dot products and one exact division.  The public
-    vectors (``Root.vector``, ``rho``, ``tau``, ``Generator.vector``) and the
-    pairing rows are exact ``Fraction`` weights rebuilt from those integers.
+    vectors (``Root.vector``, ``rho``, ``tau``, ``Generator.vector``) are
+    exact ``Fraction`` weights rebuilt from those integers; the coroot and
+    isotropic rows stay integers, each set over one denominator.
     """
 
     def __init__(
@@ -374,29 +399,28 @@ class RootDatum:
 
         self._fundamental_cache: dict[int, Weight] = {}
         self._group_cache: dict[object, object] = {}
-        self._match_key_cache: dict[Weight, tuple] = {}
+        self._key_table: set[tuple] = set()
 
         gen_iv = [_scaled(g.vector, scale) for g in self.generators]
         self._validate(simple_iv, gen_iv, two_rho)
 
-        # <v, g^vee> = 2 (v, g) / (g, g) is a sparse dot product of v with
-        # the coroot row of g: the integer form row Gram g over its pairing.
+        # <v, g^vee> = 2 (v, g) / (g, g) is a dot product of v with the
+        # coroot row of g: the integer form row Gram g times 2 scale over its
+        # pairing, all rows brought over one denominator.
         gen_rows = [self._int_form_row(iv) for iv in gen_iv]
         gen_norms = [_dot(row, iv) for row, iv in zip(gen_rows, gen_iv)]
-        self._coroot_rows = tuple(
-            tuple((j, Fraction(2 * scale * x, norm)) for j, x in row)
-            for row, norm in zip(gen_rows, gen_norms)
-        )
-        # (lam + rho, gamma) = 0 reads (lam, gamma) = -(rho, gamma): the form
-        # row of each isotropic positive odd root gamma, with that target.
-        form_scale = gram_scale * scale
-        isotropic = [(i, self._int_form_row(iv)) for i, (r, iv) in
-                     enumerate(zip(self.positive_odd, odd_iv)) if r.isotropic]
+        coroots = [[Fraction(2 * scale * x, norm) for x in _combine(iv, self._int_gram, self.dim)]
+                   for iv, norm in zip(gen_iv, gen_norms)]
+        self._coroot_den = _common_denominator(itertools.chain(*coroots))
+        self._coroot_rows = tuple(_scaled(row, self._coroot_den) for row in coroots)
+        # (v, gamma) of each isotropic positive odd root gamma: its integer
+        # form row over gram_scale * scale.
+        self._form_den = gram_scale * scale
         self._isotropic_rows = tuple(
-            (i, tuple((j, Fraction(x, form_scale)) for j, x in row),
-             Fraction(-_dot(row, two_rho), 2 * form_scale * scale))
-            for i, row in isotropic
+            (i, tuple(_combine(iv, self._int_gram, self.dim)))
+            for i, (r, iv) in enumerate(zip(self.positive_odd, odd_iv)) if r.isotropic
         )
+        self._rho_over = _over_lcm(self.rho)
         # Integer Cartan rows <g_k, g_i^vee> for the label walks of superweyl.weyl.
         self.generator_cartan: tuple[tuple[int, ...], ...] = self._generator_cartan(
             gen_iv, gen_rows, gen_norms
@@ -569,9 +593,38 @@ class RootDatum:
 
     def labels(self, v: Weight) -> tuple[Fraction, ...]:
         """The labels <v, g^vee> = 2 (v, g) / (g, g) of v, one per generator in gid order."""
+        nums, den = self._labels(v)
+        return tuple(Fraction(a, den) for a in nums)
+
+    def _labels(self, v: Weight) -> tuple[list[int], int]:
+        """(nums, den): the labels of v are nums[k] / den."""
         if len(v) != self.dim:
             raise DimensionMismatch(f"vector has length {len(v)}, expected {self.dim}")
-        return tuple(_dot(row, v) for row in self._coroot_rows)
+        nums, d = _over_lcm(v)
+        return self._coroot_pairings(nums), d * self._coroot_den
+
+    def _coroot_pairings(self, nums: Sequence[int]) -> list[int]:
+        """The labels of v = nums / d, as numerators over d * ``_coroot_den``."""
+        return [sum(map(operator.mul, row, nums)) for row in self._coroot_rows]
+
+    def _isotropic_pairings(self, nums: Sequence[int]) -> list[int]:
+        """(v, gamma) per isotropic row for v = nums / d, as numerators over d * ``_form_den``."""
+        return [sum(map(operator.mul, row, nums)) for _, row in self._isotropic_rows]
+
+    def _shifted(self, lam: Weight) -> tuple[list[int], int]:
+        """(eta, d) with lam + rho = eta / d, d the lcm of the denominators of lam and rho."""
+        if len(lam) != self.dim:
+            raise DimensionMismatch(f"weight has length {len(lam)}, expected {self.dim}")
+        nums, d = _over_lcm(lam)
+        rho, r = self._rho_over
+        both = math.lcm(d, r)
+        a, b = both // d, both // r
+        return [a * x + b * y for x, y in zip(nums, rho)], both
+
+    def _shifted_labels(self, lam: Weight) -> tuple[list[int], int]:
+        """(nums, den): the labels <lam + rho, g^vee> are nums[k] / den."""
+        eta, d = self._shifted(lam)
+        return self._coroot_pairings(eta), d * self._coroot_den
 
     # -- derived structure ------------------------------------------------
 
@@ -635,13 +688,13 @@ class RootDatum:
     def atypicality(self, lam: Weight) -> tuple[int, ...]:
         """Indices into ``positive_odd`` of the isotropic gamma with (lam + rho, gamma) = 0.
 
-        Each isotropic gamma keeps its form row and -(rho, gamma) from
-        construction, so the test is one sparse dot product per root:
-        (lam, gamma) = -(rho, gamma).
+        Each isotropic gamma keeps its integer form row from construction,
+        so the test is one integer dot product per root with the numerators
+        of lam + rho.
         """
-        if len(lam) != self.dim:
-            raise DimensionMismatch(f"weight has length {len(lam)}, expected {self.dim}")
-        return tuple(i for i, row, target in self._isotropic_rows if _dot(row, lam) == target)
+        eta, _ = self._shifted(lam)
+        pairings = self._isotropic_pairings(eta)
+        return tuple(i for (i, _), p in zip(self._isotropic_rows, pairings) if not p)
 
     def is_typical(self, lam: Weight) -> bool:
         """True when (lam + rho, gamma) != 0 for every isotropic gamma > 0."""
@@ -654,8 +707,9 @@ class RootDatum:
         ones (sl and osp(2, 2n) here) get a definite ``YES``; other families
         get ``NECESSARY_ONLY`` when the even conditions hold.
         """
-        for val in self.labels(lam)[: len(self.even_positions)]:
-            if val.denominator != 1 or val < 0:
+        nums, den = self._labels(lam)
+        for a in nums[: len(self.even_positions)]:
+            if a % den or a < 0:
                 return Dominance.NO
         return Dominance.YES if self.family in ("sl", "osp") else Dominance.NECESSARY_ONLY
 

@@ -23,18 +23,29 @@ generator, which ``tau`` and ``2*tau`` tell apart.  Nor are the labels
 alone: on B(0, n) a shifted weight with a negative label at the extra
 generator is reflected to another weight's dominant labels, and the two
 are kept apart by their signatures.
+
+Keys are computed in integers: the datum pairs the numerators of
+lam + rho with its integer coroot and isotropic rows, and the dominant
+labels are walked on those numerators.  The typical and dominance checks
+run on every weight, but the factor law (through :func:`factor_numerator`)
+is checked once per distinct full key (signature, block keys) and datum,
+in the datum's key table: past those checks ``factor_numerator`` builds its
+polynomials from the dominant labels alone, which the key holds, so a
+second weight with the same key would recompute identical polynomials.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import NoSecondComponent, invariant
-from .numerator import dominant_labels, factor_numerator, x_signature
-from .rootdata import ZERO, RootDatum, Weight, as_weight, vadd
+from .numerator import _checked_labels, _dominant_walk, _signature, factor_numerator
+from .rootdata import RootDatum, Weight, as_weight
 
 # Steps the search raises a quadruple's tau multiplier before skipping it.
 MAX_BUMP = 10
@@ -46,7 +57,7 @@ class Conclusion(Enum):
     PRODUCTS_UNEQUAL = "ProductsUnequal"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FactorMatch:
     """One matched factor: lhs weight i and rhs weight j agree on a component."""
 
@@ -56,7 +67,7 @@ class FactorMatch:
     signature: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchReport:
     r_equals_s: bool
     pairing: tuple[FactorMatch, ...]
@@ -76,32 +87,80 @@ def pair_by_key(lhs_keys: Sequence, rhs_keys: Sequence) -> list[tuple[int, int]]
     return pairs
 
 
-def _match_keys(datum: RootDatum, lam: Weight) -> tuple[tuple, tuple]:
-    """The signature of ``lam`` and the key of each of its block factors.
+def _factor_key(datum: RootDatum, lam: Weight, eta: list[int], d: int) -> tuple:
+    """The full key (signature, block keys) of ``lam``, with lam + rho = eta / d in integers.
 
-    Memoized on the datum, and written only after :func:`factor_numerator`
-    has checked the factor law for ``lam``, so that law is checked once per
-    weight.  The labels are read off the label map, not off a group.
+    The typical and dominance checks run here on every weight.  A block's
+    key is its part of the signature and its part of the dominant labels in
+    lowest terms, so equal keys mean equal values whatever ``d``.  The
+    factor law is checked once per distinct full key and datum (see the
+    module docstring).
     """
-    entry = datum._match_key_cache.get(lam)
-    if entry is None:
+    shifted, den = _checked_labels(datum, eta, d)
+    walked = _dominant_walk(datum, shifted)
+    simple = datum.even_simple_count  # the even simple roots are gids 0..n-1
+    blocks = []
+    for block in datum.generator_blocks:
+        part = [walked[g] for g in block]
+        common = math.gcd(den, *part)
+        blocks.append((
+            tuple(shifted[g] // den for g in block if g < simple),
+            tuple(a // common for a in part),
+            den // common,
+        ))
+    key = (_signature(datum, shifted, den), tuple(blocks))
+    if key not in datum._key_table:
         factor_numerator(datum, lam)
-        shifted = datum.labels(vadd(lam, datum.rho))
-        read = dominant_labels(datum, lam)
-        keys = tuple(
-            (
-                tuple(shifted[g] for g in block if datum.generators[g].pi_index is not None),
-                tuple(read[g] for g in block),
-            )
-            for block in datum.generator_blocks
-        )
-        entry = (x_signature(datum, lam), keys)
-        datum._match_key_cache[lam] = entry
-    return entry
+        datum._key_table.add(key)
+    return key
 
 
-def _weight_sum(weights: Sequence[Weight]) -> Weight:
-    return tuple(sum(column, ZERO) for column in zip(*weights))
+def _report(datum: RootDatum, lhs: Sequence[tuple], rhs: Sequence[tuple],
+            matches: dict) -> MatchReport:
+    """The report on two sides given as (full key, eta) per weight.
+
+    eta holds the numerators of the weight plus rho, over one denominator
+    common to both sides.  With as many weights on both sides, the sums and
+    the multisets of the weights agree exactly when those of the eta do.
+    Each :class:`FactorMatch` is taken from ``matches`` when an equal one
+    is there, so that many reports share them.
+    """
+    lhs_keys, lhs_vecs = [key for key, _ in lhs], [eta for _, eta in lhs]
+    rhs_keys, rhs_vecs = [key for key, _ in rhs], [eta for _, eta in rhs]
+    block_pairs = [
+        pair_by_key([keys[b] for _, keys in lhs_keys], [keys[b] for _, keys in rhs_keys])
+        for b in range(len(datum.generator_blocks))
+    ]
+    products_equal = len(lhs) == len(rhs) and all(len(p) == len(lhs) for p in block_pairs)
+
+    if len(datum.components) > 1:
+        # every generator is a simple root (factor_numerator checks it), so
+        # the blocks are the components
+        comp_pairs = block_pairs
+    else:
+        comp_pairs = [pair_by_key([keys for _, keys in lhs_keys], [keys for _, keys in rhs_keys])]
+    pairing: list[FactorMatch] = []
+    for k, pairs in enumerate(comp_pairs):
+        sigs = [sig[k] for sig, _ in lhs_keys]
+        pairs.sort(key=lambda pair: (sum(sigs[pair[0]]), sigs[pair[0]], pair[0]))
+        for i, j in pairs:
+            fields = (k + 1, i, j, sigs[i])
+            if fields not in matches:
+                matches[fields] = FactorMatch(*fields)
+            pairing.append(matches[fields])
+
+    if not products_equal or list(map(sum, zip(*lhs_vecs))) != list(map(sum, zip(*rhs_vecs))):
+        conclusion = Conclusion.PRODUCTS_UNEQUAL
+    elif sorted(lhs_vecs) == sorted(rhs_vecs):
+        conclusion = Conclusion.UNIQUE_FACTORIZATION
+    else:
+        conclusion = Conclusion.CROSS_MATCHED
+    return MatchReport(
+        r_equals_s=len(lhs) == len(rhs),
+        pairing=tuple(pairing),
+        sigma_hypothesis_holds=conclusion is Conclusion.UNIQUE_FACTORIZATION,
+        module_level_conclusion=conclusion,
+    )
 
 
 def verify_tensor_isomorphism(
@@ -124,48 +183,22 @@ def verify_tensor_isomorphism(
     unpaired rhs factor whose blocks all have equal keys, listed in peel
     order (degree of the lowest term, signature, lhs index).
 
-    What each call verifies: the factor law of each new weight (once per
-    weight and datum, through :func:`factor_numerator`), the keys, the
-    weight sums and the weight multisets.  No factor polynomial is compared.
+    What each call verifies: the typical and dominance checks of every
+    weight, the factor law (once per distinct full key and datum, through
+    :func:`factor_numerator`, as equal keys give identical factors), the
+    keys, the weight sums and the weight multisets.  No factor polynomial
+    is compared.  Past parsing, every step runs on integer numerators.
     """
-    lhs = [as_weight(w) for w in lhs]
-    rhs = [as_weight(w) for w in rhs]
-    lhs_entries = [_match_keys(datum, w) for w in lhs]
-    rhs_entries = [_match_keys(datum, w) for w in rhs]
-
-    block_pairs = [
-        pair_by_key([keys[b] for _, keys in lhs_entries], [keys[b] for _, keys in rhs_entries])
-        for b in range(len(datum.generator_blocks))
-    ]
-    products_equal = len(lhs) == len(rhs) and all(len(p) == len(lhs) for p in block_pairs)
-
-    if len(datum.components) > 1:
-        # every generator is a simple root (factor_numerator checks it), so
-        # the blocks are the components
-        comp_pairs = block_pairs
-    else:
-        comp_pairs = [pair_by_key([keys for _, keys in lhs_entries], [keys for _, keys in rhs_entries])]
-    pairing: list[FactorMatch] = []
-    for k, pairs in enumerate(comp_pairs):
-        sigs = [sig[k] for sig, _ in lhs_entries]
-        pairs.sort(key=lambda pair: (sum(sigs[pair[0]]), sigs[pair[0]], pair[0]))
-        pairing.extend(FactorMatch(k + 1, i, j, sigs[i]) for i, j in pairs)
-
-    if not products_equal or _weight_sum(lhs) != _weight_sum(rhs):
-        conclusion = Conclusion.PRODUCTS_UNEQUAL
-    elif sorted(lhs) == sorted(rhs):
-        conclusion = Conclusion.UNIQUE_FACTORIZATION
-    else:
-        conclusion = Conclusion.CROSS_MATCHED
-    return MatchReport(
-        r_equals_s=len(lhs) == len(rhs),
-        pairing=tuple(pairing),
-        sigma_hypothesis_holds=conclusion is Conclusion.UNIQUE_FACTORIZATION,
-        module_level_conclusion=conclusion,
-    )
+    keyed = []
+    for lam in [as_weight(w) for w in (*lhs, *rhs)]:
+        eta, d = datum._shifted(lam)
+        keyed.append((_factor_key(datum, lam, eta, d), eta, d))
+    common = math.lcm(*(d for _, _, d in keyed))
+    entries = [(key, tuple(x * (common // d) for x in eta)) for key, eta, d in keyed]
+    return _report(datum, entries[: len(lhs)], entries[len(lhs) :], {})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Counterexample:
     """A verified cross-matched pair of weight tuples."""
 
@@ -187,7 +220,10 @@ def iter_counterexamples(
     quadruple pairs (a, b), (a', b') against (a', b), (a, b').  The tau
     multiplier is raised by at most ``MAX_BUMP`` steps until all four
     weights are typical; quadruples that stay atypical are skipped.  Each
-    emitted hit has been re-verified as a cross-matched counterexample.
+    emitted hit has been verified as a cross-matched counterexample as
+    :func:`verify_tensor_isomorphism` would: every weight's checks and key
+    are derived afresh from its integer pairings, then the keys, sums and
+    multisets are compared.
 
     Only diagram-component parts are swapped, so a datum with one component
     raises ``NoSecondComponent``.  That does not mean no counterexample
@@ -201,41 +237,66 @@ def iter_counterexamples(
         raise NoSecondComponent(
             "counterexample search needs a second diagram component"
         )
-    size1, size2 = len(comps[0]), len(comps[1])
     rng = range(signature_bound + 1)
-    vectors1 = list(itertools.product(rng, repeat=size1))
-    vectors2 = list(itertools.product(rng, repeat=size2))
+    omegas = [datum.fundamental_weight(i) for i in range(1, datum.even_simple_count + 1)]
+    # Over one denominator, the numerators of a leg plus rho are an integer
+    # affine function of (coefficients, tau multiple), summed from the parts
+    # of the two components; so are its isotropic pairings and labels.  A
+    # search keeps per leg only whether it is typical and, once it is in a
+    # hit, its weight.
+    den = math.lcm(*(x.denominator for v in (*omegas, datum.tau, datum.rho) for x in v))
 
-    # coefficient tuples repeat across quadruples, so memoize per tuple
-    memo: dict[tuple, tuple[Weight, bool]] = {}
+    def over(v: Weight) -> list[int]:
+        return [x.numerator * (den // x.denominator) for x in v]
 
-    def leg(coeffs: tuple, mult: int) -> tuple[Weight, bool]:
-        key = (coeffs, mult)
-        if key not in memo:
-            w = datum.coefficient_weight(coeffs, mult)
-            memo[key] = (w, datum.is_typical(w))
-        return memo[key]
+    def parts(basis: list[list[int]]) -> list[list[int]]:
+        return [
+            [sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(datum.dim)]
+            for coeffs in itertools.product(rng, repeat=len(basis))
+        ]
 
-    for a, a2 in itertools.combinations(vectors1, 2):
-        for b, b2 in itertools.combinations(vectors2, 2):
-            for bump in range(MAX_BUMP + 1):
-                mult = tau_multiplier + bump
-                legs = [
-                    leg(a + b, mult),
-                    leg(a2 + b2, mult),
-                    leg(a2 + b, mult),
-                    leg(a + b2, mult),
-                ]
-                if not all(typical for _, typical in legs):
+    basis = [over(w) for w in omegas]
+    size1 = len(comps[0])
+    parts1, parts2 = parts(basis[:size1]), parts(basis[size1:])
+    tau, rho = over(datum.tau), over(datum.rho)
+
+    def eta(i: int, j: int, mult: int) -> list[int]:
+        """The numerators of parts1[i] + parts2[j] + mult tau, plus rho."""
+        return [a + b + mult * t + r for a, b, t, r in zip(parts1[i], parts2[j], tau, rho)]
+
+    typical: dict[tuple[int, int, int], bool] = {}
+    weights: dict[tuple[int, int, int], Weight] = {}
+
+    def is_typical(leg: tuple[int, int, int]) -> bool:
+        if leg not in typical:
+            typical[leg] = all(datum._isotropic_pairings(eta(*leg)))
+        return typical[leg]
+
+    def keyed(leg: tuple[int, int, int]) -> tuple[tuple, tuple[int, ...]]:
+        """(full key, eta) of a leg in a hit."""
+        nums = eta(*leg)
+        if leg not in weights:
+            weights[leg] = tuple(Fraction(x - r, den) for x, r in zip(nums, rho))
+        return _factor_key(datum, weights[leg], nums, den), tuple(nums)
+
+    matches: dict[tuple, FactorMatch] = {}
+    pairs2 = list(itertools.combinations(range(len(parts2)), 2))
+    for a, a2 in itertools.combinations(range(len(parts1)), 2):
+        for b, b2 in pairs2:
+            for mult in range(tau_multiplier, tau_multiplier + MAX_BUMP + 1):
+                quad = ((a, b, mult), (a2, b2, mult), (a2, b, mult), (a, b2, mult))
+                if not all(map(is_typical, quad)):
                     continue
-                quad = [w for w, _ in legs]
-                lhs, rhs = (quad[0], quad[1]), (quad[2], quad[3])
-                report = verify_tensor_isomorphism(datum, lhs, rhs)
+                entries = [keyed(leg) for leg in quad]
+                report = _report(datum, entries[:2], entries[2:], matches)
                 invariant(
                     report.module_level_conclusion is Conclusion.CROSS_MATCHED,
                     "search hit is not a cross-matched counterexample",
                 )
                 yield Counterexample(
-                    lhs=lhs, rhs=rhs, tau_multiplier=mult, report=report
+                    lhs=(weights[quad[0]], weights[quad[1]]),
+                    rhs=(weights[quad[2]], weights[quad[3]]),
+                    tau_multiplier=mult,
+                    report=report,
                 )
                 break

@@ -4,9 +4,11 @@ The goldens pin what a rewrite of ``RootDatum`` construction, of the
 argument parser or of the partition sums must keep byte for byte: every
 public field of 41 built-in datums, the private pairing rows built from
 them, the stdout, stderr and exit code of every ``--help`` and of the usage
-errors, and ``atypical-coeff --closed`` on every isotropic type of sl(4,3),
-sl(5,3) and sl(5,4).  argparse formats help differently across Python minor
-versions, so the help and usage transcripts are kept per version.
+errors, ``atypical-coeff --closed`` on every isotropic type of sl(4,3),
+sl(5,3) and sl(5,4), and the counterexample search streams of
+``SEARCH_CASES`` (a count and a sha256 of every rendered hit, in order).
+argparse formats help differently across Python minor versions, so the
+help and usage transcripts are kept per version.
 
 Record them from a known-good tree with::
 
@@ -16,17 +18,21 @@ Record them from a known-good tree with::
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from superweyl.cli import format_weight_expr, main
 from superweyl.rootdata import build_b0, build_f4, build_g3, build_osp2, build_sl, vadd, vscale
+from superweyl.unifac import iter_counterexamples
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 DATUM_GOLDEN = GOLDEN_DIR / "rootdata.json"
 CLOSED_GOLDEN = GOLDEN_DIR / "atypical_closed.json"
+SEARCH_GOLDEN = GOLDEN_DIR / "search_stream.json"
 
 
 def cli_golden_path(version=sys.version_info):
@@ -90,9 +96,52 @@ def datum_dump(d):
         "fundamental_weights": [_vec(w) for w in omegas],
         "expand_simple": [_vec(d.expand_simple(w)) for w in (d.rho, d.tau)],
         "probes": [[_vec(w), _vec(d.labels(w)), list(d.atypicality(w))] for w in probes],
-        "coroot_rows": [_row(row) for row in d._coroot_rows],
-        "isotropic_rows": [[i, _row(row), str(t)] for i, row, t in d._isotropic_rows],
+        "coroot_rows": [_row(_over(row, d._coroot_den)) for row in d._coroot_rows],
+        "isotropic_rows": [_isotropic_row(d, i, row) for i, row in d._isotropic_rows],
     }
+
+
+def _over(row, den):
+    """A dense integer row over its denominator, as the (column, entry) pairs
+    of its non-zero rational entries."""
+    return [(j, Fraction(x, den)) for j, x in enumerate(row) if x]
+
+
+def _isotropic_row(d, i, row):
+    """[index, rational form row, -(rho, gamma)] of the isotropic root gamma at index i."""
+    rational = _over(row, d._form_den)
+    return [i, _row(rational), str(-sum(x * d.rho[j] for j, x in rational))]
+
+
+# -- the counterexample search stream ---------------------------------------------
+
+# (p, q, signature bound, tau multiplier) of the recorded sl(p, q) searches
+SEARCH_CASES = {"sl(3,2) bound 5 tau 1": (3, 2, 5, 1), "sl(4,2) bound 2 tau 3": (4, 2, 2, 3)}
+
+
+def render_hit(hit):
+    """One search hit as text: tau multiplier, weights, pairing and conclusion."""
+    report = hit.report
+    pairing = " ".join(
+        f"{m.component}:{m.lhs_index}>{m.rhs_index}{list(m.signature)}" for m in report.pairing
+    )
+    return "|".join([
+        str(hit.tau_multiplier),
+        ";".join(",".join(_vec(w)) for w in hit.lhs),
+        ";".join(",".join(_vec(w)) for w in hit.rhs),
+        pairing,
+        report.module_level_conclusion.value,
+    ])
+
+
+def search_stream(p, q, bound, tau):
+    """{"hits": count, "sha256": digest of every rendered hit, in order} of one search."""
+    digest = hashlib.sha256()
+    count = 0
+    for hit in iter_counterexamples(build_sl(p, q), bound, tau):
+        digest.update(render_hit(hit).encode() + b"\n")
+        count += 1
+    return {"hits": count, "sha256": digest.hexdigest()}
 
 
 # -- CLI transcripts ------------------------------------------------------------
@@ -180,3 +229,4 @@ if __name__ == "__main__":
     _write(DATUM_GOLDEN, {name: datum_dump(build()) for name, build in golden_builders().items()})
     _write(cli_golden_path(), {name: cli_transcript(argv) for name, argv in CLI_CASES.items()})
     _write(CLOSED_GOLDEN, {name: cli_transcript(argv) for name, argv in closed_coeff_cases().items()})
+    _write(SEARCH_GOLDEN, {name: search_stream(*case) for name, case in SEARCH_CASES.items()})

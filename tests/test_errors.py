@@ -182,6 +182,17 @@ def test_verify_refuses_inexact_weight_entries(kind):
         verify_tensor_isomorphism(datum, [lam, lam], [lam, bad])
 
 
+@pytest.mark.parametrize("kind", BAD_ENTRIES)
+def test_datum_label_maps_refuse_inexact_weight_entries(kind):
+    datum, lam = valid_sl32_weight()
+    bad = BAD_ENTRIES[kind](lam)
+    for label_map in (datum.labels, datum.atypicality, datum.is_typical,
+                      datum.is_dominant_integral):
+        label_map(lam)
+        with pytest.raises(WeightParseError):
+            label_map(bad)
+
+
 def test_as_weight_keeps_exact_entries_and_converts_ints_and_strings():
     _, lam = valid_sl32_weight()
     assert all(a is b for a, b in zip(as_weight(lam), lam))

@@ -12,8 +12,10 @@ from superweyl.errors import (
     DimensionMismatch,
     IndexOutOfRange,
     MalformedDatumFile,
+    SuperweylError,
     UnsupportedFamily,
 )
+from superweyl.numerator import dominant_labels, x_signature
 from superweyl.rootdata import (
     AlgebraDescriptor,
     Dominance,
@@ -32,7 +34,14 @@ from superweyl.rootdata import (
     vsub,
     zero_weight,
 )
-from form_reference import dense_atypicality, dense_inner
+from form_reference import (
+    dense_atypicality,
+    dense_dominance,
+    dense_dominant_labels,
+    dense_inner,
+    dense_labels,
+    dense_signature,
+)
 from golden import DATUM_GOLDEN, datum_dump, golden_builders
 from weyl_reference import pairing
 
@@ -765,6 +774,44 @@ def test_atypicality_matches_the_dense_pairing(name, data):
     lam = data.draw(weights_near_types(d))
     assert d.atypicality(lam) == dense_atypicality(d, lam)
     assert d.is_typical(lam) == (dense_atypicality(d, lam) == ())
+
+
+@st.composite
+def off_scale_weights(draw, d):
+    """A random rational weight, or sum c_i omega_i + t tau with t in (1/2) Z or (1/3) Z.
+
+    Denominators 2 and 3 lie off the scale of most datums, so the integer
+    label maps meet weights whose lcm denominator is not the datum's.
+    """
+    if draw(st.booleans()):
+        return draw(vectors(d.dim))
+    n = d.even_simple_count
+    coeffs = draw(st.lists(st.integers(-1, 4), min_size=n, max_size=n))
+    t = F(draw(st.integers(-6, 6)), draw(st.sampled_from((1, 2, 3))))
+    return vadd(d.coefficient_weight(coeffs), vscale(t, d.tau))
+
+
+def outcome(fn, *args):
+    """fn(*args), or the class of the library error it raises."""
+    try:
+        return fn(*args)
+    except SuperweylError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", FORM_BUILDERS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_integer_label_maps_match_the_dense_references(name, data):
+    d = form_datum(name)
+    lam = data.draw(off_scale_weights(d))
+    labels = d.labels(lam)
+    assert labels == dense_labels(d, lam)
+    assert all(type(x) is F for x in labels)
+    assert d.atypicality(lam) == dense_atypicality(d, lam)
+    assert d.is_dominant_integral(lam) is dense_dominance(d, lam)
+    assert outcome(dominant_labels, d, lam) == outcome(dense_dominant_labels, d, lam)
+    assert outcome(x_signature, d, lam) == outcome(dense_signature, d, lam)
 
 
 @pytest.mark.parametrize("name", FORM_BUILDERS)

@@ -1,5 +1,6 @@
 """Tests for factor matching, isomorphism checks, and the counterexample search."""
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,9 +9,10 @@ from math import prod
 
 import pytest
 
+import superweyl.unifac as unifac
 from superweyl import build_b0, build_f4, build_g3, build_osp2, build_sl
 from superweyl.errors import NoSecondComponent, NotDominant, NotTypical, SuperweylError
-from superweyl.numerator import factor_numerator, numerator, x_signature
+from superweyl.numerator import dominant_labels, factor_numerator, numerator, x_signature
 from superweyl.rootdata import as_weight, vadd, vscale
 from superweyl.series import Poly
 from superweyl.unifac import (
@@ -21,6 +23,7 @@ from superweyl.unifac import (
     verify_tensor_isomorphism,
 )
 
+from golden import SEARCH_CASES, SEARCH_GOLDEN, search_stream
 from test_numerator import random_typical_weights, weight_from_coeffs
 
 
@@ -480,3 +483,78 @@ def test_matching_by_keys_equals_polynomial_reference(builder):
             and factor_numerator(datum, a) != factor_numerator(datum, b)
             for a, b in combinations(pool, 2)
         )
+
+
+# -- the search stream and the factor-key table ---------------------------------
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+def test_search_stream_matches_its_recording(case):
+    # every hit in order: tau multiplier, weights, pairing and conclusion
+    golden = json.loads(SEARCH_GOLDEN.read_text(encoding="utf-8"))
+    assert search_stream(*SEARCH_CASES[case]) == golden[case]
+
+
+def full_key(datum, lam):
+    """What a full factor key stands for: the signature and the dominant labels."""
+    return x_signature(datum, lam), dominant_labels(datum, lam)
+
+
+@pytest.fixture
+def factor_law_checks(monkeypatch):
+    """The weights of every call of ``factor_numerator`` made through unifac."""
+    calls = []
+    real = unifac.factor_numerator
+
+    def counting(datum, lam):
+        calls.append(lam)
+        return real(datum, lam)
+
+    monkeypatch.setattr(unifac, "factor_numerator", counting)
+    return calls
+
+
+def test_search_checks_the_factor_law_once_per_distinct_key(factor_law_checks):
+    datum = build_sl(3, 2)
+    hits = list(iter_counterexamples(datum, 3, 1))
+    weights = {w for hit in hits for w in hit.lhs + hit.rhs}
+    keys = {full_key(datum, w) for w in weights}
+    assert len(factor_law_checks) == len(keys) < len(weights)
+    assert len({full_key(datum, w) for w in factor_law_checks}) == len(keys)
+
+
+@pytest.mark.parametrize(
+    "builder", [b for _, b in DIFFERENTIAL_DATA], ids=[n for n, _ in DIFFERENTIAL_DATA]
+)
+def test_verify_checks_the_factor_law_once_per_distinct_key(builder, factor_law_checks):
+    datum = builder()
+    rng = random.Random(2604)
+    pool = weight_pool(datum, rng)
+    seen = set()
+    for lhs, rhs in tuple_pairs(datum, pool, rng, 30):
+        for _ in range(2):
+            verify_tensor_isomorphism(datum, lhs, rhs)
+        seen.update(lhs + rhs)
+        assert len(factor_law_checks) == len({full_key(datum, w) for w in seen})
+
+
+def test_every_hit_reports_what_verify_reports():
+    datum = build_sl(3, 2)
+    hits = list(iter_counterexamples(datum, 3, 1))
+    assert len(hits) > 100
+    for hit in hits:
+        assert hit.report == verify_tensor_isomorphism(datum, hit.lhs, hit.rhs)
+
+
+@pytest.mark.parametrize("builder", [build_g3, build_f4], ids=["g3", "f4"])
+def test_equal_signatures_with_other_tau_multiples_stay_unequal(builder):
+    # tau; 3*tau against 2*tau; 2*tau: equal signatures, sums and lengths,
+    # but the extra generator's factors differ, so only the full key keeps
+    # the products apart
+    d = builder()
+    lhs = [d.tau, vscale(3, d.tau)]
+    rhs = [vscale(2, d.tau), vscale(2, d.tau)]
+    assert sorted(x_signature(d, w) for w in lhs) == sorted(x_signature(d, w) for w in rhs)
+    report = verify_tensor_isomorphism(d, lhs, rhs)
+    assert report.module_level_conclusion is Conclusion.PRODUCTS_UNEQUAL
+    assert report == reference_report(d, lhs, rhs)
