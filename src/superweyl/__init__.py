@@ -50,7 +50,7 @@ from .unifac import (
     iter_counterexamples,
     verify_tensor_isomorphism,
 )
-from .weyl import WeylElement, WeylGroup, component_group, full_group, pi0_group
+from .weyl import WeylGroup, component_group, full_group, pi0_group
 
 __version__ = "0.1.0"
 
@@ -68,7 +68,6 @@ __all__ = [
     "RootDatum",
     "SimpleGraph",
     "SuperweylError",
-    "WeylElement",
     "WeylGroup",
     "ZSeries",
     "atypical_context",

@@ -72,7 +72,7 @@ from .rootdata import (
 )
 from .series import Poly, ZSeries, mono_degree, neg_log
 from .unifac import Conclusion, FactorMatch, MatchReport, pair_by_key
-from .weyl import pi0_group
+from .weyl import pi0_group, sign
 
 ATYPICAL_FAMILIES = ("sl", "osp", "G3", "F4")
 DEFAULT_Z_TRUNCATION = 3
@@ -232,17 +232,17 @@ def atypical_numerator(ctx: AtypicalContext) -> Poly:
     One term per element of the Weyl group of Pi_0: the X monomial records
     the drop of lambda + rho, the coefficient is sign(w) times the expanded
     prefactor in the Z symbol of the transported type.  The type is carried
-    down the element tree one table lookup per element, and the terms are
-    summed by the orbit sum of :mod:`superweyl.numerator`.
+    down the ``parents`` and ``letters`` arrays, one table lookup per
+    element, and the terms are summed by the orbit sum of :mod:`superweyl.numerator`.
     """
     datum = ctx.datum
     group = pi0_group(datum)
     images = [ctx.gamma_index]
-    for w in group.elements[1:]:
-        images.append(_transport(datum, images[w.parent], w.word[-1:]))
+    for parent, g in zip(group.parents[1:], group.letters[1:]):
+        images.append(_transport(datum, images[parent], (g,)))
     prefactors = {idx: _prefactor(ctx, idx) for idx in set(images)}
     signed = {1: prefactors, -1: {idx: -p for idx, p in prefactors.items()}}
-    coeffs = [signed[w.sign][idx] for w, idx in zip(group.elements, images)]
+    coeffs = [signed[sign(length)][idx] for length, idx in zip(group.lengths, images)]
     return _orbit_sum(group, datum.labels(vadd(ctx.lam, datum.rho)), coeffs, ctx.z_truncation)
 
 

@@ -65,7 +65,7 @@ from .rootdata import (
     zero_weight,
 )
 from .unifac import iter_counterexamples, verify_tensor_isomorphism
-from .weyl import component_group, full_group
+from .weyl import component_group, full_group, sign
 
 DEFAULT_SEED = 20250816
 
@@ -330,10 +330,8 @@ def _cmd_group(args) -> int:
     else:
         group = full_group(datum)
     print(f"order: {group.order}")
-    for i, w in enumerate(group):
-        print(
-            f"elem {i}: word={w.describe(datum)} length={w.length} sign={w.sign}"
-        )
+    for i, length in enumerate(group.lengths):
+        print(f"elem {i}: word={group.describe(i)} length={length} sign={sign(length)}")
     return EXIT_OK
 
 

@@ -24,7 +24,7 @@ from .errors import (NonIntegralExponent, NotDominant, NotTypical, TruncationToo
                      UnsupportedCase, invariant)
 from .rootdata import RootDatum, Weight, as_weight
 from .series import Mono, Poly, mono_degree, mono_from_pairs, mono_pow, weight_monomial
-from .weyl import WeylGroup, component_group, full_group, orbit_drops
+from .weyl import WeylGroup, component_group, full_group, orbit_drops, sign
 
 
 def dominant_labels(datum: RootDatum, lam: Weight) -> tuple:
@@ -89,12 +89,12 @@ def _orbit_sum(group: WeylGroup, labels: tuple, coeffs: Sequence | None = None,
                ztrunc: int | None = None) -> Poly:
     """sum of c(w) X^(eta - w eta) over ``group``, for eta with these labels.
 
-    c(w) is sign(w), or the entry of ``coeffs`` at w's place in the group's
-    element order; ``ztrunc`` is the truncation of series coefficients.
+    c(w) is the sign of w's length, or the entry of ``coeffs`` at w's index
+    in the group's arrays; ``ztrunc`` is the truncation of series coefficients.
     This is the one orbit-sum loop, of the typical and atypical numerators.
     """
     if coeffs is None:
-        coeffs = [w.sign for w in group.elements]
+        coeffs = [sign(length) for length in group.lengths]
     terms: dict[Mono, object] = {}
     for drop, c in zip(orbit_drops(group, labels), coeffs):
         mono = weight_monomial(drop)

@@ -48,7 +48,7 @@ from .unifac import Conclusion, iter_counterexamples, verify_tensor_isomorphism
 EXIT_OK = 0
 EXIT_FAIL = 70
 
-TIME_LIMITS = {1: 1.0, 2: 1.0, 5: 5.0, 6: 1.0, 7: 5.0, 9: 2.0, 10: 1.0, 12: 5.0, 13: 7.0}
+TIME_LIMITS = {1: 1.0, 2: 1.0, 5: 1.0, 6: 1.0, 7: 1.0, 9: 1.0, 10: 1.0, 12: 1.0, 13: 7.0}
 
 
 @dataclass(frozen=True)

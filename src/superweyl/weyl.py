@@ -8,12 +8,13 @@ Cartan rows A[k][i] = <g_k, g_i^vee> of ``datum.generator_cartan``.
 
 Enumeration is breadth first from the regular point whose labels are all
 1, reflecting only at a positive label (which lengthens the word) and
-deduplicating by label tuple.  The element w = s_{k_1} ... s_{k_L} keeps
-its lexicographically first reduced word (k_1, ..., k_L) and its parent,
-the element of the word without its last letter; elements are ordered by
-(length, word).  Orbit sums are one pass down this tree
-(:func:`orbit_drops`), which takes the labels ``datum.labels(eta)`` of the
-weight in place of the weight itself.
+deduplicating by label tuple.  A group is three parallel int lists:
+``parents`` (the element one letter shorter), ``letters`` (the gid of that
+last letter) and ``lengths``.  The parents spell each element's least
+reduced word, a word is built only to print the ``group`` table, and
+elements are ordered by (length, word).  Orbit sums are one pass down this
+tree (:func:`orbit_drops`), which takes the labels ``datum.labels(eta)``
+of the weight in place of the weight itself.
 
 Three generating sets matter downstream: all generators (the full even Weyl
 group), the generators that are themselves simple roots (the subgroup used
@@ -25,9 +26,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import GroupTooLarge, IndexOutOfRange
 from .rootdata import RootDatum
@@ -50,49 +50,40 @@ def max_group_cap() -> int:
     return cap
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    """One group element: its shortest generator word and its tree parent.
-
-    ``parent`` is the index in the group's element order of the element
-    whose word is this word without its last letter (-1 for the identity).
-    """
-
-    word: tuple[int, ...]
-    parent: int
-
-    @property
-    def length(self) -> int:
-        return len(self.word)
-
-    @property
-    def sign(self) -> int:
-        """Determinant sign; generator words have the right parity."""
-        return -1 if self.length % 2 else 1
-
-    def describe(self, datum: RootDatum) -> str:
-        if not self.word:
-            return "e"
-        return "*".join(datum.generators[g].label for g in self.word)
+def sign(length: int) -> int:
+    """Determinant sign of a group element of this length."""
+    return -1 if length % 2 else 1
 
 
 class WeylGroup:
-    """A finite reflection group with deterministic element order."""
+    """A finite reflection group; element 0 is the identity, with parent and letter -1."""
 
-    def __init__(self, datum: RootDatum, gids: tuple[int, ...], elements: tuple[WeylElement, ...]):
+    def __init__(self, datum: RootDatum, gids: tuple[int, ...], parents: list[int],
+                 letters: list[int], lengths: list[int]):
         self.datum = datum
         self.gids = gids
-        self.elements = elements
+        self.parents = parents
+        self.letters = letters
+        self.lengths = lengths
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.parents)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.parents)
 
-    def __iter__(self) -> Iterator[WeylElement]:
-        return iter(self.elements)
+    def word(self, i: int) -> tuple[int, ...]:
+        """Generator ids of element i's least reduced word, read off its parents."""
+        word = []
+        while i > 0:
+            word.append(self.letters[i])
+            i = self.parents[i]
+        return tuple(reversed(word))
+
+    def describe(self, i: int) -> str:
+        """Element i's word in generator labels joined by '*', or 'e'."""
+        return "*".join(self.datum.generators[g].label for g in self.word(i)) or "e"
 
     def __repr__(self) -> str:
         return f"WeylGroup({self.datum.label}, gens={self.gids}, order={self.order})"
@@ -137,12 +128,12 @@ def generate(datum: RootDatum, gids: Sequence[int] | None = None) -> WeylGroup:
     start = (1,) * len(chosen)
     labels = [start]
     seen = {start}
-    elements = [WeylElement((), -1)]
+    parents, letters, lengths = [-1], [-1], [0]
     # A FIFO queue visits each level in discovery order, which is word order,
     # so the first word to reach an element is its least reduced word.
     head = 0
-    while head < len(elements):
-        a, word = labels[head], elements[head].word
+    while head < len(labels):
+        a, length = labels[head], lengths[head] + 1
         for p, g in enumerate(chosen):
             c = a[p]
             if c <= 0:
@@ -150,13 +141,15 @@ def generate(datum: RootDatum, gids: Sequence[int] | None = None) -> WeylGroup:
             b = tuple(x - c * y for x, y in zip(a, rows[p]))
             if b in seen:
                 continue
-            if len(elements) >= cap:
+            if len(labels) >= cap:
                 raise _too_large(datum, chosen, cap)
             seen.add(b)
             labels.append(b)
-            elements.append(WeylElement(word + (g,), head))
+            parents.append(head)
+            letters.append(g)
+            lengths.append(length)
         head += 1
-    group = WeylGroup(datum, chosen, tuple(elements))
+    group = WeylGroup(datum, chosen, parents, letters, lengths)
     datum._group_cache[chosen] = group
     return group
 
@@ -166,15 +159,15 @@ def orbit_drops(group: WeylGroup, labels: Sequence[Fraction]) -> list[tuple]:
 
     ``labels`` are the labels <eta, g^vee> of eta for every generator of
     the datum, in gid order (``datum.labels(eta)``); the group reads the
-    ones of its own generators.  One pass down the element tree: a child
-    with last letter k gets drop(child) = drop(parent) + a_k(parent) *
-    g_k.coords (g_k over the simple roots), where a(parent) are the labels
-    of the parent's image of eta.  Labels with a
+    ones of its own generators.  One pass down the ``parents`` and
+    ``letters`` arrays: a child with last letter k gets drop(child) =
+    drop(parent) + a_k(parent) * g_k.coords (g_k over the simple roots),
+    where a(parent) are the labels of the parent's image of eta.  Labels with a
     common denominator D > 1 (at the extra generator of G(3)) are carried
     scaled by D and the drops come back as Fractions, which
     :func:`~superweyl.series.weight_monomial` checks; otherwise they are
     ints.  As w runs over the group so does w^-1, with the same sign, so
-    the list indexes an orbit sum by the group's elements; that sum is
+    the list, indexed like the group's arrays, gives an orbit sum; that sum is
     :func:`superweyl.numerator._orbit_sum`, typical and atypical alike.
     """
     datum = group.datum
@@ -184,9 +177,9 @@ def orbit_drops(group: WeylGroup, labels: Sequence[Fraction]) -> list[tuple]:
     coords = [datum.generators[g].coords for g in group.gids]
     position = {g: p for p, g in enumerate(group.gids)}
     state = [(tuple(int(x * scale) for x in labels), (0,) * len(datum.simple_roots))]
-    for w in group.elements[1:]:
-        a, d = state[w.parent]
-        p = position[w.word[-1]]
+    for parent, g in zip(group.parents[1:], group.letters[1:]):
+        a, d = state[parent]
+        p = position[g]
         c = a[p]
         state.append((
             tuple(x - c * y for x, y in zip(a, rows[p])),

@@ -1,12 +1,14 @@
 """Golden root data and CLI transcripts, and the script that records them.
 
 The goldens pin what a rewrite of ``RootDatum`` construction, of the
-argument parser or of the partition sums must keep byte for byte: every
-public field of 41 built-in datums, the private pairing rows built from
-them, the stdout, stderr and exit code of every ``--help`` and of the usage
-errors, ``atypical-coeff --closed`` on every isotropic type of sl(4,3),
-sl(5,3) and sl(5,4), and the counterexample search streams of
-``SEARCH_CASES`` (a count and a sha256 of every rendered hit, in order).
+argument parser, of the partition sums or of the Weyl group tree must keep
+byte for byte: every public field of 41 built-in datums, the private
+pairing rows built from them, the stdout, stderr and exit code of every
+``--help`` and of the usage errors, ``atypical-coeff --closed`` on every
+isotropic type of sl(4,3), sl(5,3) and sl(5,4), the counterexample search
+streams of ``SEARCH_CASES`` (a count and a sha256 of every rendered hit, in
+order), and the ``group`` tables of ``GROUP_CASES`` (a line count and a
+sha256 of stdout).
 argparse formats help differently across Python minor versions, so the
 help and usage transcripts are kept per version.
 
@@ -33,6 +35,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 DATUM_GOLDEN = GOLDEN_DIR / "rootdata.json"
 CLOSED_GOLDEN = GOLDEN_DIR / "atypical_closed.json"
 SEARCH_GOLDEN = GOLDEN_DIR / "search_stream.json"
+GROUP_GOLDEN = GOLDEN_DIR / "group_tables.json"
 
 
 def cli_golden_path(version=sys.version_info):
@@ -144,6 +147,31 @@ def search_stream(p, q, bound, tau):
     return {"hits": count, "sha256": digest.hexdigest()}
 
 
+# -- group tables ----------------------------------------------------------------
+
+GROUP_CASES = {
+    "sl(3,2)": ["--family", "sl", "--m", "3", "--n", "2"],
+    "sl(4,3)": ["--family", "sl", "--m", "4", "--n", "3"],
+    "B(0,3)": ["--family", "b0", "--n", "3"],
+    "osp(2,6)": ["--family", "osp", "--n", "3"],
+    "G(3)": ["--family", "G3"],
+    "F(4)": ["--family", "F4"],
+    "osp(2,4) component 1": ["--family", "osp", "--n", "2", "--component", "1"],
+    "sl(3,2) component 2": ["--family", "sl", "--m", "3", "--n", "2", "--component", "2"],
+}
+
+
+def group_table(argv):
+    """{"code", "lines", "sha256"} of the stdout of ``group`` with these options."""
+    run = cli_transcript(["group", *argv])
+    out = run["stdout"]
+    return {
+        "code": run["code"],
+        "lines": out.count("\n"),
+        "sha256": hashlib.sha256(out.encode()).hexdigest(),
+    }
+
+
 # -- CLI transcripts ------------------------------------------------------------
 
 _SL32 = ["--family", "sl", "--m", "3", "--n", "2"]
@@ -230,3 +258,4 @@ if __name__ == "__main__":
     _write(cli_golden_path(), {name: cli_transcript(argv) for name, argv in CLI_CASES.items()})
     _write(CLOSED_GOLDEN, {name: cli_transcript(argv) for name, argv in closed_coeff_cases().items()})
     _write(SEARCH_GOLDEN, {name: search_stream(*case) for name, case in SEARCH_CASES.items()})
+    _write(GROUP_GOLDEN, {name: group_table(argv) for name, argv in GROUP_CASES.items()})

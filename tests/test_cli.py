@@ -27,7 +27,16 @@ from superweyl.cli import (
 from superweyl.errors import UnknownSymbol, WeightParseError
 from superweyl.rootdata import vadd, vscale, zero_weight
 
-from golden import CLI_CASES, CLOSED_GOLDEN, cli_golden_path, cli_transcript, closed_coeff_cases
+from golden import (
+    CLI_CASES,
+    CLOSED_GOLDEN,
+    GROUP_CASES,
+    GROUP_GOLDEN,
+    cli_golden_path,
+    cli_transcript,
+    closed_coeff_cases,
+    group_table,
+)
 from test_rootdata import A3_TEXT, NON_INTEGRAL_CARTAN_TEXT, datum_file_text
 
 
@@ -639,6 +648,12 @@ _CLOSED_CASES = closed_coeff_cases()
 def test_closed_form_bytes_equal_the_recorded_transcript(case):
     golden = json.loads(CLOSED_GOLDEN.read_text(encoding="utf-8"))
     assert cli_transcript(_CLOSED_CASES[case]) == golden[case]
+
+
+@pytest.mark.parametrize("case", sorted(GROUP_CASES))
+def test_group_table_bytes_equal_the_recording(case):
+    golden = json.loads(GROUP_GOLDEN.read_text(encoding="utf-8"))
+    assert group_table(GROUP_CASES[case]) == golden[case]
 
 
 ARGV_TOKENS = (

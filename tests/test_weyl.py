@@ -1,8 +1,9 @@
 """Weyl group generation, orders, words, and orbit walks.
 
-The library builds groups as integer label trees; ``weyl_reference`` keeps
-the reflection-matrix construction, and the tests below hold the two
-against each other on groups of at most ``MAX_ORDER`` elements.
+The library builds groups as integer label trees, held as parallel arrays
+of parents, last letters and lengths; ``weyl_reference`` keeps the
+reflection-matrix construction, and the tests below hold the words the
+arrays spell against it on groups of at most ``MAX_ORDER`` elements.
 """
 
 import itertools
@@ -26,10 +27,38 @@ from superweyl.weyl import (
     generate,
     orbit_drops,
     pi0_group,
+    sign,
 )
 
 import weyl_reference as ref
 from test_rootdata import A3_TEXT
+
+DIFFERENTIAL_DATA = [
+    ("sl32", lambda: build_sl(3, 2)),
+    ("sl21", lambda: build_sl(2, 1)),
+    ("sl41", lambda: build_sl(4, 1)),
+    ("sl13", lambda: build_sl(1, 3)),
+    ("sl43", lambda: build_sl(4, 3)),
+    ("b02", lambda: build_b0(2)),
+    ("b03", lambda: build_b0(3)),
+    ("osp2", lambda: build_osp2(1)),
+    ("osp4", lambda: build_osp2(2)),
+    ("osp6", lambda: build_osp2(3)),
+    ("g3", build_g3),
+    ("f4", build_f4),
+    ("a3", lambda: datum_from_text(A3_TEXT)),
+]
+
+
+def generator_sets(d):
+    """Every non-empty set of generator ids of the datum, in size then lexicographic order."""
+    n = len(d.generators)
+    return [s for r in range(1, n + 1) for s in itertools.combinations(range(n), r)]
+
+
+def group_words(group):
+    """The word of every element, in the group's element order."""
+    return [group.word(i) for i in range(len(group))]
 
 
 @pytest.mark.parametrize(
@@ -82,8 +111,8 @@ def test_cached_group_respects_a_smaller_cap(monkeypatch):
 def test_identity_and_signs():
     d = build_sl(3, 2)
     g = full_group(d)
-    e = g.elements[0]
-    assert e.word == () and e.length == 0 and e.sign == 1 and e.parent == -1
+    assert g.word(0) == () and g.lengths[0] == 0 and sign(g.lengths[0]) == 1
+    assert g.parents[0] == -1
     by_matrix = {m: word for word, m in ref.reference_group(d)}
     first = ref.reference_group(d)[:6]
     for wa, ma in first:
@@ -93,9 +122,10 @@ def test_identity_and_signs():
 
 def test_reflection_action():
     d = build_sl(3, 2)
-    words = {w.word: w for w in full_group(d)}
+    g = full_group(d)
+    lengths = {g.word(i): length for i, length in enumerate(g.lengths)}
     for gen in d.generators:
-        assert words[(gen.gid,)].length == 1
+        assert lengths[(gen.gid,)] == 1
         s = ref.reflection_matrix(d, gen.vector)
         assert ref.act(s, gen.vector) == vscale(-1, gen.vector)
         assert ref.act(s, ref.act(s, d.rho)) == d.rho
@@ -103,19 +133,24 @@ def test_reflection_action():
 
 def test_element_words_are_shortest_and_sorted():
     g = full_group(build_sl(3, 2))
-    lengths = [e.length for e in g]
-    assert lengths == sorted(lengths)
-    assert lengths[0] == 0 and lengths[-1] == 4
-    words = {e.word for e in g}
-    assert len(words) == 12
+    assert g.lengths == sorted(g.lengths)
+    assert g.lengths[0] == 0 and g.lengths[-1] == 4
+    assert len(set(group_words(g))) == 12
 
 
 def test_parents_drop_the_last_letter():
-    for d in (build_sl(4, 1), build_b0(3), build_f4()):
-        elements = full_group(d).elements
-        for w in elements[1:]:
-            assert 0 <= w.parent < elements.index(w)
-            assert elements[w.parent].word == w.word[:-1]
+    """The three arrays agree with the words they spell, on every differential
+    datum and generator set."""
+    for name, builder in DIFFERENTIAL_DATA:
+        d = builder()
+        for gids in generator_sets(d):
+            g = generate(d, gids)
+            assert (g.parents[0], g.letters[0], g.lengths[0]) == (-1, -1, 0), (name, gids)
+            for i in range(1, len(g)):
+                parent = g.parents[i]
+                assert 0 <= parent < i, (name, gids, i)
+                assert g.word(i) == g.word(parent) + (g.letters[i],), (name, gids, i)
+                assert g.lengths[i] == len(g.word(i)), (name, gids, i)
 
 
 def test_pi0_group_permutes_positive_odd_roots():
@@ -177,25 +212,9 @@ def test_custom_a3_group():
     product = ref.mat_mul(ref.mat_mul(s1, s3), s2)
     words = {m: word for word, m in ref.reference_group(d)}
     assert words[product] == (0, 2, 1)
-    w = next(w for w in g if w.word == (0, 2, 1))
-    assert w.length == 3 and w.describe(d) == "s1*s3*s2"
-
-
-DIFFERENTIAL_DATA = [
-    ("sl32", lambda: build_sl(3, 2)),
-    ("sl21", lambda: build_sl(2, 1)),
-    ("sl41", lambda: build_sl(4, 1)),
-    ("sl13", lambda: build_sl(1, 3)),
-    ("sl43", lambda: build_sl(4, 3)),
-    ("b02", lambda: build_b0(2)),
-    ("b03", lambda: build_b0(3)),
-    ("osp2", lambda: build_osp2(1)),
-    ("osp4", lambda: build_osp2(2)),
-    ("osp6", lambda: build_osp2(3)),
-    ("g3", build_g3),
-    ("f4", build_f4),
-    ("a3", lambda: datum_from_text(A3_TEXT)),
-]
+    i = group_words(g).index((0, 2, 1))
+    assert g.lengths[i] == 3 and g.describe(i) == "s1*s3*s2"
+    assert g.describe(0) == "e"
 
 
 @pytest.mark.parametrize(
@@ -204,13 +223,12 @@ DIFFERENTIAL_DATA = [
 def test_words_match_the_matrix_reference(builder):
     """Same words in the same order for every generator set of the datum."""
     d = builder()
-    n = len(d.generators)
-    sets = [s for r in range(1, n + 1) for s in itertools.combinations(range(n), r)]
-    for gids in sets:
+    for gids in generator_sets(d):
         group = generate(d, gids)
         if group.order > ref.MAX_ORDER:
             continue
-        assert [w.word for w in group] == [w for w, _ in ref.reference_group(d, gids)], gids
+        assert group_words(group) == [w for w, _ in ref.reference_group(d, gids)], gids
     for k in range(1, len(d.components) + 1):
         group = component_group(d, k)
-        assert [w.word for w in group] == [w for w, _ in ref.reference_group(d, group.gids)]
+        assert group_words(group) == [w for w, _ in ref.reference_group(d, group.gids)]
+
