@@ -243,7 +243,7 @@ def atypical_numerator(ctx: AtypicalContext) -> Poly:
     prefactors = {idx: _prefactor(ctx, idx) for idx in set(images)}
     signed = {1: prefactors, -1: {idx: -p for idx, p in prefactors.items()}}
     coeffs = [signed[sign(length)][idx] for length, idx in zip(group.lengths, images)]
-    return _orbit_sum(group, datum.labels(vadd(ctx.lam, datum.rho)), coeffs, ctx.z_truncation)
+    return _orbit_sum(group, *datum._shifted_labels(ctx.lam), coeffs, ctx.z_truncation)
 
 
 def coefficient_oracle(ctx: AtypicalContext) -> CoefficientValue:

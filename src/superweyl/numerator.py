@@ -27,15 +27,15 @@ from .series import Mono, Poly, mono_degree, mono_from_pairs, mono_pow, weight_m
 from .weyl import WeylGroup, component_group, full_group, orbit_drops, sign
 
 
-def dominant_labels(datum: RootDatum, lam: Weight) -> tuple:
-    """Labels <eta+, g^vee>, in gid order, of eta = lam + rho's dominant representative.
+def dominant_labels(datum: RootDatum, lam: Weight) -> tuple[list[int], int]:
+    """(nums, den): labels nums[k] / den, in gid order, of lam + rho's dominant representative.
 
     These are the labels every orbit sum of the numerator reads: the full
     sum all of them, a component or block factor those at its generators.
     See :func:`_dominant_walk`; the walk runs on integer numerators.
     """
     shifted, den = datum._shifted_labels(as_weight(lam))
-    return tuple(Fraction(a, den) for a in _dominant_walk(datum, shifted))
+    return _dominant_walk(datum, shifted), den
 
 
 def _dominant_walk(datum: RootDatum, labels: list[int]) -> list[int]:
@@ -60,12 +60,6 @@ def _dominant_walk(datum: RootDatum, labels: list[int]) -> list[int]:
         labels = [a - c * r for a, r in zip(labels, datum.generator_cartan[k])]
 
 
-def _check_weight(datum: RootDatum, lam: Weight) -> Weight:
-    lam = as_weight(lam)
-    _checked_labels(datum, *datum._shifted(lam))
-    return lam
-
-
 def _checked_labels(datum: RootDatum, eta: list[int], d: int) -> tuple[list[int], int]:
     """The typical and dominance checks of lam, with lam + rho = eta / d in integers.
 
@@ -85,28 +79,32 @@ def _checked_labels(datum: RootDatum, eta: list[int], d: int) -> tuple[list[int]
     return shifted, den
 
 
-def _orbit_sum(group: WeylGroup, labels: tuple, coeffs: Sequence | None = None,
-               ztrunc: int | None = None) -> Poly:
-    """sum of c(w) X^(eta - w eta) over ``group``, for eta with these labels.
+def _orbit_sum(group: WeylGroup, labels: Sequence[int], den: int,
+               coeffs: Sequence | None = None, ztrunc: int | None = None) -> Poly:
+    """sum of c(w) X^(eta - w eta) over ``group``, for eta with labels ``labels`` / ``den``.
 
     c(w) is the sign of w's length, or the entry of ``coeffs`` at w's index
     in the group's arrays; ``ztrunc`` is the truncation of series coefficients.
-    This is the one orbit-sum loop, of the typical and atypical numerators.
+    The drops stay over ``den``, in lowest terms, until ``weight_monomial``
+    checks them.  This is the one orbit-sum loop, of the typical and
+    atypical numerators.
     """
+    common = math.gcd(den, *labels)
+    labels, den = [a // common for a in labels], den // common
     if coeffs is None:
         coeffs = [sign(length) for length in group.lengths]
     terms: dict[Mono, object] = {}
     for drop, c in zip(orbit_drops(group, labels), coeffs):
-        mono = weight_monomial(drop)
+        mono = weight_monomial(drop, den)
         terms[mono] = terms[mono] + c if mono in terms else c
     return Poly(terms, ztrunc)
 
 
 def numerator(datum: RootDatum, lam: Weight) -> Poly:
     """Normalized numerator of the typical dominant weight ``lam``."""
-    lam = _check_weight(datum, lam)
+    shifted, den = _checked_labels(datum, *datum._shifted(as_weight(lam)))
     group = full_group(datum)  # finite (or GroupTooLarge) before the walk
-    poly = _orbit_sum(group, dominant_labels(datum, lam))
+    poly = _orbit_sum(group, _dominant_walk(datum, shifted), den)
     invariant(poly.constant_term() == 1, "numerator does not start at 1")
     return poly
 
@@ -125,9 +123,9 @@ def factor_numerator(datum: RootDatum, lam: Weight) -> list[Poly]:
         raise UnsupportedCase(
             "component factors need every generator to be a simple root"
         )
-    labels = dominant_labels(datum, lam)
+    labels, den = dominant_labels(datum, lam)
     factors = [
-        _orbit_sum(component_group(datum, k), labels)
+        _orbit_sum(component_group(datum, k), labels, den)
         for k in range(1, len(comps) + 1)
     ]
     product = math.prod(factors[1:], start=factors[0])

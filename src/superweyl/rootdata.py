@@ -42,7 +42,8 @@ integer dot product over a known denominator.  ``labels``,
 ``atypicality``, ``is_typical``, ``is_dominant_integral``,
 :func:`~superweyl.numerator.dominant_labels`,
 :func:`~superweyl.numerator.x_signature` and the factor keys of
-:mod:`superweyl.unifac` all work this way.
+:mod:`superweyl.unifac` all work this way; all but ``labels`` keep the
+numerators and their denominator, down to the orbit sums' drops.
 
 Construction itself runs in integers.  The root vectors are scaled once by
 the common denominator of their entries (F(4) needs 2), and the Gram matrix

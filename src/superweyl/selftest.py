@@ -48,7 +48,7 @@ from .unifac import Conclusion, iter_counterexamples, verify_tensor_isomorphism
 EXIT_OK = 0
 EXIT_FAIL = 70
 
-TIME_LIMITS = {1: 1.0, 2: 1.0, 5: 1.0, 6: 1.0, 7: 1.0, 9: 1.0, 10: 1.0, 12: 1.0, 13: 7.0}
+TIME_LIMITS = {**dict.fromkeys(range(1, 13), 1.0), 13: 7.0}
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class CriterionResult:
     passed: bool
     detail: str
     seconds: float
-    limit: float | None
+    limit: float
 
 
 # -- helpers -----------------------------------------------------------------
@@ -408,8 +408,8 @@ def run_criteria(seed: int) -> list[CriterionResult]:
         except Exception as exc:  # a crash is a failure, not an abort
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         elapsed = time.monotonic() - start
-        limit = TIME_LIMITS.get(number)
-        if passed and limit is not None and elapsed > limit:
+        limit = TIME_LIMITS[number]
+        if passed and elapsed > limit:
             passed = False
             detail = f"exceeded {limit:.0f}s budget: {detail}"
         results.append(

@@ -443,24 +443,26 @@ def neg_log(poly: Poly, bound: int, cap: Mono | None = None) -> Poly:
     return poly._new(out)
 
 
-def weight_monomial(coeffs: Iterable[Fraction]) -> Mono:
-    """X monomial from simple-root coordinates.
+def weight_monomial(coeffs: Iterable[int], den: int = 1) -> Mono:
+    """X monomial from simple-root coordinates, as integer numerators over ``den``.
 
-    Coordinates must be non-negative integers: these monomials track drops
-    from a highest weight, which live in the positive root cone.  The pairs
-    come out sorted, one per variable, zeros skipped: already normal.
+    Coordinates must be non-negative integers (the one check of a drop):
+    these monomials track drops from a highest weight, which live in the
+    positive root cone.  The pairs come out sorted, one per variable, zeros
+    skipped: already normal.
     """
     pairs = []
     for i, c in enumerate(coeffs):
         if c == 0:
             continue
-        if c.denominator != 1:
+        if c % den:
             raise NonIntegralExponent(
-                f"exponent {c} on variable {i} is not an integer"
+                f"exponent {Fraction(c, den)} on variable {i} is not an integer"
             )
+        c //= den
         if c < 0:
             raise NegativeExponentAfterCollapse(
                 f"exponent {c} on variable {i} is negative"
             )
-        pairs.append((i, int(c)))
+        pairs.append((i, c))
     return tuple(pairs)

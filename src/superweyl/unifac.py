@@ -32,6 +32,7 @@ is checked once per distinct full key (signature, block keys) and datum,
 in the datum's key table: past those checks ``factor_numerator`` builds its
 polynomials from the dominant labels alone, which the key holds, so a
 second weight with the same key would recompute identical polynomials.
+Their orbit sums, too, run on the label numerators and their denominator.
 """
 
 from __future__ import annotations

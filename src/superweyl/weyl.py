@@ -13,8 +13,8 @@ deduplicating by label tuple.  A group is three parallel int lists:
 last letter) and ``lengths``.  The parents spell each element's least
 reduced word, a word is built only to print the ``group`` table, and
 elements are ordered by (length, word).  Orbit sums are one pass down this
-tree (:func:`orbit_drops`), which takes the labels ``datum.labels(eta)``
-of the weight in place of the weight itself.
+tree (:func:`orbit_drops`), which takes the weight's label numerators over
+one denominator, in place of the weight itself, and keeps that denominator.
 
 Three generating sets matter downstream: all generators (the full even Weyl
 group), the generators that are themselves simple roots (the subgroup used
@@ -24,9 +24,7 @@ simple diagram (the factors of the numerator factorization).
 
 from __future__ import annotations
 
-import math
 import os
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import GroupTooLarge, IndexOutOfRange
@@ -154,29 +152,26 @@ def generate(datum: RootDatum, gids: Sequence[int] | None = None) -> WeylGroup:
     return group
 
 
-def orbit_drops(group: WeylGroup, labels: Sequence[Fraction]) -> list[tuple]:
-    """Simple-root coordinates of eta - w^-1 eta, element by element.
+def orbit_drops(group: WeylGroup, labels: Sequence[int]) -> list[tuple[int, ...]]:
+    """Simple-root coordinates of eta - w^-1 eta, element by element, times D.
 
-    ``labels`` are the labels <eta, g^vee> of eta for every generator of
-    the datum, in gid order (``datum.labels(eta)``); the group reads the
-    ones of its own generators.  One pass down the ``parents`` and
-    ``letters`` arrays: a child with last letter k gets drop(child) =
-    drop(parent) + a_k(parent) * g_k.coords (g_k over the simple roots),
-    where a(parent) are the labels of the parent's image of eta.  Labels with a
-    common denominator D > 1 (at the extra generator of G(3)) are carried
-    scaled by D and the drops come back as Fractions, which
-    :func:`~superweyl.series.weight_monomial` checks; otherwise they are
-    ints.  As w runs over the group so does w^-1, with the same sign, so
-    the list, indexed like the group's arrays, gives an orbit sum; that sum is
+    ``labels`` are the numerators over one denominator D of the labels
+    <eta, g^vee> of eta for every generator of the datum, in gid order; the
+    group reads the ones of its own generators.  One pass down the
+    ``parents`` and ``letters`` arrays: a child with last letter k gets
+    drop(child) = drop(parent) + a_k(parent) * g_k.coords (g_k over the
+    simple roots), where a(parent) are the labels of the parent's image of
+    eta.  Drops are linear in the labels, so they are integer numerators
+    over D too, which :func:`~superweyl.series.weight_monomial` checks.
+    As w runs over the group so does w^-1, with the same sign, so the list,
+    indexed like the group's arrays, gives an orbit sum; that sum is
     :func:`superweyl.numerator._orbit_sum`, typical and atypical alike.
     """
     datum = group.datum
-    labels = [labels[g] for g in group.gids]
-    scale = math.lcm(*(x.denominator for x in labels))
     rows = _cartan_rows(datum, group.gids)
     coords = [datum.generators[g].coords for g in group.gids]
     position = {g: p for p, g in enumerate(group.gids)}
-    state = [(tuple(int(x * scale) for x in labels), (0,) * len(datum.simple_roots))]
+    state = [(tuple(labels[g] for g in group.gids), (0,) * len(datum.simple_roots))]
     for parent, g in zip(group.parents[1:], group.letters[1:]):
         a, d = state[parent]
         p = position[g]
@@ -185,9 +180,7 @@ def orbit_drops(group: WeylGroup, labels: Sequence[Fraction]) -> list[tuple]:
             tuple(x - c * y for x, y in zip(a, rows[p])),
             tuple(x + c * y for x, y in zip(d, coords[p])),
         ))
-    if scale == 1:
-        return [d for _, d in state]
-    return [tuple(Fraction(x, scale) for x in d) for _, d in state]
+    return [d for _, d in state]
 
 
 def full_group(datum: RootDatum) -> WeylGroup:

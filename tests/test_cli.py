@@ -318,6 +318,31 @@ class TestNumeratorCommand:
         assert code == EXIT_OK
         assert "char: 1 + X[b1] + X[a1]" in out
 
+    @pytest.mark.parametrize(
+        "argv, out, err",
+        [
+            (
+                ["--family", "b0", "--n", "2", "--weight", "(5/6)*delta[1]+(-1/6)*delta[2]"],
+                "weight: (5/6, -1/6)\nsignature: 2\n",
+                "error: exponent 2/3 on variable 1 is not an integer\n",
+            ),
+            (
+                ["--family", "b0", "--n", "2", "--weight", "(5/6)*delta[1]+(-1/6)*delta[2]",
+                 "--factor"],
+                "weight: (5/6, -1/6)\nsignature: 2\n",
+                "error: exponent 2/3 on variable 1 is not an integer\n",
+            ),
+            (
+                ["--family", "G3", "--weight", "5*eps[1]+7*eps[2]+(7/3)*delta[1]"],
+                "weight: (5, 7, 7/3)\nsignature: 4, 3\n",
+                "error: exponent 2/3 on variable 0 is not an integer\n",
+            ),
+        ],
+    )
+    def test_non_integral_drop_output_bytes(self, capsys, argv, out, err):
+        # the whole output of a numerator whose orbit drops are not integral
+        assert run_cli(capsys, ["numerator", *argv]) == (EXIT_PRECONDITION, out, err)
+
 
 class TestKgraphCommand:
     def test_g3_value(self, capsys):

@@ -233,6 +233,13 @@ def test_weight_monomial():
         weight_monomial([F(1, 2)])
     with pytest.raises(NegativeExponentAfterCollapse):
         weight_monomial([F(-1)])
+    # numerators over den, as the orbit drops come; errors print the value
+    assert weight_monomial([4, 0, 2], 2) == ((0, 2), (2, 1))
+    assert all(type(e) is int for _, e in weight_monomial([4, 0, 2], 2))
+    with pytest.raises(NonIntegralExponent, match="^exponent 2/3 on variable 1 is not"):
+        weight_monomial([0, 4], 6)
+    with pytest.raises(NegativeExponentAfterCollapse, match="^exponent -1 on variable 0 is"):
+        weight_monomial([-2], 2)
 
 
 def test_poly_structure_queries():

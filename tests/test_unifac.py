@@ -497,7 +497,8 @@ def test_search_stream_matches_its_recording(case):
 
 def full_key(datum, lam):
     """What a full factor key stands for: the signature and the dominant labels."""
-    return x_signature(datum, lam), dominant_labels(datum, lam)
+    nums, den = dominant_labels(datum, lam)
+    return x_signature(datum, lam), tuple(Fraction(a, den) for a in nums)
 
 
 @pytest.fixture

@@ -7,10 +7,12 @@ arrays spell against it on groups of at most ``MAX_ORDER`` elements.
 """
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from superweyl.errors import GroupTooLarge, IndexOutOfRange
+from superweyl.numerator import dominant_labels
 from superweyl.rootdata import (
     build_b0,
     build_f4,
@@ -18,6 +20,7 @@ from superweyl.rootdata import (
     build_osp2,
     build_sl,
     datum_from_text,
+    vadd,
     vscale,
     vsub,
 )
@@ -31,6 +34,7 @@ from superweyl.weyl import (
 )
 
 import weyl_reference as ref
+from test_numerator import random_typical_weights
 from test_rootdata import A3_TEXT
 
 DIFFERENTIAL_DATA = [
@@ -178,15 +182,26 @@ def test_pi0_group_fixes_tau():
 
 
 def test_rho_drop_is_nonnegative_integral():
-    for d in (build_sl(3, 2), build_osp2(2)):
-        pi0 = [g.gid for g in d.generators if g.pi_index is not None]
-        expected = sorted(
-            tuple(d.expand_simple(vsub(d.rho, ref.act(m, d.rho))))
-            for _, m in ref.reference_group(d, pi0)
-        )
-        drops = orbit_drops(pi0_group(d), d.labels(d.rho))
-        assert sorted(drops) == expected, d.label
-        assert all(c >= 0 for drop in drops for c in drop), d.label
+    # Drops come back as numerators over the labels' denominator D; D = 2 for
+    # rho on B(0, n), G(3) and F(4).  rho on the Pi_0 groups, the dominant
+    # labels of one typical weight on every other generator set.
+    for _, builder in DIFFERENTIAL_DATA:
+        d = builder()
+        pi0 = tuple(g.gid for g in d.generators if g.pi_index is not None)
+        lam, = random_typical_weights(d, 1, seed=3)
+        eta_plus = ref.dominant_representative(d, vadd(lam, d.rho))
+        for gids in generator_sets(d):
+            eta, (labels, den) = (
+                (d.rho, d._labels(d.rho)) if gids == pi0 else (eta_plus, dominant_labels(d, lam))
+            )
+            expected = sorted(
+                tuple(d.expand_simple(vsub(eta, ref.act(m, eta))))
+                for _, m in ref.reference_group(d, gids)
+            )
+            drops = orbit_drops(generate(d, gids), labels)
+            assert all(type(c) is int and c >= 0 for drop in drops for c in drop), (d.label, gids)
+            got = sorted(tuple(Fraction(c, den) for c in drop) for drop in drops)
+            assert got == expected, (d.label, gids)
 
 
 def test_group_cap_env(monkeypatch):

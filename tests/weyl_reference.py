@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from superweyl.atypical import _prefactor
 from superweyl.errors import NotDominant
-from superweyl.numerator import _check_weight
+from superweyl.numerator import _checked_labels
 from superweyl.rootdata import as_weight, vadd, vsub
 from superweyl.series import Poly, weight_monomial
 
@@ -103,7 +103,8 @@ def dominant_representative(datum, eta):
 
 
 def numerator(datum, lam):
-    lam = _check_weight(datum, lam)
+    lam = as_weight(lam)
+    _checked_labels(datum, *datum._shifted(lam))
     eta_plus = dominant_representative(datum, vadd(lam, datum.rho))
     return orbit_sum(datum, reference_group(datum), eta_plus)
 
