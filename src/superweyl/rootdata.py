@@ -77,7 +77,7 @@ The structure of a datum is fixed at construction, but three private caches on
 it fill lazily: ``_fundamental_cache`` (even fundamental weights),
 ``_group_cache`` (Weyl groups per generator set, see
 :func:`superweyl.weyl.generate`) and ``_key_table`` (the full factor keys,
-signature and block keys, whose factor law has been checked, one entry per
+signature and block keys, whose factors have been built once, one entry per
 distinct key rather than per weight; no factor polynomial is kept, see
 :mod:`superweyl.unifac`).  Nothing guards them against concurrent writers.
 """

@@ -191,7 +191,7 @@ def _c4_rho_pairing_identity(seed: int):
 
 
 def _c5_factor_product_law(seed: int):
-    cases = [(build_sl(3, 2), "sl"), (build_osp2(2), "osp")]
+    cases = [(build_sl(3, 2), "sl"), (build_sl(4, 3), "sl43")]
     total = 0
     for datum, tag in cases:
         rng = random.Random(f"{seed}-factors-{tag}")

@@ -27,12 +27,12 @@ are kept apart by their signatures.
 Keys are computed in integers: the datum pairs the numerators of
 lam + rho with its integer coroot and isotropic rows, and the dominant
 labels are walked on those numerators.  The typical and dominance checks
-run on every weight, but the factor law (through :func:`factor_numerator`)
-is checked once per distinct full key (signature, block keys) and datum,
-in the datum's key table: past those checks ``factor_numerator`` builds its
-polynomials from the dominant labels alone, which the key holds, so a
-second weight with the same key would recompute identical polynomials.
-Their orbit sums, too, run on the label numerators and their denominator.
+run on every weight; the factors are built (through :func:`factor_numerator`,
+from the dominant labels the key holds) once per distinct full key
+(signature, block keys) and datum, and only the key is kept, in the datum's
+key table.  Keys never see a drop, so on B(0, n), G(3) and F(4) that call
+is where a non-integral drop is refused.  Its orbit sums, too, run on the
+label numerators and their denominator.
 """
 
 from __future__ import annotations
@@ -94,8 +94,8 @@ def _factor_key(datum: RootDatum, lam: Weight, eta: list[int], d: int) -> tuple:
     The typical and dominance checks run here on every weight.  A block's
     key is its part of the signature and its part of the dominant labels in
     lowest terms, so equal keys mean equal values whatever ``d``.  The
-    factor law is checked once per distinct full key and datum (see the
-    module docstring).
+    key's factors are built once per distinct full key and datum, which
+    refuses a non-integral drop (see the module docstring).
     """
     shifted, den = _checked_labels(datum, eta, d)
     walked = _dominant_walk(datum, shifted)
@@ -185,10 +185,10 @@ def verify_tensor_isomorphism(
     order (degree of the lowest term, signature, lhs index).
 
     What each call verifies: the typical and dominance checks of every
-    weight, the factor law (once per distinct full key and datum, through
-    :func:`factor_numerator`, as equal keys give identical factors), the
-    keys, the weight sums and the weight multisets.  No factor polynomial
-    is compared.  Past parsing, every step runs on integer numerators.
+    weight, integral orbit drops (once per distinct full key and datum,
+    through the key table's :func:`factor_numerator` call), the keys, the
+    weight sums and the weight multisets.  No factor polynomial is
+    compared.  Past parsing, every step runs on integer numerators.
     """
     keyed = []
     for lam in [as_weight(w) for w in (*lhs, *rhs)]:

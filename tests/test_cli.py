@@ -1,6 +1,7 @@
 """Tests for the command line interface: grammar, output, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -293,6 +294,24 @@ class TestNumeratorCommand:
         assert "U2: 1 - X[a3]^4" in out
         assert "signature: 2, 3; 4" in out
 
+    @pytest.mark.parametrize(
+        "m, n, digest",
+        [
+            (5, 4, "2a09ecb9d7c756ac3d944e16442926b081d9b1462ed50c844e085fcbc73e25f2"),
+            (6, 5, "30aa77b72164e01693f3655240772f50901e7d4c8fe0cba93972c260e4bce7eb"),
+        ],
+        ids=["sl54", "sl65"],
+    )
+    def test_factored_output_digest(self, capsys, m, n, digest):
+        # the factors of the two upper rungs, from their component sums alone
+        code, out, err = run_cli(
+            capsys,
+            ["numerator", "--family", "sl", "--m", str(m), "--n", str(n),
+             "--weight", "omega[1]+tau", "--factor"],
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_atypical_weight_is_precondition_error(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -445,6 +464,21 @@ class TestVerifyCommand:
         assert (code, err) == (EXIT_OK, "")
         assert f"conclusion: {conclusion}" in out
         assert "r_equals_s: true" in out
+
+    @pytest.mark.parametrize(
+        "family, lhs, rhs, err",
+        [
+            (["b0", "--n", "2"], "5/6*delta[1] - 1/6*delta[2]", "5/6*delta[1] - 1/6*delta[2]",
+             "error: exponent 2/3 on variable 1 is not an integer\n"),
+            (["G3"], "5*eps[1]+7*eps[2]+7/3*delta[1]", "tau",
+             "error: exponent 2/3 on variable 0 is not an integer\n"),
+        ],
+        ids=["b02", "g3"],
+    )
+    def test_non_integral_drop_is_precondition_error(self, capsys, family, lhs, rhs, err):
+        assert run_cli(
+            capsys, ["verify", "--family", *family, "--lhs", lhs, "--rhs", rhs]
+        ) == (EXIT_PRECONDITION, "", err)
 
     def test_empty_weight_in_list_is_precondition_error(self, capsys):
         code, _, err = run_cli(

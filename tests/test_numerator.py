@@ -1,13 +1,17 @@
 """Tests for normalized numerators, factors, and expanded characters."""
 
 import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superweyl import build_b0, build_f4, build_g3, build_osp2, build_sl, datum_from_text
 from superweyl.errors import (
+    GroupTooLarge,
     NonIntegralExponent,
     SuperweylError,
     NotDominant,
@@ -24,7 +28,8 @@ from superweyl.numerator import (
 )
 from superweyl.rootdata import as_weight, vadd, vscale
 from superweyl.series import Poly, mono_from_pairs
-from superweyl.weyl import full_group
+from superweyl.unifac import verify_tensor_isomorphism
+from superweyl.weyl import component_group, full_group
 
 import weyl_reference as ref
 from test_rootdata import A1A1B_TEXT, A3_TEXT
@@ -168,6 +173,49 @@ def test_factor_product_law_random(builder, seed):
         assert product == numerator(datum, lam)
 
 
+LAW_DATA = {pq: build_sl(*pq) for pq in [(3, 2), (2, 3), (4, 2), (4, 3)]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pq=st.sampled_from(sorted(LAW_DATA)),
+    coeffs=st.lists(st.integers(0, 3), min_size=5, max_size=5),
+    tau=st.fractions(-3, 3, max_denominator=2),
+)
+def test_factor_product_equals_the_full_group_numerator(pq, coeffs, tau):
+    # factor_numerator builds the component sums alone; numerator() walks
+    # the full group, so it is the independent route for the factor law
+    datum = LAW_DATA[pq]
+    lam = vadd(weight_from_coeffs(datum, coeffs[: datum.even_simple_count]),
+               vscale(tau, datum.tau))
+    whole = outcome(numerator, datum, lam)
+    factors = outcome(factor_numerator, datum, lam)
+    if not isinstance(whole, Poly):
+        assert factors == whole
+        return
+    assert len(factors) == 2
+    assert math.prod(factors[1:], start=factors[0]) == whole
+
+
+@pytest.mark.parametrize("pq", [(4, 3), (5, 4)], ids=["sl43", "sl54"])
+def test_factors_build_only_the_component_groups(pq):
+    datum = build_sl(*pq)
+    factor_numerator(datum, weight_from_coeffs(datum, (1,), tau_mult=1))
+    comps = {component_group(datum, k).gids for k in (1, 2)}
+    assert set(datum._group_cache) == comps
+    assert tuple(range(len(datum.generators))) not in datum._group_cache
+
+
+def test_the_group_cap_counts_only_the_groups_built(monkeypatch):
+    # sl(4,3): components of orders 24 and 6, full group of order 144
+    datum = build_sl(4, 3)
+    lam = weight_from_coeffs(datum, (1,), tau_mult=1)
+    monkeypatch.setenv("SUPERWEYL_MAX_GROUP", "24")
+    assert len(factor_numerator(datum, lam)) == 2
+    with pytest.raises(GroupTooLarge, match="cap of 24"):
+        numerator(datum, lam)
+
+
 def test_single_variable_terms_match_signature():
     # For each even simple position, the only pure power of that variable
     # in the numerator is minus the signature exponent.
@@ -254,6 +302,19 @@ class TestErrors:
         assert any(g.pi_index is None for g in d.generators)
         with pytest.raises(UnsupportedCase):
             factor_numerator(d, as_weight([0, 0, 0, 0, 0]))
+        # over the box of half-integers -3/2..3/2 the dominance and wall
+        # checks come before the generator check
+        box = [Fraction(k, 2) for k in range(-3, 4)]
+        outcomes = Counter()
+        for lam in itertools.product(box, repeat=d.dim):
+            with pytest.raises(SuperweylError) as info:
+                factor_numerator(d, as_weight(lam))
+            outcomes[type(info.value).__name__, str(info.value)] += 1
+        assert outcomes == {
+            ("NotDominant", "shifted weight lies on a wall of the even Weyl chambers"): 256,
+            ("NotDominant", "weight fails the even dominance test"): 15015,
+            ("UnsupportedCase", "component factors need every generator to be a simple root"): 1536,
+        }
 
 
 class TestNormalizedCharacter:
@@ -383,3 +444,6 @@ def test_rejections_match_the_matrix_reference(builder, lam, error):
     lam = as_weight(lam)
     assert outcome(numerator, datum, lam) == error
     assert outcome(ref.numerator, datum, lam) == error
+    # the factor keys never see a drop: verify refuses a non-integral one
+    # through the key table's factor_numerator call
+    assert outcome(verify_tensor_isomorphism, datum, [lam], [lam]) == error

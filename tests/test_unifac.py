@@ -503,7 +503,11 @@ def full_key(datum, lam):
 
 @pytest.fixture
 def factor_law_checks(monkeypatch):
-    """The weights of every call of ``factor_numerator`` made through unifac."""
+    """The weights of every call of ``factor_numerator`` made through unifac.
+
+    The key table makes one such call per distinct key and datum: it builds
+    that key's factors once, which is where a non-integral drop is refused.
+    """
     calls = []
     real = unifac.factor_numerator
 
