@@ -29,9 +29,10 @@ the weighted sum of products of block factors:
 - A-sum (sl(m+1, n+1), interior type): the seven splits of the four
   movers, each weighing sum over k of (-1)^(|Pi_0| + k) / k * r_shape(k);
 - enumeration (every type, the fallback): each grouping weighs its signed
-  (k, grouping) tally, counted by a subset dynamic program; the reference
-  route :func:`enumeration_coefficient` reaches the same tally by walking
-  the ordered partitions themselves.
+  (k, grouping) tally, counted by the subset dynamic program of
+  :func:`~superweyl.partitions.grouping_counts`; the reference route
+  :func:`enumeration_coefficient` reaches the same tally by walking the
+  ordered partitions themselves.
 
 Products of the numerators are compared factor by factor to test unique
 factorization of tensor products of singly atypical modules of one common
@@ -58,9 +59,8 @@ from .errors import (
     invariant,
 )
 from .numerator import _orbit_sum, x_lambda, x_signature
-from .partitions import SimpleGraph, graph_of_datum, iter_ordered_partitions
+from .partitions import graph_of_datum, grouping_counts, iter_ordered_partitions
 from .partitions import k_partition_counts, tree_graph_gpq
-from .partitions import _check_size, _independent_blocks, _neighbour_masks
 from .rootdata import (
     Dominance,
     Root,
@@ -360,46 +360,6 @@ def _m_form(ctx: AtypicalContext) -> CoefficientValue:
     return CoefficientValue(value=value, tag="M-form")
 
 
-def _grouping_counts(graph: SimpleGraph, members: frozenset) -> Counter:
-    """Ordered k-partitions of ``graph`` tallied by (k, grouping).
-
-    A partition's grouping is the frozenset of its nonempty block cuts by
-    ``members``; the partition sums below see a partition only through k
-    and its grouping.  This is the subset dynamic program of
-    :func:`k_partition_counts` with the grouping carried along:
-    ``table[mask]`` counts the unordered partitions of ``mask`` by k and
-    by their cuts (as bit masks), and each step strips the independent
-    block that holds the lowest vertex.  Only the masks that stripping
-    reaches from the whole graph are tabulated.  An unordered k-partition
-    has k! orderings.
-    """
-    _check_size(graph)
-    verts = graph.vertices
-    if not verts:
-        return Counter()
-    nbr = _neighbour_masks(graph)
-    member_bits = sum(1 << i for i, v in enumerate(verts) if v in members)
-    table: dict[int, Counter] = {0: Counter({(0, frozenset()): 1})}
-
-    def tally(mask: int) -> Counter:
-        if mask not in table:
-            row: Counter = Counter()
-            for block in _independent_blocks(nbr, mask, (mask & -mask).bit_length() - 1):
-                cut = frozenset({block & member_bits} - {0})
-                for (k, cuts), count in tally(mask ^ block).items():
-                    row[k + 1, cuts | cut if cut else cuts] += count
-            table[mask] = row
-        return table[mask]
-
-    def group(cut: int) -> frozenset:
-        return frozenset(v for i, v in enumerate(verts) if cut >> i & 1)
-
-    return Counter({
-        (k, frozenset(map(group, cuts))): count * math.factorial(k)
-        for (k, cuts), count in tally((1 << len(verts)) - 1).items()
-    })
-
-
 def _tally_sum(ctx: AtypicalContext, total: int, tally: Counter) -> CoefficientValue:
     """Each grouping of the movers weighs its signed (k, grouping) tally over ``total`` vertices."""
     weights: dict[frozenset, Fraction] = {}
@@ -418,8 +378,8 @@ def enumeration_coefficient(ctx: AtypicalContext) -> CoefficientValue:
     the closed forms are checked against, and the only caller in the
     library of :func:`iter_ordered_partitions`: it lists the partitions
     themselves, merges their orderings by block set and cuts each block
-    set once, where :func:`_grouping_counts` counts them.  Works for every
-    covered family and type, interior or boundary.
+    set once, where :func:`~superweyl.partitions.grouping_counts` counts
+    them.  Works for every covered family and type, interior or boundary.
     """
     graph = graph_of_datum(ctx.datum)
     movers = _movers(ctx.datum, ctx.gamma_index)
@@ -437,6 +397,7 @@ def _a_sum(ctx: AtypicalContext) -> CoefficientValue:
     singletons, or four singletons.  Within each shape the split patterns
     occur equally often, r_shape(k) times among the ordered k-partitions,
     and together they cover every partition with k >= 2; both are checked
+    on the (k, grouping) tally of :func:`~superweyl.partitions.grouping_counts`
     against the plain partition numbers of the diagram graph.  Each pattern
     then weighs sum over k of (-1)^(|Pi_0| + k) / k * r_shape(k).
     """
@@ -467,7 +428,7 @@ def _a_sum(ctx: AtypicalContext) -> CoefficientValue:
         [_singletons(movers)],
     )
     ks = range(2, total + 1)
-    tally = _grouping_counts(graph, movers)
+    tally = grouping_counts(graph, movers)
     covered = [0] * len(ks)
     r_counts = []
     weights: dict[frozenset, Fraction] = {}
@@ -499,9 +460,10 @@ def closed_form_coefficient(ctx: AtypicalContext) -> CoefficientValue:
     ratio; G(3) and F(4) take the two-term form; the two-chain special
     linear family takes the interior alternating sum when all four
     neighboring generators exist, and on boundary types the partition sum
-    over the counted (k, grouping) tally.  That boundary value keeps the
-    tag "enumeration": the tag names the formula, the sum over all ordered
-    partitions, not the route, which counts them without listing any.
+    over the (k, grouping) tally of
+    :func:`~superweyl.partitions.grouping_counts`.  That boundary value
+    keeps the tag "enumeration": the tag names the formula, the sum over all
+    ordered partitions, not the route, which counts them without listing any.
     """
     datum = ctx.datum
     if datum.family == "osp":
@@ -515,7 +477,7 @@ def closed_form_coefficient(ctx: AtypicalContext) -> CoefficientValue:
         if len(movers) == 4:
             return _a_sum(ctx)
         graph = graph_of_datum(datum)
-        return _tally_sum(ctx, len(graph), _grouping_counts(graph, movers))
+        return _tally_sum(ctx, len(graph), grouping_counts(graph, movers))
     raise WrongFamily(
         f"no closed form for family {datum.family!r}"
     )
@@ -537,7 +499,7 @@ def coefficient_f1(datum: RootDatum, p: int, q: int) -> Fraction:
     comps = datum.components
     pair_one = frozenset({comps[0][p - 2], comps[1][q - 2]})
     pair_two = frozenset({comps[0][p - 1], comps[1][q - 1]})
-    tally = _grouping_counts(graph, pair_one | pair_two)
+    tally = grouping_counts(graph, pair_one | pair_two)
     direct = Fraction(0)
     for k in range(2, total + 1):
         count = tally[k, frozenset({pair_one, pair_two})]

@@ -627,6 +627,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SuperweylError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except MemoryError:
+        # a size too large to build, reported like a group over its cap
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_PRECONDITION
 
 
 if __name__ == "__main__":

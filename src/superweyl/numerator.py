@@ -29,20 +29,11 @@ from .series import Mono, Poly, mono_degree, mono_from_pairs, mono_pow, weight_m
 from .weyl import WeylGroup, component_group, full_group, orbit_drops, sign
 
 
-def dominant_labels(datum: RootDatum, lam: Weight) -> tuple[list[int], int]:
-    """(nums, den): labels nums[k] / den, in gid order, of lam + rho's dominant representative.
-
-    These are the labels every orbit sum of the numerator reads: the full
-    sum all of them, a component or block factor those at its generators.
-    See :func:`_dominant_walk`; the walk runs on integer numerators.
-    """
-    shifted, den = datum._shifted_labels(as_weight(lam))
-    return _dominant_walk(datum, shifted), den
-
-
 def _dominant_walk(datum: RootDatum, labels: list[int]) -> list[int]:
     """The dominant representative's label numerators, from eta's over the same denominator.
 
+    These are the labels every orbit sum of the numerator reads: the full
+    sum all of them, a component or block factor those at its generators.
     Walks toward the dominant chamber on the labels alone, reflecting at
     the first negative label until none is left; the walk is finite because
     the group is.  A reflection subtracts an integer multiple of a Cartan
@@ -120,8 +111,8 @@ def factor_numerator(datum: RootDatum, lam: Weight) -> list[Poly]:
     comps = datum.components
     if len(comps) == 1:
         return [numerator(datum, lam)]
-    _checked_labels(datum, *datum._shifted(as_weight(lam)))
-    labels, den = dominant_labels(datum, lam)
+    shifted, den = _checked_labels(datum, *datum._shifted(as_weight(lam)))
+    labels = _dominant_walk(datum, shifted)
     if any(g.pi_index is None for g in datum.generators):
         raise UnsupportedCase(
             "component factors need every generator to be a simple root"

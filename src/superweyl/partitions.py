@@ -16,18 +16,22 @@ used by the closed-form coefficient formulas for two-block atypicality
 patterns.
 
 Counting and enumeration rest on one step over vertex bit masks: strip
-the independent block that holds the lowest remaining vertex.  The same
-step runs as a subset dynamic program both for the counts here and for
-the (k, grouping) tallies of the atypical partition sums; the enumeration
-recurses with it to list each unordered partition once, then emits its k!
+the independent block that holds the lowest remaining vertex.  One subset
+dynamic program over that step, :func:`_partition_table`, runs both for
+the counts here and for the (k, grouping) tallies of the atypical
+partition sums (:func:`grouping_counts`); the enumeration recurses with
+the step to list each unordered partition once, then emits its k!
 orderings.  The diagram's edges, here and in the fused graph, come from
 :meth:`RootDatum.adjacency`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Iterator
@@ -152,38 +156,75 @@ def _independent_blocks(nbr: list[int], mask: int, v: int) -> Iterator[int]:
             stack.append((block | low, avail & ~nbr[w]))
 
 
+def _partition_table(graph: SimpleGraph, member_bits: int = 0) -> dict[frozenset[int], list[int]]:
+    """Unordered partitions of ``graph`` by their cut set, then by block count.
+
+    A partition's cut set is the frozenset of its nonempty block cuts by
+    the vertices in ``member_bits``, as bit masks; with no members the
+    empty cut set is the only key.  Each row maps a cut set to the count
+    of partitions with k blocks at index k.  ``rows(mask)`` holds the rows
+    of ``mask``; each step strips the independent block that holds the
+    lowest vertex, and only the masks that stripping reaches from the whole
+    graph are tabulated.  This is the one subset dynamic program.
+    """
+    _check_size(graph)
+    n = len(graph)
+    nbr = _neighbour_masks(graph)
+
+    @functools.cache
+    def rows(mask: int) -> dict[frozenset[int], list[int]]:
+        if not mask:
+            return {frozenset(): [1] + [0] * n}
+        # the rows of each stripped rest, summed by the cut set they reach
+        acc: dict[frozenset[int], list[int]] = {}
+        for block in _independent_blocks(nbr, mask, (mask & -mask).bit_length() - 1):
+            cut = block & member_bits
+            for cuts, sub in rows(mask ^ block).items():
+                key = cuts | {cut} if cut else cuts
+                acc[key] = list(map(operator.add, acc[key], sub)) if key in acc else sub
+        # one more block each
+        return {cuts: [0, *row[:-1]] for cuts, row in acc.items()}
+
+    return rows((1 << n) - 1)
+
+
 def k_partition_counts(graph: SimpleGraph) -> PartitionReport:
     """Count ordered partitions into k independent blocks for each k.
 
     c_k equals k! times the number of unordered partitions of the vertex
-    set into exactly k nonempty independent blocks.  The unordered counts
-    come from a subset dynamic program: strip the independent block that
-    contains the lowest-numbered remaining vertex.
+    set into exactly k nonempty independent blocks, read from the one row
+    of :func:`_partition_table` without members.
     """
-    _check_size(graph)
+    unordered = _partition_table(graph)[frozenset()]
     n = len(graph)
-    if n == 0:
-        return PartitionReport(counts=(), k_value=Fraction(0))
-
-    nbr = _neighbour_masks(graph)
-    full = (1 << n) - 1
-    table: dict[int, list[int]] = {0: [1] + [0] * n}
-    for mask in range(1, full + 1):
-        v = (mask & -mask).bit_length() - 1
-        row = [0] * (n + 1)
-        for block in _independent_blocks(nbr, mask, v):
-            sub = table[mask ^ block]
-            for k in range(n):
-                if sub[k]:
-                    row[k + 1] += sub[k]
-        table[mask] = row
-
-    unordered = table[full]
     counts = tuple(unordered[k] * math.factorial(k) for k in range(1, n + 1))
 
     total = sum(Fraction((-1) ** k * counts[k - 1], k) for k in range(1, n + 1))
     k_value = Fraction((-1) ** n) * total
     return PartitionReport(counts=counts, k_value=k_value)
+
+
+def grouping_counts(graph: SimpleGraph, members: frozenset) -> Counter:
+    """Ordered k-partitions of ``graph`` tallied by (k, grouping).
+
+    A partition's grouping is the frozenset of its nonempty block cuts by
+    ``members``, each a frozenset of vertices; the atypical partition sums
+    see a partition only through k and its grouping.  The counts are the
+    rows of :func:`_partition_table`, each unordered k-partition taken k!
+    times for its orderings.
+    """
+    verts = graph.vertices
+    member_bits = sum(1 << i for i, v in enumerate(verts) if v in members)
+
+    def group(cut: int) -> frozenset:
+        return frozenset(v for i, v in enumerate(verts) if cut >> i & 1)
+
+    return Counter({
+        (k, frozenset(map(group, cuts))): row[k] * math.factorial(k)
+        for cuts, row in _partition_table(graph, member_bits).items()
+        for k in range(1, len(verts) + 1)
+        if row[k]
+    })
 
 
 def iter_ordered_partitions(graph: SimpleGraph, k: int) -> Iterator[tuple[tuple[Vertex, ...], ...]]:

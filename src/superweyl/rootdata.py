@@ -40,7 +40,7 @@ A weight meets those rows as its numerators over the lcm of its
 denominators (lam + rho over the lcm with rho's), so each pairing is an
 integer dot product over a known denominator.  ``labels``,
 ``atypicality``, ``is_typical``, ``is_dominant_integral``,
-:func:`~superweyl.numerator.dominant_labels`,
+the dominant walk of :mod:`superweyl.numerator`,
 :func:`~superweyl.numerator.x_signature` and the factor keys of
 :mod:`superweyl.unifac` all work this way; all but ``labels`` keep the
 numerators and their denominator, down to the orbit sums' drops.

@@ -12,17 +12,17 @@ factorization.
 Factors are matched by key, never by polynomial.  The even Weyl group is
 the product of the subgroups of its irreducible blocks of generators
 (``RootDatum.generator_blocks``), so a numerator is the product of one
-orbit sum per block, fixed by the block's part of
-:func:`~superweyl.numerator.dominant_labels`.  A block's key is (its part
-of the signature, those labels), so equal keys mean equal factors.  With
-two components the blocks are the components; G(3) and F(4) have one
-component but two blocks (the extra generator is orthogonal to G_2 and
-B_3), so their products can match block by block where no whole factor
-does.  The signature alone is not a key: it leaves out the extra
-generator, which ``tau`` and ``2*tau`` tell apart.  Nor are the labels
-alone: on B(0, n) a shifted weight with a negative label at the extra
-generator is reflected to another weight's dominant labels, and the two
-are kept apart by their signatures.
+orbit sum per block, fixed by the block's part of the dominant labels
+(the labels of lam + rho walked to the dominant chamber).  A block's key
+is (its part of the signature, those labels), so equal keys mean equal
+factors.  With two components the blocks are the components; G(3) and
+F(4) have one component but two blocks (the extra generator is orthogonal
+to G_2 and B_3), so their products can match block by block where no
+whole factor does.  The signature alone is not a key: it leaves out the
+extra generator, which ``tau`` and ``2*tau`` tell apart.  Nor are the
+labels alone: on B(0, n) a shifted weight with a negative label at the
+extra generator is reflected to another weight's dominant labels, and the
+two are kept apart by their signatures.
 
 Keys are computed in integers: the datum pairs the numerators of
 lam + rho with its integer coroot and isotropic rows, and the dominant

@@ -17,7 +17,6 @@ from superweyl.atypical import (
     coefficient_oracle,
     enumeration_coefficient,
     shift_to_type,
-    _grouping_counts,
     _movers,
     _normalizer,
     _transport,
@@ -37,6 +36,7 @@ from superweyl.errors import (
 from superweyl.partitions import (
     SimpleGraph,
     graph_of_datum,
+    grouping_counts,
     iter_ordered_partitions,
     k_partition_counts,
     tree_graph_gpq,
@@ -571,15 +571,16 @@ def graphs_with_members(draw):
 def test_grouping_counts_match_brute_force(case):
     n, edges, members = case
     graph = SimpleGraph(range(n), edges)
-    tally = _grouping_counts(graph, members)
+    tally = grouping_counts(graph, members)
     brute = Counter(
         (k, grouping(part, members))
         for k in range(1, n + 1)
         for part in partition_reference.ordered_partitions(range(n), edges, k)
     )
     assert tally == dict(brute)
-    per_k = [0] * len(graph)
-    for (k, _), count in tally.items():
+    # the counts against the brute-force tally, not against the shared table
+    per_k = [0] * n
+    for (k, _), count in brute.items():
         per_k[k - 1] += count
     assert tuple(per_k) == k_partition_counts(graph).counts
 
@@ -605,7 +606,7 @@ def test_grouping_counts_equal_the_walked_tally(m, n):
     alphas, betas = datum.components
     pairs = frozenset({alphas[1], betas[0], alphas[2], betas[1]})
     for members in (_movers(datum, interior), pairs):
-        assert _grouping_counts(graph, members) == walked_grouping_counts(graph, members)
+        assert grouping_counts(graph, members) == walked_grouping_counts(graph, members)
 
 
 def test_closed_forms_and_f1_do_not_walk_partitions(monkeypatch):

@@ -382,6 +382,37 @@ class TestKgraphCommand:
         assert "vertices: 2" in out
         assert "k: 0" in out
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["--family", "sl", "--m", "4", "--n", "3"],
+             "89156c3b3493dc447c56e29089cf7087e0d70fa2dc83d62556b57f568000d4d0"),
+            (["--family", "sl", "--m", "5", "--n", "3"],
+             "75213697a8484cc16e0d266ba634d277dc13f8d43ad8deb7af7e8e28fdd299c7"),
+            (["--family", "sl", "--m", "6", "--n", "4"],
+             "e5430698b5785d8f19e44f3256cd7f2ea283a6f9065c1de1dd7664de35dd0cc0"),
+            (["--family", "b0", "--n", "3"],
+             "16eb641308783690936cbeb3da0adc585dd9afee64d702af8f472950a97491fe"),
+            (["--family", "osp", "--n", "3"],
+             "089b6b18199f3ee6336d77e9d1a481358c9b0c4a86fff82fa17e23568833645d"),
+            (["--family", "G3"],
+             "16eb641308783690936cbeb3da0adc585dd9afee64d702af8f472950a97491fe"),
+            (["--family", "F4"],
+             "089b6b18199f3ee6336d77e9d1a481358c9b0c4a86fff82fa17e23568833645d"),
+            (["--family", "sl", "--m", "5", "--n", "3", "--subset", "1,2,5"],
+             "71fd6bcb210251ad2ffd53eb7ae47c946f82daf24ad3b9500c9a99359126e3a6"),
+            (["--family", "sl", "--m", "5", "--n", "3", "--subset", "2,3,4"],
+             "089b6b18199f3ee6336d77e9d1a481358c9b0c4a86fff82fa17e23568833645d"),
+        ],
+        ids=["sl43", "sl53", "sl64", "b03", "osp26", "G3", "F4", "sl53-disconnected",
+             "sl53-connected"],
+    )
+    def test_output_digest(self, capsys, argv, digest):
+        # vertex count, every c_k and k(G), byte for byte
+        code, out, err = run_cli(capsys, ["kgraph", *argv])
+        assert (code, err) == (EXIT_OK, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_subset_out_of_range_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["kgraph", "--family", "G3", "--subset", "1,9"])
@@ -670,6 +701,18 @@ class TestInternalErrorMapping:
         captured = capsys.readouterr()
         assert code == EXIT_INTERNAL
         assert captured.err == "internal error: numerator does not start at 1\n"
+
+    def test_out_of_memory_is_precondition_error(self, capsys, monkeypatch):
+        import superweyl.cli as cli
+
+        def too_large(descriptor):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "build_datum", too_large)
+        code, out, err = run_cli(capsys, ["datum", "--family", "sl", "--m", "100000", "--n", "2"])
+        assert (code, out) == (EXIT_PRECONDITION, "")
+        assert err == "error: out of memory\n"
+        assert "Traceback" not in err
 
 
 def test_readme_library_example_runs():

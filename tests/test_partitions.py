@@ -231,6 +231,9 @@ def test_enumeration_matches_the_brute_force_reference(vertices, edges):
     for k in range(len(vertices) + 2):
         expected = ref.ordered_partitions(vertices, edges, k) if k else set()
         assert set(iter_ordered_partitions(graph, k)) == expected
+    assert k_partition_counts(graph).counts == tuple(
+        len(ref.ordered_partitions(vertices, edges, k)) for k in range(1, len(vertices) + 1)
+    )
 
 
 def test_brute_force_reference_on_small_cases():

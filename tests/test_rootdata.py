@@ -15,7 +15,7 @@ from superweyl.errors import (
     SuperweylError,
     UnsupportedFamily,
 )
-from superweyl.numerator import dominant_labels, x_signature
+from superweyl.numerator import _dominant_walk, x_signature
 from superweyl.rootdata import (
     AlgebraDescriptor,
     Dominance,
@@ -800,9 +800,9 @@ def outcome(fn, *args):
 
 
 def fraction_dominant_labels(d, lam):
-    """``dominant_labels`` as Fractions, the values its (nums, den) stand for."""
-    nums, den = dominant_labels(d, lam)
-    return tuple(F(a, den) for a in nums)
+    """The walked dominant labels as Fractions, the values their (nums, den) stand for."""
+    shifted, den = d._shifted_labels(lam)
+    return tuple(F(a, den) for a in _dominant_walk(d, shifted))
 
 
 @pytest.mark.parametrize("name", FORM_BUILDERS)

@@ -12,7 +12,7 @@ import pytest
 import superweyl.unifac as unifac
 from superweyl import build_b0, build_f4, build_g3, build_osp2, build_sl
 from superweyl.errors import NoSecondComponent, NotDominant, NotTypical, SuperweylError
-from superweyl.numerator import dominant_labels, factor_numerator, numerator, x_signature
+from superweyl.numerator import _dominant_walk, factor_numerator, numerator, x_signature
 from superweyl.rootdata import as_weight, vadd, vscale
 from superweyl.series import Poly
 from superweyl.unifac import (
@@ -497,7 +497,8 @@ def test_search_stream_matches_its_recording(case):
 
 def full_key(datum, lam):
     """What a full factor key stands for: the signature and the dominant labels."""
-    nums, den = dominant_labels(datum, lam)
+    shifted, den = datum._shifted_labels(lam)
+    nums = _dominant_walk(datum, shifted)
     return x_signature(datum, lam), tuple(Fraction(a, den) for a in nums)
 
 

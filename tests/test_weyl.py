@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from superweyl.errors import GroupTooLarge, IndexOutOfRange
-from superweyl.numerator import dominant_labels
+from superweyl.numerator import _dominant_walk
 from superweyl.rootdata import (
     build_b0,
     build_f4,
@@ -190,10 +190,10 @@ def test_rho_drop_is_nonnegative_integral():
         pi0 = tuple(g.gid for g in d.generators if g.pi_index is not None)
         lam, = random_typical_weights(d, 1, seed=3)
         eta_plus = ref.dominant_representative(d, vadd(lam, d.rho))
+        shifted, den_plus = d._shifted_labels(lam)
+        walked = _dominant_walk(d, shifted), den_plus
         for gids in generator_sets(d):
-            eta, (labels, den) = (
-                (d.rho, d._labels(d.rho)) if gids == pi0 else (eta_plus, dominant_labels(d, lam))
-            )
+            eta, (labels, den) = (d.rho, d._labels(d.rho)) if gids == pi0 else (eta_plus, walked)
             expected = sorted(
                 tuple(d.expand_simple(vsub(eta, ref.act(m, eta))))
                 for _, m in ref.reference_group(d, gids)
