@@ -16,11 +16,8 @@ fundamental weight), ``eps[i]`` / ``delta[j]`` (ambient coordinates),
 with canonical polynomial strings; identical invocations print identical
 bytes.
 
-When the first argument names a subcommand, ``main`` builds only that
-subcommand's parser (same prog, arguments and help as in the whole tree).
-The whole tree is built only for no or an unknown command, a top-level
-option first (``--help``), or arguments the subcommand does not recognise,
-which the top-level parser then reports.
+``main`` parses every argv with one argument tree, built on first use
+and shared by every later call in the process.
 
 Exit codes: 0 when a conclusion was reached, 2 on precondition failures
 (bad weights, wrong family, atypical inputs to typical-only commands) and
@@ -31,6 +28,7 @@ errors, 70 on internal failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -125,9 +123,11 @@ class _Scanner:
         num = self.integer()
         if self.peek() == "/":
             self.pos += 1
+            self.skip_space()
+            start = self.pos
             den = self.integer()
             if den == 0:
-                raise WeightParseError("zero denominator", self.pos)
+                raise WeightParseError("zero denominator", start)
             return Fraction(num, den)
         return Fraction(num)
 
@@ -179,6 +179,7 @@ def _atom(scanner: _Scanner, datum: RootDatum) -> Weight:
 
 def _term(scanner: _Scanner, datum: RootDatum) -> Weight:
     ch = scanner.peek()
+    start = scanner.pos
     if ch == "(":
         scanner.take()
         coeff = scanner.rational()
@@ -192,9 +193,7 @@ def _term(scanner: _Scanner, datum: RootDatum) -> Weight:
         return vscale(coeff, _atom(scanner, datum))
     if coeff == 0:
         return zero_weight(datum.dim)
-    raise WeightParseError(
-        "a bare number is only valid as the zero weight", scanner.pos
-    )
+    raise WeightParseError("a bare number is only valid as the zero weight", start)
 
 
 def parse_weight(src: str, datum: RootDatum) -> Weight:
@@ -531,54 +530,33 @@ def _selftest_args(p: argparse.ArgumentParser):
     )
 
 
-def _subcommands() -> dict:
-    """name -> (handler, help line, extra arguments, takes the datum arguments).
-
-    Built per call, so the handlers are the module's names at parse time.
-    """
-    return {
-        "datum": (_cmd_datum, "print a root datum summary", None, True),
-        "group": (_cmd_group, "print the even Weyl group table", _group_args, True),
-        "numerator": (_cmd_numerator, "print a normalized Weyl numerator", _numerator_args, True),
-        "kgraph": (_cmd_kgraph, "print partition counts and k(G)", _kgraph_args, True),
-        "verify": (_cmd_verify, "compare two tensor products of typicals", _verify_args, True),
-        "search": (_cmd_search, "search for cross-matched counterexamples", _search_args, True),
-        "atypical-coeff": (
-            _cmd_atypical_coeff,
-            "coefficient of X^lambda in -log U for a singly atypical weight",
-            _atypical_coeff_args,
-            True,
-        ),
-        "atypical-verify": (
-            _cmd_atypical_verify,
-            "compare products of singly atypical numerators of one type",
-            _atypical_verify_args,
-            True,
-        ),
-        "selftest": (_cmd_selftest, "run the acceptance suite", _selftest_args, False),
-    }
+# name -> (handler, help line, extra arguments, takes the datum arguments)
+_SUBCOMMANDS = {
+    "datum": (_cmd_datum, "print a root datum summary", None, True),
+    "group": (_cmd_group, "print the even Weyl group table", _group_args, True),
+    "numerator": (_cmd_numerator, "print a normalized Weyl numerator", _numerator_args, True),
+    "kgraph": (_cmd_kgraph, "print partition counts and k(G)", _kgraph_args, True),
+    "verify": (_cmd_verify, "compare two tensor products of typicals", _verify_args, True),
+    "search": (_cmd_search, "search for cross-matched counterexamples", _search_args, True),
+    "atypical-coeff": (
+        _cmd_atypical_coeff,
+        "coefficient of X^lambda in -log U for a singly atypical weight",
+        _atypical_coeff_args,
+        True,
+    ),
+    "atypical-verify": (
+        _cmd_atypical_verify,
+        "compare products of singly atypical numerators of one type",
+        _atypical_verify_args,
+        True,
+    ),
+    "selftest": (_cmd_selftest, "run the acceptance suite", _selftest_args, False),
+}
 
 
-def _fill_subparser(p: argparse.ArgumentParser, spec: tuple) -> argparse.ArgumentParser:
-    func, _, add_args, datum_args = spec
-    p.set_defaults(func=func, parser=p)
-    if datum_args:
-        _add_datum_args(p)
-    if add_args is not None:
-        add_args(p)
-    return p
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser: the whole tree, or only the subcommand ``command``.
-
-    A subcommand's parser alone has the prog (``superweyl <command>``),
-    arguments and help that it has inside the tree, and parses the
-    arguments after the command name.
-    """
-    specs = _subcommands()
-    if command is not None:
-        return _fill_subparser(_Parser(prog=f"superweyl {command}"), specs[command])
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The whole argument tree, built once per process and shared by every parse."""
     parser = _Parser(
         prog="superweyl",
         description=(
@@ -588,28 +566,18 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         ),
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, spec in specs.items():
-        _fill_subparser(subs.add_parser(name, help=spec[1]), spec)
+    for name, (func, help_line, add_args, datum_args) in _SUBCOMMANDS.items():
+        p = subs.add_parser(name, help=help_line)
+        p.set_defaults(func=func, parser=p)
+        if datum_args:
+            _add_datum_args(p)
+        if add_args is not None:
+            add_args(p)
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse argv, building only the named subcommand's parser when argv starts with one.
-
-    The whole tree is built when there is no known command first (no
-    command, an unknown one, or a top-level option such as ``--help``), and
-    when the subcommand leaves arguments it does not know: the top-level
-    parser reports those, as it would have with the whole tree.
-    """
-    if argv and argv[0] in _subcommands():
-        args, unknown = build_parser(argv[0]).parse_known_args(argv[1:])
-        if not unknown:
-            return args
-    return build_parser().parse_args(argv)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else list(argv))
+    args = build_parser().parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         code = args.func(args)
         # a reader that left early shows up here, not at interpreter exit

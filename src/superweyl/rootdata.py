@@ -73,8 +73,8 @@ The integer data are plain ints, each computed once at construction:
   s_g(gamma), None where that is no positive odd root: how the even Weyl
   group moves the atypicality types of :mod:`superweyl.atypical`.
 
-The structure of a datum is fixed at construction, but three private caches on
-it fill lazily: ``_fundamental_cache`` (even fundamental weights),
+The structure of a datum is fixed at construction, the even fundamental
+weights included, but two private caches on it fill lazily:
 ``_group_cache`` (Weyl groups per generator set, see
 :func:`superweyl.weyl.generate`) and ``_key_table`` (the full factor keys,
 signature and block keys, whose factors have been built once, one entry per
@@ -398,7 +398,6 @@ class RootDatum:
         # on their simple-root coordinates.
         _Solver([g.coords for g in self.generators], "even generators")
 
-        self._fundamental_cache: dict[int, Weight] = {}
         self._group_cache: dict[object, object] = {}
         self._key_table: set[tuple] = set()
 
@@ -443,6 +442,7 @@ class RootDatum:
             raise MalformedDatumFile(
                 f"even simple diagram has {len(self.components)} components; expected 1 or 2"
             )
+        self._fundamental_weights = self._solve_fundamental_weights()
 
     # -- construction helpers ------------------------------------------------
 
@@ -655,31 +655,32 @@ class RootDatum:
 
     # -- weights ----------------------------------------------------------
 
+    def _solve_fundamental_weights(self) -> tuple[Weight, ...]:
+        """The even fundamental weights, by one integer solve of the even simple Cartan block."""
+        scale = self._scale
+        basis = [_scaled(self.simple_roots[p].vector, scale) for p in self.even_positions]
+        n = len(basis)
+        # the even simple roots are the generators with gids 0..n-1
+        cartan = _Solver([row[:n] for row in self.generator_cartan[:n]], "even simple roots")
+        den = cartan.det * scale
+        columns = (cartan.numerators([int(k == col) for k in range(n)]) for col in range(n))
+        return tuple(
+            tuple(Fraction(sum(c * b[j] for c, b in zip(coeffs, basis)), den) for j in range(self.dim))
+            for coeffs in columns
+        )
+
     def fundamental_weight(self, i: int) -> Weight:
         """Even fundamental weight for the i-th even simple root, 1-based.
 
         The weight lies in the rational span of the even simple roots, which
         fixes the natural representative (zero against every direction the
-        even simple coroots do not see).
+        even simple coroots do not see).  All of them are solved at construction.
         """
         if not 1 <= i <= len(self.even_positions):
             raise IndexOutOfRange(
                 f"fundamental weight index {i} out of range 1..{len(self.even_positions)}"
             )
-        if i not in self._fundamental_cache:
-            scale = self._scale
-            basis = [_scaled(self.simple_roots[p].vector, scale) for p in self.even_positions]
-            n = len(basis)
-            # the even simple roots are the generators with gids 0..n-1
-            cartan = _Solver([row[:n] for row in self.generator_cartan[:n]], "even simple roots")
-            den = cartan.det * scale
-            for col in range(n):
-                coeffs = cartan.numerators([int(k == col) for k in range(n)])
-                self._fundamental_cache[col + 1] = tuple(
-                    Fraction(sum(c * b[j] for c, b in zip(coeffs, basis)), den)
-                    for j in range(self.dim)
-                )
-        return self._fundamental_cache[i]
+        return self._fundamental_weights[i - 1]
 
     def coefficient_weight(self, coeffs: Sequence[int], tau_multiple: int = 0) -> Weight:
         """The weight sum_i coeffs[i-1] * omega_i + tau_multiple * tau."""

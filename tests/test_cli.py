@@ -123,6 +123,18 @@ class TestWeightGrammar:
         assert info.value.position == 11
         assert "position 11" in str(info.value)
 
+    @pytest.mark.parametrize("src, position, message", [
+        ("1/0*tau", 2, "zero denominator"),
+        ("omega[1] + (1/0)*tau", 14, "zero denominator"),
+        ("3", 0, "a bare number is only valid as the zero weight"),
+        ("tau + 3", 6, "a bare number is only valid as the zero weight"),
+    ])
+    def test_value_errors_report_the_token_start(self, src, position, message):
+        with pytest.raises(WeightParseError) as info:
+            parse_weight(src, self.d)
+        assert info.value.position == position
+        assert str(info.value) == f"at position {position}: {message}"
+
     def test_unknown_name_reports_position(self):
         with pytest.raises(WeightParseError) as info:
             parse_weight("omega[1] + bogus", self.d)
@@ -681,10 +693,10 @@ class TestInternalErrorMapping:
     def test_assertion_maps_to_internal_exit(self, capsys, monkeypatch):
         import superweyl.cli as cli
 
-        def boom(args):
+        def boom(descriptor):
             raise AssertionError("wires crossed")
 
-        monkeypatch.setitem(cli.__dict__, "_cmd_datum", boom)
+        monkeypatch.setattr(cli, "build_datum", boom)
         code = cli.main(["datum", "--family", "G3"])
         captured = capsys.readouterr()
         assert code == EXIT_INTERNAL
@@ -784,11 +796,45 @@ def parse_outcome(parse, argv):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     argv=st.tuples(
-        st.sampled_from(sorted(cli._subcommands()) + ["frobnicate", "--help"]),
+        st.sampled_from(sorted(cli._SUBCOMMANDS) + ["frobnicate", "--help"]),
         st.lists(st.sampled_from(ARGV_TOKENS), max_size=7),
     ).map(lambda t: [t[0], *t[1]])
 )
-def test_parsing_the_named_subcommand_alone_matches_the_whole_tree(argv, monkeypatch):
+def test_the_shared_tree_parses_like_a_fresh_one(argv, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    whole = parse_outcome(lambda a: cli.build_parser().parse_args(a), argv)
-    assert parse_outcome(cli._parse, argv) == whole
+    fresh = parse_outcome(lambda a: cli.build_parser.__wrapped__().parse_args(a), argv)
+    assert parse_outcome(lambda a: cli.build_parser().parse_args(a), argv) == fresh
+
+
+def test_in_process_calls_match_fresh_processes(monkeypatch):
+    """One process serves a sequence of calls as fresh processes would, on one tree."""
+    monkeypatch.setenv("COLUMNS", "80")
+    sl32 = ["--family", "sl", "--m", "3", "--n", "2"]
+    bogus = ["numerator", "--bogus"]
+    sequence = [
+        ["--help"],
+        bogus,
+        ["numerator", *sl32, "--weight", "omega[1] + tau", "--factor"],
+        ["search", *sl32, "--bound", "3", "--tau-mult", "1", "--limit", "2"],
+        ["atypical-coeff", "--family", "G3", "--weight", "0", "--closed"],
+        bogus,
+    ]
+    built = []
+
+    class CountingParser(cli._Parser):
+        def __init__(self, **kwargs):
+            built.append(kwargs["prog"])
+            super().__init__(**kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    cli.build_parser.cache_clear()
+    try:
+        in_process = [cli_transcript(argv) for argv in sequence]
+    finally:
+        cli.build_parser.cache_clear()
+    # the top-level parser and one per subcommand, once
+    assert len(built) == 1 + len(cli._SUBCOMMANDS)
+    assert [t["code"] for t in in_process] == [EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_USAGE]
+    for argv, got in zip(sequence, in_process):
+        proc = run_cli_process(argv)
+        assert got == {"stdout": proc.stdout, "stderr": proc.stderr, "code": proc.returncode}, argv

@@ -641,6 +641,33 @@ def test_datum_file_rejects_dependent_even_generators():
         datum_from_text(DEPENDENT_GENERATORS_TEXT)
 
 
+SINGULAR_EVEN_CARTAN_TEXT = """\
+family: X3
+ambient_dim: 3
+gram:
+2 -2 -2
+-2 2 -2
+-2 -2 -2
+simple:
+even 1 0 0
+even 0 1 0
+odd 0 0 1
+positive_even:
+1 0 0
+0 1 0
+positive_odd:
+0 0 1
+"""
+
+
+def test_datum_file_rejects_singular_even_cartan_block():
+    # Every other check passes (the odd root fixes the Weyl vector law), but
+    # the even simple Cartan block is the singular [[2, -2], [-2, 2]], so no
+    # fundamental weights exist; construction solves for them and refuses.
+    with pytest.raises(MalformedDatumFile, match="^even simple roots are linearly dependent$"):
+        datum_from_text(SINGULAR_EVEN_CARTAN_TEXT)
+
+
 def test_datum_file_error_line_numbers():
     bad = A3_TEXT.replace("0 1 -1 0\n0 0 1 -1\n1 0 -1 0", "0 1 -1 0\n0 0 1 -1\nx y z w")
     with pytest.raises(MalformedDatumFile) as exc:
