@@ -531,9 +531,9 @@ def atypical_match(
     type anywhere is rejected, because numerators of different types carry
     different Z symbols and their equality says nothing about the weights.
     Factors are paired by their even pairing signature, which determines
-    the numerator and the weight.  Equal products with a complete pairing
-    conclude unique factorization; everything else reports the products as
-    unequal.
+    the numerator and the weight.  A complete pairing of equal numerators
+    makes the products equal and concludes unique factorization; only an
+    incomplete one multiplies them out, to check that they differ.
     """
     gamma_vector = gamma.vector if isinstance(gamma, Root) else as_weight(gamma)
     type_index = next((i for i, r in enumerate(datum.positive_odd) if r.vector == gamma_vector), None)
@@ -565,9 +565,6 @@ def atypical_match(
     lhs_sigs = [_flat_signature(datum, c.lam) for c in lhs_ctx]
     rhs_sigs = [_flat_signature(datum, c.lam) for c in rhs_ctx]
 
-    one = Poly.one(z_truncation)
-    products_equal = math.prod(lhs_factors, start=one) == math.prod(rhs_factors, start=one)
-
     pairing: list[FactorMatch] = []
     for i, j in pair_by_key(lhs_sigs, rhs_sigs):
         # same signature forces the same numerator
@@ -577,16 +574,15 @@ def atypical_match(
 
     r_equals_s = len(lhs) == len(rhs)
     complete = r_equals_s and len(pairing) == len(lhs)
-    # equal products force a full matching of the factors
-    invariant(complete or not products_equal, "equal numerator products with unmatched factors")
-    conclusion = (
-        Conclusion.UNIQUE_FACTORIZATION
-        if products_equal and complete
-        else Conclusion.PRODUCTS_UNEQUAL
-    )
+    if not complete:
+        # equal products force a full matching of the factors
+        one = Poly.one(z_truncation)
+        products_equal = math.prod(lhs_factors, start=one) == math.prod(rhs_factors, start=one)
+        invariant(not products_equal, "equal numerator products with unmatched factors")
+    conclusion = Conclusion.UNIQUE_FACTORIZATION if complete else Conclusion.PRODUCTS_UNEQUAL
     return MatchReport(
         r_equals_s=r_equals_s,
         pairing=tuple(pairing),
-        sigma_hypothesis_holds=products_equal and complete,
+        sigma_hypothesis_holds=complete,
         module_level_conclusion=conclusion,
     )

@@ -113,7 +113,7 @@ def factor_numerator(datum: RootDatum, lam: Weight) -> list[Poly]:
         return [numerator(datum, lam)]
     shifted, den = _checked_labels(datum, *datum._shifted(as_weight(lam)))
     labels = _dominant_walk(datum, shifted)
-    if any(g.pi_index is None for g in datum.generators):
+    if datum.generator_blocks != datum.component_gids:
         raise UnsupportedCase(
             "component factors need every generator to be a simple root"
         )
@@ -130,14 +130,12 @@ def x_signature(datum: RootDatum, lam: Weight) -> tuple[tuple[int, ...], ...]:
 
 def _signature(datum: RootDatum, shifted: list[int], den: int) -> tuple[tuple[int, ...], ...]:
     """:func:`x_signature` from the shifted label numerators over ``den``."""
-    gid = datum.even_positions.index  # the even simple roots are gids 0..n-1
-    for comp in datum.components:
-        for pos in comp:
-            if shifted[gid(pos)] % den:
-                raise NonIntegralExponent(
-                    f"pairing {Fraction(shifted[gid(pos)], den)} at position {pos} is not an integer"
-                )
-    return tuple(tuple(shifted[gid(pos)] // den for pos in comp) for comp in datum.components)
+    for g, pos in enumerate(datum.even_positions):  # the even simple roots are gids 0..n-1
+        if shifted[g] % den:
+            raise NonIntegralExponent(
+                f"pairing {Fraction(shifted[g], den)} at position {pos} is not an integer"
+            )
+    return tuple(tuple(shifted[g] // den for g in gids) for gids in datum.component_gids)
 
 
 def x_lambda(datum: RootDatum, lam: Weight) -> Mono:

@@ -67,8 +67,10 @@ The integer data are plain ints, each computed once at construction:
 * ``generator_cartan``, the rows <g_k, g_i^vee>, checked integral;
 * the diagram, read off that Cartan matrix: for non-isotropic a and b,
   (a, b) != 0 exactly when <a, b^vee> != 0, so ``adjacency()`` and
-  ``components`` (the even simple roots) and ``generator_blocks`` (all
-  generators) are its non-zero pattern and its connected components;
+  ``components`` (the even simple roots; ``component_gids`` holds their
+  gids 0..n-1, the one map every reader of a component's generators
+  takes) and ``generator_blocks`` (all generators) are its non-zero
+  pattern and its connected components;
 * ``odd_reflections``, per generator g the index in ``positive_odd`` of each
   s_g(gamma), None where that is no positive odd root: how the even Weyl
   group moves the atypicality types of :mod:`superweyl.atypical`.
@@ -189,11 +191,11 @@ def _combine(coeffs: Sequence[Fraction | int], rows: Sequence[_Row], dim: int) -
     return acc
 
 
-def _linked_classes(nodes: Iterable[int], linked) -> tuple[tuple[int, ...], ...]:
-    """Connected components of the graph ``linked(u, v)`` on ``nodes``, by smallest node."""
+def _linked_classes(cartan: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
+    """Connected components of the non-zero pattern of ``cartan`` on 0..n-1, by smallest node."""
     classes: list[tuple[int, ...]] = []
-    for v in nodes:
-        joined = [c for c in classes if any(linked(u, v) for u in c)]
+    for v in range(n):
+        joined = [c for c in classes if any(cartan[u][v] for u in c)]
         classes = [c for c in classes if c not in joined] + [tuple(sorted(sum(joined, (v,))))]
     return tuple(sorted(classes))
 
@@ -432,11 +434,14 @@ class RootDatum:
         # blocks on one diagram component (2 delta and delta are orthogonal
         # to G_2 and B_3).
         self.generator_blocks: tuple[tuple[int, ...], ...] = _linked_classes(
-            range(len(self.generators)), lambda u, v: self.generator_cartan[u][v] != 0
+            self.generator_cartan, len(self.generators)
         )
-        adj = self.adjacency()
-        self.components: tuple[tuple[int, ...], ...] = _linked_classes(
-            self.even_positions, lambda u, v: v in adj[u]
+        # the even simple roots are the generators 0..n-1, in position order
+        self.component_gids: tuple[tuple[int, ...], ...] = _linked_classes(
+            self.generator_cartan, len(self.even_positions)
+        )
+        self.components: tuple[tuple[int, ...], ...] = tuple(
+            tuple(self.even_positions[g] for g in gids) for gids in self.component_gids
         )
         if len(self.components) not in (1, 2):
             raise MalformedDatumFile(
@@ -990,9 +995,6 @@ def datum_from_text(text: str) -> RootDatum:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
-            continue
-        if line.endswith(":") and line[:-1] in _SECTION_KEYS:
-            current = line[:-1]
             continue
         if ":" in line:
             key, _, value = line.partition(":")

@@ -12,17 +12,19 @@ factorization.
 Factors are matched by key, never by polynomial.  The even Weyl group is
 the product of the subgroups of its irreducible blocks of generators
 (``RootDatum.generator_blocks``), so a numerator is the product of one
-orbit sum per block, fixed by the block's part of the dominant labels
-(the labels of lam + rho walked to the dominant chamber).  A block's key
-is (its part of the signature, those labels), so equal keys mean equal
-factors.  With two components the blocks are the components; G(3) and
-F(4) have one component but two blocks (the extra generator is orthogonal
-to G_2 and B_3), so their products can match block by block where no
-whole factor does.  The signature alone is not a key: it leaves out the
-extra generator, which ``tau`` and ``2*tau`` tell apart.  Nor are the
-labels alone: on B(0, n) a shifted weight with a negative label at the
-extra generator is reflected to another weight's dominant labels, and the
-two are kept apart by their signatures.
+orbit sum per block, fixed by the block's part of the dominant labels (the
+labels of lam + rho walked to the dominant chamber).  A block's key is
+(its part of the signature, those labels), so equal keys mean equal
+factors.  The report pairs block by block exactly when the blocks are the
+components (``generator_blocks == component_gids``) and whole keys
+otherwise, and the search reads each component's generators from
+``component_gids``.  G(3) and F(4) have one component but two blocks (the
+extra generator is orthogonal to G_2 and B_3), so their products can match
+block by block where no whole factor does.  The signature alone is not a
+key: it leaves out the extra generator, which ``tau`` and ``2*tau`` tell
+apart.  Nor are the labels alone: on B(0, n) a shifted weight with a
+negative label at the extra generator is reflected to another weight's
+dominant labels, and the two are kept apart by their signatures.
 
 Keys are computed in integers: the datum pairs the numerators of
 lam + rho with its integer coroot and isotropic rows, and the dominant
@@ -134,9 +136,7 @@ def _report(datum: RootDatum, lhs: Sequence[tuple], rhs: Sequence[tuple],
     ]
     products_equal = len(lhs) == len(rhs) and all(len(p) == len(lhs) for p in block_pairs)
 
-    if len(datum.components) > 1:
-        # every generator is a simple root (factor_numerator checks it), so
-        # the blocks are the components
+    if datum.generator_blocks == datum.component_gids:
         comp_pairs = block_pairs
     else:
         comp_pairs = [pair_by_key([keys for _, keys in lhs_keys], [keys for _, keys in rhs_keys])]
@@ -233,8 +233,7 @@ def iter_counterexamples(
     against 2 tau, omega_1 + tau) are cross-matched, but this search does not
     reach them.
     """
-    comps = datum.components
-    if len(comps) < 2:
+    if len(datum.components) < 2:
         raise NoSecondComponent(
             "counterexample search needs a second diagram component"
         )
@@ -256,9 +255,8 @@ def iter_counterexamples(
             for coeffs in itertools.product(rng, repeat=len(basis))
         ]
 
-    basis = [over(w) for w in omegas]
-    size1 = len(comps[0])
-    parts1, parts2 = parts(basis[:size1]), parts(basis[size1:])
+    basis = [over(w) for w in omegas]  # omega_i is the weight of gid i - 1
+    parts1, parts2 = (parts([basis[g] for g in gids]) for gids in datum.component_gids)
     tau, rho = over(datum.tau), over(datum.rho)
 
     def eta(i: int, j: int, mult: int) -> list[int]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import os
 from typing import Sequence
 
-from .errors import GroupTooLarge, IndexOutOfRange
+from .errors import GroupTooLarge, IndexOutOfRange, MalformedDatumFile
 from .rootdata import RootDatum
 
 DEFAULT_MAX_GROUP = 1_000_000
@@ -103,7 +103,8 @@ def generate(datum: RootDatum, gids: Sequence[int] | None = None) -> WeylGroup:
 
     Enumeration is breadth first and aborts with :class:`GroupTooLarge` once
     more elements appear than the cap (the ``SUPERWEYL_MAX_GROUP``
-    environment variable, else one million).
+    environment variable, else one million), and with :class:`MalformedDatumFile`
+    once a reduced word outgrows the positive even roots (the group is infinite).
     Results are cached on the datum per generator set; the cap is read on
     every call, so a cached group larger than the current cap raises
     :class:`GroupTooLarge` too.
@@ -123,6 +124,7 @@ def generate(datum: RootDatum, gids: Sequence[int] | None = None) -> WeylGroup:
         return cached
 
     rows = _cartan_rows(datum, chosen)
+    bound = len(datum.positive_even)  # a reduced word crosses each positive root at most once
     start = (1,) * len(chosen)
     labels = [start]
     seen = {start}
@@ -141,6 +143,8 @@ def generate(datum: RootDatum, gids: Sequence[int] | None = None) -> WeylGroup:
                 continue
             if len(labels) >= cap:
                 raise _too_large(datum, chosen, cap)
+            if length > bound:
+                raise MalformedDatumFile(f"group on generators {chosen} of {datum.label} is infinite")
             seen.add(b)
             labels.append(b)
             parents.append(head)
@@ -195,8 +199,7 @@ def pi0_group(datum: RootDatum) -> WeylGroup:
     subgroup for B(0, n), G(3), and F(4), where the even root system has a
     simple root that the distinguished system does not contain.
     """
-    gids = tuple(g.gid for g in datum.generators if g.pi_index is not None)
-    return generate(datum, gids)
+    return generate(datum, sum(datum.component_gids, ()))
 
 
 def component_group(datum: RootDatum, k: int) -> WeylGroup:
@@ -205,6 +208,4 @@ def component_group(datum: RootDatum, k: int) -> WeylGroup:
         raise IndexOutOfRange(
             f"component {k} out of range 1..{len(datum.components)}"
         )
-    comp = set(datum.components[k - 1])
-    gids = tuple(g.gid for g in datum.generators if g.pi_index in comp)
-    return generate(datum, gids)
+    return generate(datum, datum.component_gids[k - 1])

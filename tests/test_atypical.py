@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import superweyl.atypical as atypical
+import superweyl.series as series
 from superweyl.atypical import (
     AtypicalContext,
     atypical_context,
@@ -610,8 +612,6 @@ def test_grouping_counts_equal_the_walked_tally(m, n):
 
 
 def test_closed_forms_and_f1_do_not_walk_partitions(monkeypatch):
-    import superweyl.atypical as atypical
-
     def walk(graph, k):
         raise AssertionError("ordered partitions were walked")
 
@@ -698,6 +698,39 @@ class TestMatching:
         )
         assert report.module_level_conclusion is Conclusion.PRODUCTS_UNEQUAL
         assert not report.sigma_hypothesis_holds
+
+    @staticmethod
+    def product_calls(monkeypatch):
+        """The class of each ``_product`` call from here on, in call order."""
+        calls = []
+        product = series._Terms._product
+
+        def spy(terms, other, bound):
+            calls.append(type(terms))
+            return product(terms, other, bound)
+
+        monkeypatch.setattr(series._Terms, "_product", spy)
+        return calls
+
+    def test_complete_pairing_multiplies_no_numerators(self, monkeypatch):
+        calls = self.product_calls(monkeypatch)
+        report = atypical_match(self.datum, [self.w1, self.w2], [self.w2, self.w1], self.gamma)
+        assert report.module_level_conclusion is Conclusion.UNIQUE_FACTORIZATION
+        assert Poly not in calls
+
+    def test_incomplete_pairing_still_multiplies(self, monkeypatch):
+        calls = self.product_calls(monkeypatch)
+        report = atypical_match(self.datum, [self.w1, self.w1], [self.w1, self.w2], self.gamma)
+        assert report.module_level_conclusion is Conclusion.PRODUCTS_UNEQUAL
+        assert Poly in calls
+
+    def test_equal_products_with_unmatched_factors_are_internal_errors(self, monkeypatch):
+        # signatures that never pair leave equal products unmatched, which
+        # the multiplication of an incomplete pairing still catches
+        fresh = itertools.count()
+        monkeypatch.setattr(atypical, "_flat_signature", lambda datum, lam: (next(fresh),))
+        with pytest.raises(InternalInvariant, match="equal numerator products with unmatched"):
+            atypical_match(self.datum, [self.w1], [self.w1], self.gamma)
 
     def test_length_mismatch(self):
         report = atypical_match(self.datum, [self.w1], [self.w1, self.w2], self.gamma)

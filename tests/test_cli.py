@@ -27,6 +27,7 @@ from superweyl.cli import (
 )
 from superweyl.errors import UnknownSymbol, WeightParseError
 from superweyl.rootdata import vadd, vscale, zero_weight
+from superweyl.weyl import generate, sign
 
 from golden import (
     CLI_CASES,
@@ -38,7 +39,15 @@ from golden import (
     closed_coeff_cases,
     group_table,
 )
-from test_rootdata import A3_TEXT, NON_INTEGRAL_CARTAN_TEXT, datum_file_text
+from test_rootdata import (
+    A1A1B_TEXT,
+    A3_TEXT,
+    INFINITE_TEXTS,
+    INTERLEAVED_TEXT,
+    NON_INTEGRAL_CARTAN_TEXT,
+    datum_file_text,
+    pi_index_component_gids,
+)
 
 
 def run_cli(capsys, argv):
@@ -47,12 +56,12 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
-def run_cli_process(argv):
+def run_cli_process(argv, timeout=None):
     """Run the CLI in a fresh interpreter, so an escaping exception shows."""
     env = dict(os.environ, PYTHONPATH=str(Path(superweyl.__file__).parents[1]))
     return subprocess.run(
         [sys.executable, "-m", "superweyl.cli", *argv],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
 
 
@@ -227,6 +236,57 @@ class TestDatumFiles:
         assert proc.returncode == EXIT_PRECONDITION
         assert proc.stderr.startswith("error: Cartan entry <s2, s1^vee> = -4/3")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("name", INFINITE_TEXTS)
+    def test_infinite_even_weyl_group_exit_2(self, tmp_path, name):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(INFINITE_TEXTS[name])
+        for argv in (["group"], ["numerator", "--weight", "omega[1]"]):
+            proc = run_cli_process([*argv, "--datum-file", str(path)], timeout=10)
+            assert proc.returncode == EXIT_PRECONDITION
+            assert proc.stderr == f"error: group on generators (0, 1) of {name} is infinite\n"
+        # the datum itself loads: only a group on it is refused
+        proc = run_cli_process(["datum", "--datum-file", str(path)], timeout=10)
+        assert proc.returncode == EXIT_OK
+        assert proc.stdout.splitlines()[:8] == [
+            f"label: {name}", "family: custom", "ambient: x1, x2, x3", "even_simple_count: 2",
+            "components: 1", "component_sizes: 2", "positive_even: 2", "positive_odd: 1",
+        ]
+
+    def test_two_components_with_an_extra_generator_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "a1a1b.txt"
+        path.write_text(A1A1B_TEXT)
+        file_args = ["--datum-file", str(path)]
+        for argv in (
+            ["verify", "--lhs", "omega[1]; omega[2]", "--rhs", "omega[2]; omega[1]"],
+            ["search", "--bound", "1", "--tau-mult", "0"],
+        ):
+            code, _, err = run_cli(capsys, [*argv, *file_args])
+            assert code == EXIT_PRECONDITION
+            assert err == "error: component factors need every generator to be a simple root\n"
+
+    @pytest.mark.parametrize(
+        "source",
+        [["--family", "sl", "--m", "3", "--n", "2"], ["--family", "sl", "--m", "4", "--n", "3"],
+         ["--family", "osp", "--n", "2"], ["--family", "G3"], A3_TEXT, A1A1B_TEXT,
+         INTERLEAVED_TEXT],
+        ids=["sl(3,2)", "sl(4,3)", "osp(2,4)", "G(3)", "A3 file", "A1A1B file", "interleaved file"],
+    )
+    def test_component_tables_match_the_pi_index_route(self, capsys, tmp_path, source):
+        if isinstance(source, str):
+            path = tmp_path / "datum.txt"
+            path.write_text(source)
+            source = ["--datum-file", str(path)]
+        datum = cli._resolve_datum(cli.build_parser().parse_args(["datum", *source]))
+        for k, gids in enumerate(pi_index_component_gids(datum), 1):
+            group = generate(datum, gids)
+            expected = f"order: {group.order}\n" + "".join(
+                f"elem {i}: word={group.describe(i)} length={n} sign={sign(n)}\n"
+                for i, n in enumerate(group.lengths)
+            )
+            assert run_cli(capsys, ["group", *source, "--component", str(k)]) == (
+                EXIT_OK, expected, ""
+            )
 
     def test_missing_file_exit_2(self, tmp_path):
         path = tmp_path / "absent.txt"
@@ -538,6 +598,15 @@ class TestVerifyCommand:
 
 
 class TestSearchCommand:
+    def test_interleaved_components_exit_0(self, capsys, tmp_path):
+        path = tmp_path / "interleaved.txt"
+        path.write_text(INTERLEAVED_TEXT)
+        argv = ["search", "--datum-file", str(path), "--bound", "1", "--tau-mult", "0"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert sum(line.startswith("hit ") for line in out.splitlines()) == 6
+        assert out.endswith("count: 6\n")
+
     def test_datum_file_hit_is_accepted_by_verify(self, capsys, tmp_path):
         path = tmp_path / "sl32.datum"
         path.write_text(datum_file_text(build_datum(AlgebraDescriptor("sl", 3, 2))))

@@ -496,6 +496,48 @@ positive_odd:
 """
 
 
+# A2 x A1 with the A1 simple root listed between the two A2 ones, so the
+# components interleave: positions (and gids) 0 and 2, then 1.
+INTERLEAVED_TEXT = """\
+family: interleaved
+ambient_dim: 4
+gram:
+1 0 0 0
+0 1 0 0
+0 0 1 0
+0 0 0 1
+simple:
+even 1 -1 0 0
+even 0 0 1 0
+even 0 1 0 -1
+positive_even:
+1 -1 0 0
+0 0 1 0
+0 1 0 -1
+1 0 0 -1
+positive_odd:
+"""
+
+
+def _infinite_text(label, gram):
+    """Even simples 1 0 0 and 0 1 0, the only positive even roots, and odd
+    simple 0 0 1: every construction check passes, but the even Cartan
+    matrix is of no finite type, so the even Weyl group is infinite."""
+    rows = "\n".join(" ".join(map(str, row)) for row in gram)
+    return (
+        f"family: {label}\nambient_dim: 3\ngram:\n{rows}\n"
+        "simple:\neven 1 0 0\neven 0 1 0\nodd 0 0 1\n"
+        "positive_even:\n1 0 0\n0 1 0\npositive_odd:\n0 0 1\n"
+    )
+
+
+# Cartan [[2, -3], [-3, 2]] and [[2, -1], [-5, 2]]
+INFINITE_TEXTS = {
+    "hyperbolic": _infinite_text("hyperbolic", [[2, -3, -3], [-3, 2, -3], [-3, -3, -3]]),
+    "affine": _infinite_text("affine", [[2, -5, -5], [-5, 10, -5], [-5, -5, -5]]),
+}
+
+
 def test_datum_file_pure_even():
     d = datum_from_text(A3_TEXT)
     assert d.label == "A3"
@@ -506,6 +548,42 @@ def test_datum_file_pure_even():
     assert d.components == ((0, 1, 2),)
     assert d.is_typical(zero_weight(4))
     assert d.is_dominant_integral(zero_weight(4)) == Dominance.NECESSARY_ONLY
+
+
+def pi_index_component_gids(d):
+    """Each component's generator ids found through ``Generator.pi_index``."""
+    return tuple(
+        tuple(g.gid for g in d.generators if g.pi_index in comp) for comp in d.components
+    )
+
+
+COMPONENT_DATA = golden_builders() | {
+    f"{name} file": (lambda text=text: datum_from_text(text))
+    for name, text in [("A3", A3_TEXT), ("A1A1B", A1A1B_TEXT), ("interleaved", INTERLEAVED_TEXT)]
+}
+
+
+@pytest.mark.parametrize("name", COMPONENT_DATA)
+def test_component_gids_match_the_pi_index_route(name):
+    d = COMPONENT_DATA[name]()
+    assert d.component_gids == pi_index_component_gids(d)
+
+
+def test_interleaved_components():
+    d = datum_from_text(INTERLEAVED_TEXT)
+    assert d.component_gids == ((0, 2), (1,))
+    assert d.components == ((0, 2), (1,))
+    assert d.generator_blocks == d.component_gids
+
+
+@pytest.mark.parametrize("name", INFINITE_TEXTS)
+def test_infinite_even_weyl_group_still_builds(name):
+    # the refusal comes from group generation, not from construction
+    d = datum_from_text(INFINITE_TEXTS[name])
+    assert d.label == name
+    assert [r.coords for r in d.positive_even] == [(1, 0, 0), (0, 1, 0)]
+    cartan = {"hyperbolic": ((2, -3), (-3, 2)), "affine": ((2, -1), (-5, 2))}[name]
+    assert d.generator_cartan == cartan
 
 
 def textbook_or_file(family, args):

@@ -11,9 +11,15 @@ import pytest
 
 import superweyl.unifac as unifac
 from superweyl import build_b0, build_f4, build_g3, build_osp2, build_sl
-from superweyl.errors import NoSecondComponent, NotDominant, NotTypical, SuperweylError
+from superweyl.errors import (
+    NoSecondComponent,
+    NotDominant,
+    NotTypical,
+    SuperweylError,
+    UnsupportedCase,
+)
 from superweyl.numerator import _dominant_walk, factor_numerator, numerator, x_signature
-from superweyl.rootdata import as_weight, vadd, vscale
+from superweyl.rootdata import as_weight, datum_from_text, vadd, vscale
 from superweyl.series import Poly
 from superweyl.unifac import (
     Conclusion,
@@ -25,6 +31,7 @@ from superweyl.unifac import (
 
 from golden import SEARCH_CASES, SEARCH_GOLDEN, search_stream
 from test_numerator import random_typical_weights, weight_from_coeffs
+from test_rootdata import A1A1B_TEXT, INTERLEAVED_TEXT
 
 
 class TestCrossMatchedPair:
@@ -225,6 +232,29 @@ class TestSearch:
                 found = True
                 break
         assert found
+
+    def test_interleaved_components_swap_their_own_parts(self):
+        # component 1 holds gids 0 and 2, component 2 gid 1, so each part
+        # comes from its own component's fundamental weights
+        d = datum_from_text(INTERLEAVED_TEXT)
+        hits = list(iter_counterexamples(d, 1, 0))
+        assert len(hits) == 6
+        for hit in hits:
+            report = verify_tensor_isomorphism(d, hit.lhs, hit.rhs)
+            assert report.module_level_conclusion is Conclusion.CROSS_MATCHED
+            assert report == hit.report
+            (a, b), (a2, b2) = (x_signature(d, w) for w in hit.lhs)
+            assert [x_signature(d, w) for w in hit.rhs] == [(a2, b), (a, b2)]
+
+    def test_two_components_with_an_extra_generator_stay_unsupported(self):
+        d = datum_from_text(A1A1B_TEXT)
+        assert d.generator_blocks != d.component_gids
+        lhs = [d.fundamental_weight(1), d.fundamental_weight(2)]
+        message = "component factors need every generator to be a simple root"
+        with pytest.raises(UnsupportedCase, match=message):
+            verify_tensor_isomorphism(d, lhs, lhs[::-1])
+        with pytest.raises(UnsupportedCase, match=message):
+            next(iter_counterexamples(d, 1, 0))
 
     def test_single_component_family_has_no_search_space(self):
         with pytest.raises(NoSecondComponent):

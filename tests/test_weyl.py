@@ -7,12 +7,13 @@ arrays spell against it on groups of at most ``MAX_ORDER`` elements.
 """
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
 
-from superweyl.errors import GroupTooLarge, IndexOutOfRange
-from superweyl.numerator import _dominant_walk
+from superweyl.errors import GroupTooLarge, IndexOutOfRange, MalformedDatumFile
+from superweyl.numerator import _dominant_walk, numerator
 from superweyl.rootdata import (
     build_b0,
     build_f4,
@@ -35,7 +36,7 @@ from superweyl.weyl import (
 
 import weyl_reference as ref
 from test_numerator import random_typical_weights
-from test_rootdata import A3_TEXT
+from test_rootdata import A3_TEXT, INFINITE_TEXTS
 
 DIFFERENTIAL_DATA = [
     ("sl32", lambda: build_sl(3, 2)),
@@ -110,6 +111,38 @@ def test_cached_group_respects_a_smaller_cap(monkeypatch):
     assert generate(d) is group
     monkeypatch.delenv("SUPERWEYL_MAX_GROUP")
     assert full_group(d) is group
+
+
+@pytest.mark.parametrize(
+    "builder", [lambda: build_sl(4, 3), lambda: build_b0(3), lambda: build_osp2(3),
+                build_g3, build_f4],
+    ids=["sl43", "b03", "osp26", "g3", "f4"],
+)
+def test_longest_element_crosses_every_positive_even_root(builder):
+    # the bound on reduced words that refuses infinite groups is met, never passed
+    d = builder()
+    assert max(full_group(d).lengths) == len(d.positive_even)
+
+
+@pytest.mark.parametrize("name", INFINITE_TEXTS)
+def test_infinite_group_is_refused_at_once(name, monkeypatch):
+    message = f"^group on generators \\(0, 1\\) of {name} is infinite$"
+    d = datum_from_text(INFINITE_TEXTS[name])
+    start = time.perf_counter()
+    for build in (full_group, pi0_group, lambda d: component_group(d, 1)):
+        with pytest.raises(MalformedDatumFile, match=message):
+            build(d)
+    with pytest.raises(MalformedDatumFile, match=message):
+        numerator(d, d.fundamental_weight(1))
+    assert time.perf_counter() - start < 1
+    # five elements have reduced words of length at most 2, the number of
+    # positive even roots; a cap they fill keeps its precedence
+    monkeypatch.setenv("SUPERWEYL_MAX_GROUP", "5")
+    with pytest.raises(GroupTooLarge, match="exceeds the cap of 5 elements"):
+        full_group(d)
+    monkeypatch.setenv("SUPERWEYL_MAX_GROUP", "6")
+    with pytest.raises(MalformedDatumFile, match=message):
+        full_group(d)
 
 
 def test_identity_and_signs():
